@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -30,6 +31,7 @@ from .mesh import (
     write_triangle_format,
 )
 from .newton import (
+    POLICIES,
     NewtonResult,
     continuation_in_nu,
     damped_newton_solve,
@@ -37,9 +39,7 @@ from .newton import (
 )
 from .timestepping import TimeGrid
 
-POLICIES = ("quartic", "cheap", "fixed1")
 VARIANTS = ("E", "Etilde")
-DEFAULT_MEMORY_BUDGET = 4e8  # trajectory reals before float32 storage kicks in
 
 
 def lid_profile(x):
@@ -65,31 +65,34 @@ class ExperimentConfig:
     schedule: list[float] | None = None
     outdir: str = "out"
     snapshots: list[float] = field(default_factory=list)
-    memory_budget: float = DEFAULT_MEMORY_BUDGET
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ConfigError(f"nu must be positive, got {self.nu}")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
-        if self.h <= 0:
-            raise ConfigError(f"h must be positive, got {self.h}")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"policy must be one of {POLICIES}, got '{self.policy}'")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got '{self.variant}'")
-        ratio = self.T / self.dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ConfigError(f"dt={self.dt} does not divide T={self.T}")
         if self.schedule is not None:
+            if not self.schedule:
+                raise ConfigError("bad value for key 'schedule': no viscosity given")
+            if not all(math.isfinite(s) and s > 0 for s in self.schedule):
+                raise ConfigError(f"bad value for key 'schedule': {self.schedule} "
+                                  "(viscosities must be finite and positive)")
             if any(b >= a for a, b in zip(self.schedule[:-1], self.schedule[1:])):
                 raise ConfigError(
                     f"schedule must be strictly decreasing, got {self.schedule}")
             if abs(self.schedule[-1] - self.nu) > 1e-15:
                 # the configured nu is the target (last) viscosity
                 self.nu = self.schedule[-1]
+        for key in ("h", "T", "dt", "nu", "tol", "m"):
+            value = getattr(self, key)
+            ok = value >= 1.0 if key == "m" else value > 0.0
+            if not (math.isfinite(value) and ok):
+                rule = ">= 1" if key == "m" else "positive"
+                raise ConfigError(
+                    f"bad value for key '{key}': {value} (must be finite and {rule})")
+        if self.policy not in POLICIES:
+            raise ConfigError(f"policy must be one of {POLICIES}, got '{self.policy}'")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}, got '{self.variant}'")
+        ratio = self.T / self.dt
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+            raise ConfigError(f"dt={self.dt} does not divide T={self.T}")
         for t in self.snapshots:
             if not (0.0 <= t <= self.T):
                 raise ConfigError(f"snapshot time {t} outside [0, {self.T}]")
@@ -121,8 +124,14 @@ _PARSERS = {
     "schedule": lambda s: [_parse_number(p) for p in s.split(",") if p.strip()],
     "outdir": str.strip,
     "snapshots": lambda s: [_parse_number(p) for p in s.split(",") if p.strip()],
-    "memory_budget": _parse_number,
 }
+
+
+def _parse_value(key: str, raw: str):
+    try:
+        return _PARSERS[key](raw)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad value for key '{key}': {raw!r} ({exc})") from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -140,10 +149,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, raw in parser["experiment"].items():
         if key not in _PARSERS:
             raise ConfigError(f"unknown key '{key}'")
-        try:
-            values[key] = _PARSERS[key](raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad value for key '{key}': {raw!r} ({exc})") from exc
+        values[key] = _parse_value(key, raw)
     return ExperimentConfig(**values)
 
 
@@ -250,11 +256,6 @@ def _solver_for(config: ExperimentConfig):
     return residual_variant_solve if config.variant == "Etilde" else damped_newton_solve
 
 
-def _trajectory_dtype(config: ExperimentConfig, space: Space, grid: TimeGrid):
-    per_traj = (grid.N + 1) * space.n_velocity
-    return np.float32 if 6 * per_traj > config.memory_budget else np.float64
-
-
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute a configured solve and write history, report, mesh, and
     snapshots into the output directory."""
@@ -275,16 +276,14 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     elif config.schedule is not None:
         stages = continuation_in_nu(
             space, grid, config.schedule, g=lid_profile, variant=config.variant,
-            tol=config.tol, m=config.m, policy=config.policy,
-            dtype=_trajectory_dtype(config, space, grid))
+            tol=config.tol, m=config.m, policy=config.policy)
         for i, (nu, res) in enumerate(stages):
             write_history_csv(res.records, outdir / f"history_stage{i}.csv")
         result = stages[-1][1]
     else:
         solver = _solver_for(config)
         result = solver(space, grid, config.nu, g=lid_profile, tol=config.tol,
-                        m=config.m, policy=config.policy,
-                        dtype=_trajectory_dtype(config, space, grid))
+                        m=config.m, policy=config.policy)
 
     write_history_csv(result.records, outdir / "history.csv")
     _write_snapshots(config, space, grid, result, outdir)
@@ -331,7 +330,7 @@ def _write_snapshots(config, space, grid, result: NewtonResult, outdir: Path):
         level = int(round(t_req / grid.dt))
         level = min(max(level, 0), grid.N)
         t_snap = level * grid.dt
-        u = np.asarray(result.trajectory.values[level], dtype=np.float64)
+        u = result.trajectory.values[level]
         fields = {"velocity": u, "stream_function": stream_function(space, u)}
         write_vtk(space, fields, outdir / f"snapshot_t{t_snap:.6g}.vtk")
 
@@ -375,9 +374,8 @@ def main(argv=None) -> int:
             config.policy = args.policy
         if args.variant:
             config.variant = args.variant
-        if args.schedule:
-            config.schedule = _PARSERS["schedule"](args.schedule)
-            config.nu = config.schedule[-1]
+        if args.schedule is not None:
+            config.schedule = _parse_value("schedule", args.schedule)
         if args.out:
             config.outdir = args.out
         config.__post_init__()  # re-validate overrides

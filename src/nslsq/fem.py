@@ -300,12 +300,6 @@ def lid_boundary_values(space: Space, g) -> np.ndarray:
     return np.concatenate([vx, np.zeros_like(vx)])
 
 
-def boundary_values_from_function(space: Space, fun) -> np.ndarray:
-    """Dirichlet values over space.dirichlet_dofs from a velocity function."""
-    vals = np.asarray(fun(space.p2_coords[space.boundary_nodes]))
-    return np.concatenate([vals[:, 0], vals[:, 1]])
-
-
 def vorticity_load(space: Space, u: np.ndarray) -> np.ndarray:
     """Weak vorticity of the stream-function Poisson problem.
 

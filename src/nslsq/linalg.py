@@ -66,33 +66,20 @@ class Factorization:
         return x
 
 
-def solve(factorization: Factorization, rhs: np.ndarray) -> np.ndarray:
-    return factorization.solve(rhs)
-
-
 @dataclass(frozen=True)
 class SaddleSystem:
     """Block system [[A, B^T], [B, 0]] with velocity Dirichlet constraints.
 
     ``dirichlet_values`` (aligned with ``dirichlet_dofs``) default to zero;
-    set them through ``apply_dirichlet``.  One pressure dof is pinned to
-    zero to remove the constant-pressure nullspace.
+    set them through ``apply_dirichlet``.  The first pressure dof is pinned
+    to zero to remove the constant-pressure nullspace.
     """
 
     A: sp.spmatrix
     B: sp.spmatrix
     dirichlet_dofs: np.ndarray
     dirichlet_values: np.ndarray | None = None
-    pin_pressure: int = 0
     label: str = "saddle"
-
-    @property
-    def n_vel(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_pre(self) -> int:
-        return self.B.shape[0]
 
 
 def apply_dirichlet(system: SaddleSystem, values: np.ndarray) -> SaddleSystem:
@@ -107,6 +94,22 @@ def apply_dirichlet(system: SaddleSystem, values: np.ndarray) -> SaddleSystem:
     return replace(system, dirichlet_values=values)
 
 
+def eliminated_entries(coo: sp.coo_matrix, constrained: np.ndarray):
+    """COO entries of the symmetric elimination of the constrained dofs.
+
+    Returns ``(rows, cols, data, free)``: the free-free entries in their
+    original order followed by a unit diagonal on the constrained dofs,
+    and the mask of free dofs.
+    """
+    free = np.ones(coo.shape[0], dtype=bool)
+    free[constrained] = False
+    keep = free[coo.row] & free[coo.col]
+    rows = np.concatenate([coo.row[keep], constrained])
+    cols = np.concatenate([coo.col[keep], constrained])
+    data = np.concatenate([coo.data[keep], np.ones(len(constrained))])
+    return rows, cols, data, free
+
+
 def eliminate_dirichlet(
     matrix: sp.spmatrix, constrained: np.ndarray
 ) -> tuple[sp.csc_matrix, sp.csr_matrix]:
@@ -118,12 +121,7 @@ def eliminate_dirichlet(
     """
     n = matrix.shape[0]
     coo = matrix.tocoo()
-    free = np.ones(n, dtype=bool)
-    free[constrained] = False
-    keep = free[coo.row] & free[coo.col]
-    rows = np.concatenate([coo.row[keep], constrained])
-    cols = np.concatenate([coo.col[keep], constrained])
-    data = np.concatenate([coo.data[keep], np.ones(len(constrained))])
+    rows, cols, data, free = eliminated_entries(coo, constrained)
     eliminated = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
 
     pos = np.full(n, -1, dtype=np.int64)
@@ -136,22 +134,22 @@ def eliminate_dirichlet(
 
 
 class SaddleFactorization:
-    """Factorized saddle system; solves take the momentum load and optional
-    per-solve Dirichlet values (defaulting to the system's)."""
+    """LU of an eliminated saddle matrix; solves take the momentum load and
+    optional per-solve Dirichlet values (defaulting to ``default_values``).
 
-    def __init__(self, system: SaddleSystem):
-        self.n_vel = system.n_vel
-        self.n_pre = system.n_pre
-        n = self.n_vel + self.n_pre
-        s_full = sp.bmat([[system.A, system.B.T], [system.B, None]], format="coo")
-        self.constrained = np.concatenate(
-            [system.dirichlet_dofs, [self.n_vel + system.pin_pressure]]).astype(np.int64)
-        self.matrix, self.coupling = eliminate_dirichlet(s_full, self.constrained)
-        self.fact = Factorization(self.matrix, label=system.label)
-        if system.dirichlet_values is not None:
-            self.default_values = np.append(system.dirichlet_values, 0.0)
-        else:
-            self.default_values = np.zeros(len(self.constrained))
+    Without a ``coupling`` matrix the data are homogeneous: every solve
+    has zero Dirichlet values.
+    """
+
+    def __init__(self, matrix: sp.spmatrix, n_vel: int, constrained: np.ndarray,
+                 label: str, coupling: sp.spmatrix | None = None,
+                 default_values: np.ndarray | None = None):
+        self.n_vel = n_vel
+        self.constrained = constrained
+        self.coupling = coupling
+        self.fact = Factorization(matrix, label=label)
+        self.default_values = (np.zeros(len(constrained)) if default_values is None
+                               else default_values)
 
     def solve(
         self, load: np.ndarray, values: np.ndarray | None = None
@@ -159,7 +157,7 @@ class SaddleFactorization:
         """Solve for (velocity, multiplier) with momentum load and zero
         divergence rhs; constrained entries are set exactly."""
         cvals = self.default_values if values is None else np.append(values, 0.0)
-        b = np.zeros(self.n_vel + self.n_pre)
+        b = np.zeros(self.fact.n)
         b[: self.n_vel] = load
         if cvals.any():
             b -= self.coupling @ cvals
@@ -169,18 +167,22 @@ class SaddleFactorization:
         return x[: self.n_vel], x[self.n_vel:]
 
 
+def saddle_constrained(dirichlet_dofs: np.ndarray, n_vel: int) -> np.ndarray:
+    """Constrained unknowns of a saddle system: the Dirichlet velocity dofs
+    and the pinned first pressure dof."""
+    return np.concatenate([dirichlet_dofs, [n_vel]]).astype(np.int64)
+
+
 def factorize(system: SaddleSystem | sp.spmatrix, label: str | None = None):
     """Factorize a saddle system (-> SaddleFactorization) or a plain square
     sparse matrix (-> Factorization)."""
-    if isinstance(system, SaddleSystem):
-        if label is not None:
-            system = replace(system, label=label)
-        return SaddleFactorization(system)
-    return Factorization(system, label=label or "unlabeled")
-
-
-def dump_matrix_market(matrix: sp.spmatrix, path):
-    """Debug dump in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), sp.coo_matrix(matrix))
+    if not isinstance(system, SaddleSystem):
+        return Factorization(system, label=label or "unlabeled")
+    n_vel = system.A.shape[0]
+    s_full = sp.bmat([[system.A, system.B.T], [system.B, None]], format="coo")
+    constrained = saddle_constrained(system.dirichlet_dofs, n_vel)
+    matrix, coupling = eliminate_dirichlet(s_full, constrained)
+    values = (None if system.dirichlet_values is None
+              else np.append(system.dirichlet_values, 0.0))
+    return SaddleFactorization(matrix, n_vel, constrained, label or system.label,
+                               coupling, values)

@@ -1,14 +1,19 @@
 """Least-squares damped-Newton outer iteration for unsteady Navier-Stokes.
 
-Each outer iterate measures the residual of the current trajectory
-through a corrector field (heat-type solve of the momentum defect), lifts
-its discrete time derivative into the velocity space to realize the dual
-norm, solves one linearized Navier-Stokes sweep for the descent
-direction, and takes the step length minimizing the exact quartic
-polynomial that the squared residual norm is along that direction.
-Fixing the step to one recovers the standard Newton method; an
-alternative outer loop drives the lifted strong residual instead of the
-corrector (fewer auxiliary solves, same direction).
+There is one outer loop, ``newton_loop``.  Each iterate measures the
+residual of the current trajectory, solves one linearized Navier-Stokes
+sweep for the descent direction, and takes the step length minimizing
+the exact quartic polynomial that the squared residual norm is along
+that direction.  Fixing the step to one recovers the standard Newton
+method.
+
+Two residual measures drive the loop.  ``E`` (``damped_newton_solve``)
+carries the momentum defect through a corrector field (heat-type sweep)
+and lifts its discrete time derivative into the velocity space to
+realize the dual norm.  ``Etilde`` (``residual_variant_solve``) lifts
+the strong momentum defect itself: fewer auxiliary solves, same
+direction.  Each measure supplies twice its functional, the direction's
+load, and the two scalars of the remainder that the quartic needs.
 """
 
 from __future__ import annotations
@@ -25,12 +30,15 @@ from .timestepping import (
     FieldTrajectory,
     Operators,
     TimeGrid,
+    lift,
     steady_stokes_initial,
+    sweep,
     unsteady_stokes_initial_guess,
 )
 
 DIVERGENCE_FACTOR = 1e6
 MAX_OUTER_ITERATIONS = 100
+POLICIES = ("quartic", "cheap", "fixed1")
 
 
 @dataclass
@@ -51,19 +59,17 @@ class IterationRecord:
 
 @dataclass
 class CorrectorBundle:
-    """Per-iterate fields and the three scalars of the quartic line search:
-    v_norm_sq = |corrector|_A0^2 (twice the residual functional),
-    cross_inner = <corrector, remainder corrector>_A0,
-    rem_norm_sq = |remainder corrector|_A0^2."""
+    """One Newton step: the direction and the three scalars of the quartic
+    line search, v_norm_sq = |r|^2 (twice the functional),
+    cross_inner = <r, r2> and rem_norm_sq = |r2|^2, where r is the residual
+    and r2 that of the step's quadratic remainder (the A0 norm of the
+    correctors under E, the K norm of the lifted defects under Etilde).
+    """
 
-    corrector: FieldTrajectory
-    lift: np.ndarray
-    direction: FieldTrajectory | None = None
-    rem_corrector: FieldTrajectory | None = None
-    rem_lift: np.ndarray | None = None
-    v_norm_sq: float = 0.0
-    cross_inner: float = 0.0
-    rem_norm_sq: float = 0.0
+    direction: FieldTrajectory
+    v_norm_sq: float
+    cross_inner: float
+    rem_norm_sq: float
 
 
 @dataclass
@@ -89,9 +95,7 @@ class NewtonResult:
 
 
 def _stiffness_inner(K, a_levels: np.ndarray, b_levels: np.ndarray) -> float:
-    a64 = np.asarray(a_levels, dtype=np.float64)
-    b64 = np.asarray(b_levels, dtype=np.float64)
-    return float(np.sum((K @ a64.T) * b64.T))
+    return float(np.sum((K @ a_levels.T) * b_levels.T))
 
 
 def l2v_norm_sq(ops: Operators, levels: np.ndarray) -> float:
@@ -99,13 +103,18 @@ def l2v_norm_sq(ops: Operators, levels: np.ndarray) -> float:
     return ops.grid.dt * _stiffness_inner(ops.K, levels, levels)
 
 
+def _mass_rate(ops: Operators, values: np.ndarray) -> np.ndarray:
+    """Rows M(u^{n+1}-u^n)/dt of the levels of a trajectory."""
+    mu = (ops.M @ values.T).T
+    return (mu[1:] - mu[:-1]) / ops.grid.dt
+
+
 def defect_loads(ops: Operators, y: FieldTrajectory,
                  loads: np.ndarray | None) -> np.ndarray:
     """Momentum defects of the trajectory: row n is
     M(y^{n+1}-y^n)/dt + nu K y^{n+1} + C(y^{n+1})y^{n+1} - f^n."""
-    yv = np.asarray(y.values, dtype=np.float64)
-    my = (ops.M @ yv.T).T
-    out = (my[1:] - my[:-1]) / ops.grid.dt
+    yv = y.values
+    out = _mass_rate(ops, yv)
     out += ops.nu * (ops.K @ yv[1:].T).T
     for n in range(ops.grid.N):
         out[n] += fem.convection_vector(ops.space, yv[n + 1], yv[n + 1])
@@ -114,34 +123,32 @@ def defect_loads(ops: Operators, y: FieldTrajectory,
     return out
 
 
+def _self_convection_loads(ops: Operators, direction: FieldTrajectory) -> np.ndarray:
+    """Minus the self-convection of levels 1..N: the remainder's load."""
+    out = np.empty((ops.grid.N, ops.space.n_velocity))
+    for n, d in enumerate(direction.values[1:]):
+        out[n] = -fem.convection_vector(ops.space, d, d)
+    return out
+
+
 def compute_corrector(ops: Operators, y: FieldTrajectory,
-                      loads: np.ndarray | None = None,
-                      dtype=np.float64) -> FieldTrajectory:
+                      loads: np.ndarray | None = None) -> FieldTrajectory:
     """Heat-type backward-Euler sweep carrying minus the momentum defect;
     starts from zero with homogeneous boundary data."""
-    defects = defect_loads(ops, y, loads)
-    grid = ops.grid
-    v = FieldTrajectory.zeros(grid, ops.space.n_velocity, dtype=dtype)
-    level = np.zeros(ops.space.n_velocity)
-    zeros = None  # homogeneous values are the heat factorization default
-    for n in range(grid.N):
-        level, _ = ops.heat.solve(ops.M @ level / grid.dt - defects[n], zeros)
-        v.values[n + 1] = level
-        level = np.asarray(v.values[n + 1], dtype=np.float64)
-    return v
+    return sweep(ops, -defect_loads(ops, y, loads))
 
 
-def riesz_lift(ops: Operators, u: FieldTrajectory, dtype=np.float64) -> np.ndarray:
+def riesz_lift(ops: Operators, u: FieldTrajectory) -> np.ndarray:
     """Per-interval constrained Poisson lifts of the discrete time
     derivative: row n realizes the dual norm of (u^{n+1}-u^n)/dt."""
-    uv = np.asarray(u.values, dtype=np.float64)
-    mu = (ops.M @ uv.T).T
-    grid = ops.grid
-    out = np.zeros((grid.N, ops.space.n_velocity), dtype=dtype)
-    for n in range(grid.N):
-        w, _ = ops.stokes.solve(-(mu[n + 1] - mu[n]) / grid.dt)
-        out[n] = w
-    return out
+    return lift(ops, -_mass_rate(ops, u.values))
+
+
+def residual_lift(ops: Operators, y: FieldTrajectory,
+                  loads: np.ndarray | None = None) -> np.ndarray:
+    """Constrained Poisson lifts of the full momentum defect, realizing
+    its dual norm per interval."""
+    return lift(ops, -defect_loads(ops, y, loads))
 
 
 def a0_inner(ops: Operators, u1: FieldTrajectory, w1: np.ndarray,
@@ -167,42 +174,59 @@ def evaluate_energy(ops: Operators, y: FieldTrajectory,
     return energy(ops, v, w), v, w
 
 
-def compute_direction(ops: Operators, y: FieldTrajectory, v: FieldTrajectory,
-                      dtype=np.float64) -> FieldTrajectory:
+def compute_direction(ops: Operators, y: FieldTrajectory,
+                      v: FieldTrajectory) -> FieldTrajectory:
     """Linearized Navier-Stokes sweep driven by the corrector.
 
     The operator at level n+1 carries the convection linearization at
     y^{n+1} and is re-factorized per level (shared sparsity pattern).
     """
-    grid = ops.grid
-    vv = np.asarray(v.values, dtype=np.float64)
-    mv = (ops.M @ vv.T).T
-    src = -((mv[1:] - mv[:-1]) / grid.dt + (ops.K @ vv[1:].T).T)
-    out = FieldTrajectory.zeros(grid, ops.space.n_velocity, dtype=dtype)
-    level = np.zeros(ops.space.n_velocity)
-    for n in range(grid.N):
-        fact = ops.linearized(np.asarray(y.values[n + 1], dtype=np.float64))
-        level, _ = fact.solve(ops.M @ level / grid.dt + src[n])
-        out.values[n + 1] = level
-        level = np.asarray(out.values[n + 1], dtype=np.float64)
-    return out
+    return sweep(ops, -(_mass_rate(ops, v.values) + (ops.K @ v.values[1:].T).T), y)
 
 
-def compute_nonlinear_corrector(ops: Operators, direction: FieldTrajectory,
-                                dtype=np.float64):
+def compute_nonlinear_corrector(ops: Operators, direction: FieldTrajectory):
     """Corrector of the quadratic remainder of the Newton step and its
     lift; the load is minus the self-convection of the direction."""
-    grid = ops.grid
-    vbb = FieldTrajectory.zeros(grid, ops.space.n_velocity, dtype=dtype)
-    level = np.zeros(ops.space.n_velocity)
-    for n in range(grid.N):
-        d = np.asarray(direction.values[n + 1], dtype=np.float64)
-        load = -fem.convection_vector(ops.space, d, d)
-        level, _ = ops.heat.solve(ops.M @ level / grid.dt + load)
-        vbb.values[n + 1] = level
-        level = np.asarray(vbb.values[n + 1], dtype=np.float64)
-    wbb = riesz_lift(ops, vbb, dtype=dtype)
-    return vbb, wbb
+    vbb = sweep(ops, _self_convection_loads(ops, direction))
+    return vbb, riesz_lift(ops, vbb)
+
+
+def _corrector_residual(ops, y, loads):
+    """E: twice the functional, with the corrector and its lift."""
+    e_val, v, w = evaluate_energy(ops, y, loads)
+    return 2.0 * e_val, (v, w)
+
+
+def _corrector_step(ops, y, a, fields) -> CorrectorBundle:
+    """E: the direction is driven by the corrector; the remainder is the
+    corrector of the direction's self-convection."""
+    v, w = fields
+    direction = compute_direction(ops, y, v)
+    vbb, wbb = compute_nonlinear_corrector(ops, direction)
+    return CorrectorBundle(direction, a, a0_inner(ops, v, w, vbb, wbb),
+                           a0_inner(ops, vbb, wbb, vbb, wbb))
+
+
+def _lifted_residual(ops, y, loads):
+    """Etilde: twice the functional, with the momentum defect and its lift."""
+    defects = defect_loads(ops, y, loads)
+    h = lift(ops, -defects)
+    return ops.grid.dt * _stiffness_inner(ops.K, h, h), (defects, h)
+
+
+def _lifted_step(ops, y, a, fields) -> CorrectorBundle:
+    """Etilde: the direction takes the defect as its load; the remainder is
+    the lift of the direction's self-convection."""
+    defects, h = fields
+    direction = sweep(ops, defects, y)
+    hg = lift(ops, _self_convection_loads(ops, direction))
+    dt = ops.grid.dt
+    return CorrectorBundle(direction, a, dt * _stiffness_inner(ops.K, h, hg),
+                           dt * _stiffness_inner(ops.K, hg, hg))
+
+
+_MEASURES = {"E": (_corrector_residual, _corrector_step),
+             "Etilde": (_lifted_residual, _lifted_step)}
 
 
 def line_search_quartic(a: float, b: float, c: float, m: float) -> tuple[float, float]:
@@ -273,13 +297,18 @@ def _record(records, k, sqrt2e, lam, rel_inc, t0):
 
 
 def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
-                *, tol: float = 1e-8, m: float = 2.0, policy: str = "quartic",
-                max_iter: int = MAX_OUTER_ITERATIONS,
+                *, variant: str = "E", tol: float = 1e-8, m: float = 2.0,
+                policy: str = "quartic", max_iter: int = MAX_OUTER_ITERATIONS,
                 divergence_factor: float = DIVERGENCE_FACTOR,
-                on_iterate=None, dtype=np.float64) -> NewtonResult:
-    """Outer damped-Newton iteration on a prepared initial trajectory."""
-    if policy not in ("quartic", "cheap", "fixed1"):
+                on_iterate=None) -> NewtonResult:
+    """Outer damped-Newton iteration on a prepared initial trajectory,
+    driving the residual measure ``variant`` (E or Etilde) below ``tol``."""
+    if policy not in POLICIES:
         raise ValueError(f"unknown step policy '{policy}'")
+    if variant not in _MEASURES:
+        raise ValueError(f"unknown residual measure '{variant}', "
+                         f"expected one of {tuple(_MEASURES)}")
+    residual, newton_step = _MEASURES[variant]
     y = y0
     records: list[IterationRecord] = []
     rel_inc: float | None = None
@@ -287,40 +316,39 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
     k = 0
     while True:
         t0 = time.perf_counter()
-        e_val, v, w = evaluate_energy(ops, y, loads)
-        sqrt2e = np.sqrt(2.0 * e_val) if e_val >= 0 else np.nan
+        a, fields = residual(ops, y, loads)
+        sqrt2e = np.sqrt(a) if a >= 0 else np.nan
         if sqrt2e0 is None:
             sqrt2e0 = sqrt2e
         if not np.isfinite(sqrt2e) or (k > 0 and sqrt2e > divergence_factor * sqrt2e0):
+            outcome = "diverged"
+        elif sqrt2e <= tol:
+            outcome = "converged"
+        elif k >= max_iter:
+            outcome = "max_iterations"
+        else:
+            outcome = None
+            try:
+                bundle = newton_step(ops, y, a, fields)
+            except SolverError:
+                if not sqrt2e > 10.0 * sqrt2e0:
+                    raise
+                outcome = "diverged"
+        if outcome is not None:
             _record(records, k, sqrt2e, None, rel_inc, t0)
-            return NewtonResult(y, records, "diverged")
-        if sqrt2e <= tol:
-            _record(records, k, sqrt2e, None, rel_inc, t0)
-            return NewtonResult(y, records, "converged")
-        if k >= max_iter:
-            _record(records, k, sqrt2e, None, rel_inc, t0)
-            return NewtonResult(y, records, "max_iterations")
+            return NewtonResult(y, records, outcome)
 
-        try:
-            direction = compute_direction(ops, y, v, dtype=dtype)
-            vbb, wbb = compute_nonlinear_corrector(ops, direction, dtype=dtype)
-        except SolverError:
-            if sqrt2e > 10.0 * sqrt2e0:
-                _record(records, k, sqrt2e, None, rel_inc, t0)
-                return NewtonResult(y, records, "diverged")
-            raise
-        a = 2.0 * e_val
-        b = a0_inner(ops, v, w, vbb, wbb)
-        c = a0_inner(ops, vbb, wbb, vbb, wbb)
+        b, c = bundle.cross_inner, bundle.rem_norm_sq
         if policy == "quartic":
             lam, _ = line_search_quartic(a, b, c, m)
         elif policy == "cheap":
-            lam = cheap_step_rule(e_val, np.sqrt(c), m)
+            lam = cheap_step_rule(0.5 * a, np.sqrt(c), m)
         else:
             lam = 1.0
         if on_iterate is not None:
-            on_iterate(k, y, CorrectorBundle(v, w, direction, vbb, wbb, a, b, c), lam)
+            on_iterate(k, y, bundle, lam)
 
+        direction = bundle.direction
         with np.errstate(over="ignore", invalid="ignore"):
             y_norm = np.sqrt(l2v_norm_sq(ops, y.values[1:]))
             step = lam * np.sqrt(l2v_norm_sq(ops, direction.values[1:]))
@@ -333,12 +361,11 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
 
 def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
                     boundary_values: np.ndarray | None = None, u0=None,
-                    nu_bar: float = 1.0, ops: Operators | None = None,
-                    dtype=np.float64):
+                    ops: Operators | None = None):
     """Assemble operators, boundary data, loads, and the Stokes-initialized
-    starting trajectory shared by both outer-loop variants."""
+    starting trajectory shared by both residual measures."""
     if ops is None:
-        ops = Operators(space, grid, nu, nu_bar)
+        ops = Operators(space, grid, nu)
     if boundary_values is not None:
         values = np.asarray(boundary_values, dtype=np.float64)
     elif g is not None:
@@ -356,35 +383,42 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
         u0_vec = fem.interpolate_velocity(space, u0)
     else:
         u0_vec = np.asarray(u0, dtype=np.float64)
-    y0 = unsteady_stokes_initial_guess(ops, u0_vec, values, loads, dtype=dtype)
+    y0 = unsteady_stokes_initial_guess(ops, u0_vec, values, loads)
     return ops, values, loads, y0
 
 
-def damped_newton_solve(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
-                        boundary_values=None, u0=None, warm_start=None,
-                        tol: float = 1e-8, m: float = 2.0, policy: str = "quartic",
-                        max_iter: int = MAX_OUTER_ITERATIONS,
-                        divergence_factor: float = DIVERGENCE_FACTOR,
-                        nu_bar: float = 1.0, ops: Operators | None = None,
-                        on_iterate=None, dtype=np.float64) -> NewtonResult:
-    """Full solve: Stokes initialization (or warm start) plus outer loop."""
+def _solve(space: Space, grid: TimeGrid, nu: float, variant: str, *, g=None,
+           f=None, boundary_values=None, u0=None, warm_start=None,
+           ops: Operators | None = None, **loop) -> NewtonResult:
+    """Stokes initialization (or warm start) plus the outer loop; ``loop``
+    holds the keywords of ``newton_loop``."""
     ops, values, loads, y0 = prepare_problem(
-        space, grid, nu, g=g, f=f, boundary_values=boundary_values, u0=u0,
-        nu_bar=nu_bar, ops=ops, dtype=dtype)
+        space, grid, nu, g=g, f=f, boundary_values=boundary_values, u0=u0, ops=ops)
     if warm_start is not None:
         y0 = warm_start.copy()
-    result = newton_loop(ops, y0, loads, tol=tol, m=m, policy=policy,
-                         max_iter=max_iter, divergence_factor=divergence_factor,
-                         on_iterate=on_iterate, dtype=dtype)
+    result = newton_loop(ops, y0, loads, variant=variant, **loop)
     result.ops = ops
     result.boundary_values = values
     result.loads = loads
     return result
 
 
-def continuation_in_nu(space: Space, grid: TimeGrid, schedule, *, g=None, f=None,
-                       boundary_values=None, u0=None, variant: str = "E",
-                       **kwargs) -> list[tuple[float, NewtonResult]]:
+def damped_newton_solve(space: Space, grid: TimeGrid, nu: float,
+                        **kwargs) -> NewtonResult:
+    """Full solve driving the corrector functional E.  Keywords: the data
+    of ``prepare_problem``, ``warm_start``, and the settings of ``newton_loop``."""
+    return _solve(space, grid, nu, "E", **kwargs)
+
+
+def residual_variant_solve(space: Space, grid: TimeGrid, nu: float,
+                           **kwargs) -> NewtonResult:
+    """Full solve driving the lifted strong residual Etilde; the keywords
+    are those of ``damped_newton_solve``."""
+    return _solve(space, grid, nu, "Etilde", **kwargs)
+
+
+def continuation_in_nu(space: Space, grid: TimeGrid, schedule, *,
+                       variant: str = "E", **kwargs) -> list[tuple[float, NewtonResult]]:
     """Solve at each viscosity of a strictly decreasing schedule, warm
     starting from the previous converged trajectory."""
     schedule = [float(s) for s in schedule]
@@ -392,119 +426,12 @@ def continuation_in_nu(space: Space, grid: TimeGrid, schedule, *, g=None, f=None
         raise ValueError("empty viscosity schedule")
     if any(b >= a for a, b in zip(schedule[:-1], schedule[1:])):
         raise ValueError(f"schedule must be strictly decreasing: {schedule}")
-    solver = residual_variant_solve if variant == "Etilde" else damped_newton_solve
     ops = None
     warm = None
     out: list[tuple[float, NewtonResult]] = []
     for nu in schedule:
         ops = Operators(space, grid, nu) if ops is None else ops.with_nu(nu)
-        res = solver(space, grid, nu, g=g, f=f, boundary_values=boundary_values,
-                     u0=u0, warm_start=warm, ops=ops, **kwargs)
+        res = _solve(space, grid, nu, variant, warm_start=warm, ops=ops, **kwargs)
         out.append((nu, res))
         warm = res.trajectory
     return out
-
-
-def residual_lift(ops: Operators, y: FieldTrajectory,
-                  loads: np.ndarray | None = None) -> np.ndarray:
-    """Constrained Poisson lifts of the full momentum defect, realizing
-    its dual norm per interval."""
-    defects = defect_loads(ops, y, loads)
-    out = np.zeros((ops.grid.N, ops.space.n_velocity))
-    for n in range(ops.grid.N):
-        h, _ = ops.stokes.solve(-defects[n])
-        out[n] = h
-    return out
-
-
-def residual_variant_solve(space: Space, grid: TimeGrid, nu: float, *, g=None,
-                           f=None, boundary_values=None, u0=None, warm_start=None,
-                           tol: float = 1e-8, m: float = 2.0,
-                           policy: str = "quartic",
-                           max_iter: int = MAX_OUTER_ITERATIONS,
-                           divergence_factor: float = DIVERGENCE_FACTOR,
-                           nu_bar: float = 1.0, ops: Operators | None = None,
-                           on_iterate=None, dtype=np.float64) -> NewtonResult:
-    """Outer loop driven by the lifted strong residual.
-
-    Skips the corrector sweep: the residual dual norm comes from one lift
-    per interval, the direction solve takes the defect as its load, and
-    the quartic uses the lifted self-convection of the direction.
-    """
-    if policy not in ("quartic", "cheap", "fixed1"):
-        raise ValueError(f"unknown step policy '{policy}'")
-    ops, values, loads, y0 = prepare_problem(
-        space, grid, nu, g=g, f=f, boundary_values=boundary_values, u0=u0,
-        nu_bar=nu_bar, ops=ops, dtype=dtype)
-    y = y0 if warm_start is None else warm_start.copy()
-    dt = grid.dt
-    records: list[IterationRecord] = []
-    rel_inc: float | None = None
-    sqrt2e0 = None
-    k = 0
-    while True:
-        t0 = time.perf_counter()
-        defects = defect_loads(ops, y, loads)
-        h = np.zeros((grid.N, space.n_velocity))
-        for n in range(grid.N):
-            h[n], _ = ops.stokes.solve(-defects[n])
-        a = dt * _stiffness_inner(ops.K, h, h)  # = 2*Etilde
-        sqrt2e = np.sqrt(a) if a >= 0 else np.nan
-        if sqrt2e0 is None:
-            sqrt2e0 = sqrt2e
-        if not np.isfinite(sqrt2e) or (k > 0 and sqrt2e > divergence_factor * sqrt2e0):
-            _record(records, k, sqrt2e, None, rel_inc, t0)
-            outcome = "diverged"
-            break
-        if sqrt2e <= tol:
-            _record(records, k, sqrt2e, None, rel_inc, t0)
-            outcome = "converged"
-            break
-        if k >= max_iter:
-            _record(records, k, sqrt2e, None, rel_inc, t0)
-            outcome = "max_iterations"
-            break
-
-        try:
-            direction = FieldTrajectory.zeros(grid, space.n_velocity, dtype=dtype)
-            level = np.zeros(space.n_velocity)
-            for n in range(grid.N):
-                fact = ops.linearized(np.asarray(y.values[n + 1], dtype=np.float64))
-                level, _ = fact.solve(ops.M @ level / dt + defects[n])
-                direction.values[n + 1] = level
-                level = np.asarray(direction.values[n + 1], dtype=np.float64)
-            hg = np.zeros((grid.N, space.n_velocity))
-            for n in range(grid.N):
-                d = np.asarray(direction.values[n + 1], dtype=np.float64)
-                hg[n], _ = ops.stokes.solve(-fem.convection_vector(ops.space, d, d))
-        except SolverError:
-            if sqrt2e > 10.0 * sqrt2e0:
-                _record(records, k, sqrt2e, None, rel_inc, t0)
-                outcome = "diverged"
-                break
-            raise
-        b = dt * _stiffness_inner(ops.K, h, hg)
-        c = dt * _stiffness_inner(ops.K, hg, hg)
-        if policy == "quartic":
-            lam, _ = line_search_quartic(a, b, c, m)
-        elif policy == "cheap":
-            lam = cheap_step_rule(0.5 * a, np.sqrt(c), m)
-        else:
-            lam = 1.0
-        if on_iterate is not None:
-            bundle = CorrectorBundle(FieldTrajectory(grid, h), h, direction,
-                                     None, hg, a, b, c)
-            on_iterate(k, y, bundle, lam)
-        with np.errstate(over="ignore", invalid="ignore"):
-            y_norm = np.sqrt(l2v_norm_sq(ops, y.values[1:]))
-            step = lam * np.sqrt(l2v_norm_sq(ops, direction.values[1:]))
-            next_rel = step / y_norm if y_norm > 0 else (0.0 if step == 0 else np.inf)
-            y = y.axpy(-lam, direction)
-        _record(records, k, sqrt2e, lam, rel_inc, t0)
-        rel_inc = float(next_rel)
-        k += 1
-    result = NewtonResult(y, records, outcome)
-    result.ops = ops
-    result.boundary_values = values
-    result.loads = loads
-    return result

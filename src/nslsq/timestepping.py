@@ -1,11 +1,13 @@
 """Backward-Euler drivers for the Stokes-type evolution problems.
 
-All five schemes of the outer iteration step one constrained system
-``(M/dt + A) u^{n+1} + B^T lam = M u^n/dt + load`` forward in time; the
-constant-coefficient operators (heat type ``M/dt + K`` and Stokes type
-``K``) are factorized once per run and reused across every time level
-and outer iterate, while the linearized Navier-Stokes operator is
-re-factorized at each level through a prebuilt sparsity template.
+Every scheme of the outer iteration steps one constrained system
+``(M/dt + A) u^{n+1} + B^T lam = M u^n/dt + load`` forward in time
+(``sweep``), and every Riesz lift solves one constant Stokes-type system
+per interval (``lift``).  The constant-coefficient operators (heat type
+``M/dt + K`` and Stokes type ``K``) are factorized once per run and
+reused across every time level and outer iterate, while the linearized
+Navier-Stokes operator is re-factorized at each level through a prebuilt
+sparsity template.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ import scipy.sparse as sp
 
 from . import fem
 from .fem import Space
-from .linalg import Factorization, SaddleFactorization, SaddleSystem, factorize
+from .linalg import (
+    SaddleFactorization,
+    SaddleSystem,
+    eliminated_entries,
+    factorize,
+    saddle_constrained,
+)
 
 
 @dataclass(frozen=True)
@@ -42,38 +50,24 @@ class TimeGrid:
 
 
 class FieldTrajectory:
-    """Velocity coefficient levels over a time grid.
+    """Velocity coefficient levels over a time grid: N+1 levels, level 0
+    the initial condition."""
 
-    State trajectories hold N+1 levels with level 0 the initial
-    condition; Riesz lifts hold N levels, one per interval.  Optional
-    reduced-precision storage keeps memory bounded; all norms accumulate
-    in float64.
-    """
-
-    def __init__(self, grid: TimeGrid, values: np.ndarray,
-                 pressures: np.ndarray | None = None):
+    def __init__(self, grid: TimeGrid, values: np.ndarray):
         self.grid = grid
         self.values = values
-        self.pressures = pressures
 
     @classmethod
-    def zeros(cls, grid: TimeGrid, n_velocity: int, levels: int | None = None,
-              dtype=np.float64) -> "FieldTrajectory":
-        return cls(grid, np.zeros((grid.N + 1 if levels is None else levels,
-                                   n_velocity), dtype=dtype))
-
-    @property
-    def levels(self) -> int:
-        return self.values.shape[0]
+    def zeros(cls, grid: TimeGrid, n_velocity: int) -> "FieldTrajectory":
+        return cls(grid, np.zeros((grid.N + 1, n_velocity)))
 
     def copy(self) -> "FieldTrajectory":
-        return FieldTrajectory(self.grid, self.values.copy(),
-                               None if self.pressures is None else self.pressures.copy())
+        return FieldTrajectory(self.grid, self.values.copy())
 
     def axpy(self, alpha: float, other: "FieldTrajectory") -> "FieldTrajectory":
         """self + alpha*other, level 0 untouched for state trajectories."""
         out = self.values.copy()
-        out += np.asarray(alpha * other.values, dtype=out.dtype)
+        out += alpha * other.values
         return FieldTrajectory(self.grid, out)
 
 
@@ -81,23 +75,19 @@ class _LinearizedTemplate:
     """Fixed sparsity pattern of the linearized saddle operator.
 
     The constant part (M/dt + nu*K, divergence blocks, Dirichlet identity
-    rows) and the positions of the convection entries are prepared once;
-    each time level only recomputes the convection values.
+    rows, eliminated as in ``linalg.eliminate_dirichlet``) and the
+    positions of the convection entries are prepared once; each time
+    level only recomputes the convection values.
     """
 
     def __init__(self, space: Space, a_const: sp.spmatrix, b_div: sp.spmatrix):
         self.space = space
-        n_vel, n_pre = a_const.shape[0], b_div.shape[0]
-        self.n = n_vel + n_pre
+        n_vel = a_const.shape[0]
+        self.n = n_vel + b_div.shape[0]
         s = sp.bmat([[a_const, b_div.T], [b_div, None]], format="coo")
-        constrained = np.concatenate([space.dirichlet_dofs, [n_vel]]).astype(np.int64)
-        self.constrained = constrained
-        free = np.ones(self.n, dtype=bool)
-        free[constrained] = False
-        keep = free[s.row] & free[s.col]
-        const_rows = np.concatenate([s.row[keep], constrained])
-        const_cols = np.concatenate([s.col[keep], constrained])
-        self.const_data = np.concatenate([s.data[keep], np.ones(len(constrained))])
+        self.constrained = saddle_constrained(space.dirichlet_dofs, n_vel)
+        const_rows, const_cols, self.const_data, free = eliminated_entries(
+            s, self.constrained)
 
         nt, ns = space.mesh.n_triangles, space.n_scalar
         base_r = np.broadcast_to(space.tri_p2[:, :, None], (nt, 6, 6)).ravel()
@@ -114,7 +104,7 @@ class _LinearizedTemplate:
         self.rows = np.concatenate([const_rows, conv_rows])
         self.cols = np.concatenate([const_cols, conv_cols])
 
-    def factorize(self, y_level: np.ndarray) -> Factorization:
+    def matrix(self, y_level: np.ndarray) -> sp.csc_matrix:
         space = self.space
         r = space.rule5
         ce = fem.convection_scalar_block(space, y_level).ravel()
@@ -126,58 +116,28 @@ class _LinearizedTemplate:
                                        r.phi, r.phi, gy[:, :, c, d]).ravel())
         conv_data = np.concatenate(parts) * self.conv_mask
         data = np.concatenate([self.const_data, conv_data])
-        matrix = sp.coo_matrix((data, (self.rows, self.cols)),
-                               shape=(self.n, self.n)).tocsc()
-        return Factorization(matrix, label="linearized")
-
-
-class _LinearizedFactorization:
-    """Adapter giving the per-level linearized operator the saddle-solve
-    interface (homogeneous Dirichlet only)."""
-
-    def __init__(self, fact: Factorization, n_vel: int, constrained: np.ndarray):
-        self.fact = fact
-        self.n_vel = n_vel
-        self.constrained = constrained
-
-    def solve(self, load: np.ndarray, values=None) -> tuple[np.ndarray, np.ndarray]:
-        b = np.zeros(self.fact.n)
-        b[: self.n_vel] = load
-        b[self.constrained] = 0.0
-        x = self.fact.solve(b)
-        x[self.constrained] = 0.0
-        return x[: self.n_vel], x[self.n_vel:]
+        return sp.coo_matrix((data, (self.rows, self.cols)),
+                             shape=(self.n, self.n)).tocsc()
 
 
 class Operators:
     """Assembled matrices and factorizations shared by all schemes."""
 
-    def __init__(self, space: Space, grid: TimeGrid, nu: float, nu_bar: float = 1.0):
+    def __init__(self, space: Space, grid: TimeGrid, nu: float):
         if nu <= 0:
             raise ValueError(f"viscosity must be positive, got {nu}")
         self.space = space
         self.grid = grid
         self.nu = nu
-        self.nu_bar = nu_bar
         self.M = fem.assemble_mass(space)
         self.K = fem.assemble_stiffness(space)
         self.B = fem.assemble_divergence(space)
-        self._build_factorizations()
-
-    def _build_factorizations(self):
-        space, dt = self.space, self.grid.dt
+        dt = grid.dt
         self.heat = factorize(SaddleSystem(
             self.M / dt + self.K, self.B, space.dirichlet_dofs, label="heat"))
         self.stokes = factorize(SaddleSystem(
             self.K, self.B, space.dirichlet_dofs, label="stokes"))
-        if self.nu_bar == 1.0:
-            self.init_stokes = self.heat
-        else:
-            self.init_stokes = factorize(SaddleSystem(
-                self.M / dt + self.nu_bar * self.K, self.B, space.dirichlet_dofs,
-                label="init"))
-        self._template = _LinearizedTemplate(
-            space, self.M / dt + self.nu * self.K, self.B)
+        self._template = _LinearizedTemplate(space, self.M / dt + nu * self.K, self.B)
 
     def with_nu(self, nu: float) -> "Operators":
         """Share assembled matrices and constant factorizations, swap nu."""
@@ -188,21 +148,43 @@ class Operators:
             self.space, self.M / self.grid.dt + nu * self.K, self.B)
         return other
 
-    def linearized(self, y_level: np.ndarray) -> _LinearizedFactorization:
-        return _LinearizedFactorization(
-            self._template.factorize(y_level), self.space.n_velocity,
-            self._template.constrained)
+    def linearized(self, y_level: np.ndarray) -> SaddleFactorization:
+        """Factorized linearized operator at ``y_level``, homogeneous data."""
+        t = self._template
+        return SaddleFactorization(t.matrix(y_level), self.space.n_velocity,
+                                   t.constrained, "linearized")
 
 
-def implicit_step(fact: SaddleFactorization, M: sp.spmatrix, dt: float,
-                  prev: np.ndarray, load: np.ndarray,
-                  values: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One backward-Euler step of a generic Stokes-type system.
+def sweep(ops: Operators, loads: np.ndarray, y: FieldTrajectory | None = None,
+          start: np.ndarray | None = None,
+          values: np.ndarray | None = None) -> FieldTrajectory:
+    """Backward-Euler sweep from ``start`` (zero when omitted).
 
-    ``fact`` must hold (M/dt + A) with the divergence constraint; returns
-    the new velocity level and the pressure multiplier.
+    Level n+1 solves ``(M/dt + A) u^{n+1} + B^T lam = M u^n/dt + loads[n]``
+    with Dirichlet data ``values[n]`` (homogeneous when omitted).  ``A`` is
+    the heat-type ``K``, or with ``y`` the Navier-Stokes operator
+    linearized at ``y^{n+1}``.
     """
-    return fact.solve(M @ np.asarray(prev, dtype=np.float64) / dt + load, values)
+    grid = ops.grid
+    out = FieldTrajectory.zeros(grid, ops.space.n_velocity)
+    if start is not None:
+        out.values[0] = start
+    level = out.values[0]
+    for n in range(grid.N):
+        fact = ops.heat if y is None else ops.linearized(y.values[n + 1])
+        level, _ = fact.solve(ops.M @ level / grid.dt + loads[n],
+                              None if values is None else values[n])
+        out.values[n + 1] = level
+    return out
+
+
+def lift(ops: Operators, loads: np.ndarray) -> np.ndarray:
+    """Constrained Poisson lifts: row n is the velocity of the Stokes-type
+    solve with momentum load ``loads[n]`` and homogeneous data."""
+    out = np.zeros((ops.grid.N, ops.space.n_velocity))
+    for n in range(ops.grid.N):
+        out[n], _ = ops.stokes.solve(loads[n])
+    return out
 
 
 def steady_stokes_initial(ops: Operators, values: np.ndarray,
@@ -220,7 +202,7 @@ def steady_stokes_initial(ops: Operators, values: np.ndarray,
 
 def unsteady_stokes_initial_guess(
     ops: Operators, u0: np.ndarray, values: np.ndarray,
-    loads: np.ndarray | None = None, dtype=np.float64,
+    loads: np.ndarray | None = None,
 ) -> FieldTrajectory:
     """Backward-Euler unsteady Stokes trajectory starting from u0.
 
@@ -229,20 +211,13 @@ def unsteady_stokes_initial_guess(
     time-constant boundaries (the experiments) or an (N, n_constrained)
     array with one row per step.
     """
-    grid = ops.grid
-    values = np.asarray(values, dtype=np.float64)
-    traj = FieldTrajectory.zeros(grid, ops.space.n_velocity, dtype=dtype)
-    traj.values[0] = u0
-    level = np.asarray(u0, dtype=np.float64)
-    zero = np.zeros(ops.space.n_velocity)
-    for n in range(grid.N):
-        load = zero if loads is None else loads[n]
-        vals = values if values.ndim == 1 else values[n]
-        level, _ = implicit_step(ops.init_stokes, ops.M, grid.dt, level, load, vals)
-        traj.values[n + 1] = level
-    return traj
+    shape = (ops.grid.N, ops.space.n_velocity)
+    if loads is None:
+        loads = np.broadcast_to(np.zeros(shape[1]), shape)
+    values = np.broadcast_to(values, (ops.grid.N, np.shape(values)[-1]))
+    return sweep(ops, loads, start=u0, values=values)
 
 
 def divergence_sup(ops: Operators, traj: FieldTrajectory) -> float:
     """Max over levels of ||B y^n||_inf, the discrete divergence defect."""
-    return float(np.abs(ops.B @ traj.values.T.astype(np.float64)).max(initial=0.0))
+    return float(np.abs(ops.B @ traj.values.T).max(initial=0.0))

@@ -25,6 +25,8 @@ from nslsq.newton import (
 )
 from nslsq.timestepping import FieldTrajectory, Operators, TimeGrid
 
+pytestmark = pytest.mark.slow
+
 DESK_H = 0.05
 DESK_T = 2.0
 DESK_N = 100

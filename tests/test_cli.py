@@ -44,9 +44,17 @@ def test_parse_rejects_unknown_key():
         parse_config(MINIMAL + "viscosity = 2\n")
 
 
+BAD_VALUES = [("nu", "abc"), ("dt", "0"), ("dt", "-0.02"), ("T", "inf"),
+              ("schedule", ","), ("schedule", "1/500, nan"), ("nu", "nan"),
+              ("nu", "inf"), ("tol", "nan"), ("tol", "inf"), ("m", "inf"),
+              ("m", "nan"), ("h", "nan"), ("h", "inf")]
+
+
 def test_parse_rejects_bad_value():
-    with pytest.raises(ConfigError, match="key 'nu'"):
-        parse_config("[experiment]\ngeometry = semidisk\nnu = abc\n")
+    """Unparsable, non-finite and degenerate values name the key."""
+    for key, text in BAD_VALUES:
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            parse_config(f"[experiment]\ngeometry = semidisk\n{key} = {text}\n")
 
 
 def test_dt_must_divide_T():
@@ -237,6 +245,10 @@ def test_main_error_exit_code(tmp_path, capsys):
     rc = main(["run", str(cfg_path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+    cfg_path.write_text(MINIMAL)
+    rc = main(["run", str(cfg_path), "--schedule", ","])
+    assert rc == 1
+    assert "key 'schedule'" in capsys.readouterr().err
 
 
 def test_main_diverged_exit_code(tmp_path, monkeypatch, capsys):

@@ -8,15 +8,13 @@ from nslsq.linalg import (
     SaddleSystem,
     SolverError,
     apply_dirichlet,
-    dump_matrix_market,
     factorize,
-    solve,
 )
 
 
 def test_one_by_one():
     f = factorize(sp.csc_matrix(np.array([[2.0]])))
-    assert solve(f, np.array([4.0]))[0] == pytest.approx(2.0)
+    assert f.solve(np.array([4.0]))[0] == pytest.approx(2.0)
 
 
 def test_random_spd_matches_dense_elimination():
@@ -119,11 +117,3 @@ def test_apply_dirichlet_inhomogeneous_patch(square2):
     fact = factorize(system, label="patch")
     vel, _ = fact.solve(np.zeros(square2.n_velocity))
     assert np.abs(vel - u_lin).max() < 1e-9
-
-
-def test_matrix_market_dump(tmp_path):
-    a = sp.csc_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-    path = tmp_path / "mat.mtx"
-    dump_matrix_market(a, path)
-    text = path.read_text()
-    assert "MatrixMarket" in text and "coordinate" in text

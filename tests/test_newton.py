@@ -24,6 +24,7 @@ from nslsq.newton import (
 from nslsq.timestepping import FieldTrajectory, Operators, TimeGrid
 
 NU = 0.1
+VARIANTS = ("E", "Etilde")
 
 
 @pytest.fixture(scope="module")
@@ -326,23 +327,32 @@ def test_newton_converges_and_monotone(setup):
                   - y0.values[:, space.dirichlet_dofs]).max() == 0.0
 
 
+def _functional_from_scratch(ops, y, loads, variant):
+    """E from the corrector and its lift, or Etilde from the lifted defect."""
+    if variant == "E":
+        return evaluate_energy(ops, y, loads)[0]
+    return 0.5 * newton.l2v_norm_sq(ops, newton.residual_lift(ops, y, loads))
+
+
 def test_line_search_truth_at_accepted_steps(setup):
-    """From-scratch energy at every accepted step equals the quartic
-    prediction (the whole algebraic chain at once)."""
+    """From-scratch functional at every accepted step equals the quartic
+    prediction (the whole algebraic chain at once), for both measures."""
     space, grid, ops, loads, y0 = setup
-    checks = []
+    for variant in VARIANTS:
+        checks = []
 
-    def grab(k, y, bundle, lam):
-        q = 0.5 * ((1 - lam) ** 2 * bundle.v_norm_sq
-                   + 2 * lam**2 * (1 - lam) * bundle.cross_inner
-                   + lam**4 * bundle.rem_norm_sq)
-        e_scratch, _, _ = evaluate_energy(ops, y.axpy(-lam, bundle.direction), loads)
-        checks.append((e_scratch, q))
+        def grab(k, y, bundle, lam):
+            q = 0.5 * ((1 - lam) ** 2 * bundle.v_norm_sq
+                       + 2 * lam**2 * (1 - lam) * bundle.cross_inner
+                       + lam**4 * bundle.rem_norm_sq)
+            e_scratch = _functional_from_scratch(
+                ops, y.axpy(-lam, bundle.direction), loads, variant)
+            checks.append((e_scratch, q))
 
-    res = newton_loop(ops, y0, loads, on_iterate=grab)
-    assert res.converged and len(checks) >= 3
-    for e_scratch, q in checks:
-        assert e_scratch == pytest.approx(q, rel=1e-6, abs=1e-24)
+        res = newton_loop(ops, y0, loads, variant=variant, on_iterate=grab)
+        assert res.converged and len(checks) >= 3, variant
+        for e_scratch, q in checks:
+            assert e_scratch == pytest.approx(q, rel=1e-6, abs=1e-24), variant
 
 
 def test_zero_problem_stays_zero(square2):
@@ -364,34 +374,40 @@ def test_zero_residual_start_exits_immediately(setup):
 
 def test_policies_cheap_and_fixed1_converge_easy(setup):
     space, grid, ops, loads, y0 = setup
-    for policy in ("cheap", "fixed1"):
-        res = newton_loop(ops, y0, loads, policy=policy, max_iter=40)
-        assert res.converged, policy
-        if policy == "cheap":
-            assert all(r.lam <= 1.0 for r in res.records if r.lam is not None)
+    for variant in VARIANTS:
+        for policy in ("cheap", "fixed1"):
+            res = newton_loop(ops, y0, loads, variant=variant, policy=policy,
+                              max_iter=40)
+            assert res.converged, (variant, policy)
+            if policy == "cheap":
+                assert all(r.lam <= 1.0 for r in res.records if r.lam is not None)
 
 
 def test_unknown_policy_rejected(setup):
     space, grid, ops, loads, y0 = setup
-    with pytest.raises(ValueError, match="policy"):
-        newton_loop(ops, y0, loads, policy="bogus")
+    for variant in VARIANTS:
+        with pytest.raises(ValueError, match="policy"):
+            newton_loop(ops, y0, loads, variant=variant, policy="bogus")
 
 
 def test_divergence_detection_reports_not_crashes(setup):
     """A tiny divergence factor forces the diverged outcome path."""
     space, grid, ops, loads, y0 = setup
-    res = newton_loop(ops, y0, loads, divergence_factor=1.0 + 1e-9, max_iter=50)
-    assert res.outcome in ("diverged", "converged")
-    # with a factor this tight the first growth of sqrt2E must report
-    if res.outcome == "diverged":
-        assert res.records[-1].lam is None
+    for variant in VARIANTS:
+        res = newton_loop(ops, y0, loads, variant=variant,
+                          divergence_factor=1.0 + 1e-9, max_iter=50)
+        assert res.outcome in ("diverged", "converged"), variant
+        # with a factor this tight the first growth of sqrt2E must report
+        if res.outcome == "diverged":
+            assert res.records[-1].lam is None
 
 
 def test_iteration_cap(setup):
     space, grid, ops, loads, y0 = setup
-    res = newton_loop(ops, y0, loads, max_iter=1)
-    assert res.outcome == "max_iterations"
-    assert res.records[-1].k == 1
+    for variant in VARIANTS:
+        res = newton_loop(ops, y0, loads, variant=variant, max_iter=1)
+        assert res.outcome == "max_iterations", variant
+        assert res.records[-1].k == 1
 
 
 def test_factorization_reuse_across_run(setup):
@@ -439,6 +455,8 @@ def test_continuation_validates_schedule(square2):
         continuation_in_nu(square2, grid, [0.1, 0.1])
     with pytest.raises(ValueError, match="empty"):
         continuation_in_nu(square2, grid, [])
+    with pytest.raises(ValueError, match="residual measure"):
+        continuation_in_nu(square2, grid, [0.1], variant="bogus")
 
 
 def test_continuation_single_entry_matches_plain(setup):
@@ -487,22 +505,6 @@ def test_residual_variant_matches_corrector_variant(setup):
     # cross-evaluation: both functionals vanish at either solution
     et_of_e, _, _ = evaluate_energy(res_e.ops, res_t.trajectory, res_e.loads)
     assert np.sqrt(2 * et_of_e) < 1e-7
-
-
-def test_float32_storage_keeps_norm_accuracy(setup):
-    """Reduced-precision trajectory storage with float64 accumulation:
-    norms within 1e-6 relative, and the loop still drives the residual of
-    the stored trajectory down."""
-    space, grid, ops, loads, y0 = setup
-    vals64 = y0.values
-    vals32 = vals64.astype(np.float32)
-    n64 = newton.l2v_norm_sq(ops, vals64[1:])
-    n32 = newton.l2v_norm_sq(ops, vals32[1:])
-    assert abs(n64 - n32) <= 1e-6 * n64
-    y32 = FieldTrajectory(grid, vals32)
-    res = newton_loop(ops, y32, loads, tol=1e-5, dtype=np.float32)
-    assert res.converged
-    assert res.trajectory.values.dtype == np.float32
 
 
 def test_residual_variant_equivalence_bound(setup):
