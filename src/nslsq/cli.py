@@ -21,7 +21,7 @@ import numpy as np
 
 from . import manufactured as mf
 from .fem import Space, build_space, vorticity_load
-from .linalg import SolverError, eliminate_dirichlet, factorize
+from .linalg import Factorization, SolverError, eliminate_dirichlet
 from .mesh import (
     Mesh,
     Tag,
@@ -68,6 +68,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.schedule is not None:
+            if self.geometry == "unit_square":
+                raise ConfigError("key 'schedule' is not supported with geometry "
+                                  "unit_square (the manufactured-solution run)")
             if not self.schedule:
                 raise ConfigError("bad value for key 'schedule': no viscosity given")
             if not all(math.isfinite(s) and s > 0 for s in self.schedule):
@@ -187,7 +190,7 @@ def stream_function(space: Space, u: np.ndarray) -> np.ndarray:
     """Scalar P2 stream function: -Lap(psi) = d2 u1 - d1 u2 weakly, psi = 0
     on the whole boundary; streamlines are its iso-contours."""
     matrix, _ = eliminate_dirichlet(space.scalar_stiffness, space.boundary_nodes)
-    fact = factorize(matrix, label="stream")
+    fact = Factorization(matrix, "stream")
     b = vorticity_load(space, u)
     b[space.boundary_nodes] = 0.0
     psi = fact.solve(b)

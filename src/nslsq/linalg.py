@@ -3,13 +3,12 @@
 Every solve is verified against the relative residual contract
 ``||Ax - b||_inf <= 1e-8 (1 + ||b||_inf)``; a single step of iterative
 refinement is attempted on marginal failures, anything past 1e-6 is a
-hard error.  Factorizations are counted per label so tests can assert
-that constant-coefficient operators are factorized exactly once per run.
+hard error.  Dirichlet values enter per solve, never through the
+factorization, so one LU serves every boundary datum.  How often a run
+factorizes is counted by its owner (``timestepping.Operators``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,15 +17,9 @@ import scipy.sparse.linalg as spla
 RESIDUAL_TOL = 1e-8
 RESIDUAL_HARD = 1e-6
 
-factorization_counts: dict[str, int] = {}
-
 
 class SolverError(RuntimeError):
     pass
-
-
-def reset_factorization_counts():
-    factorization_counts.clear()
 
 
 class Factorization:
@@ -46,7 +39,6 @@ class Factorization:
                 f"singular matrix ({label}): {exc}; a singular saddle system "
                 "usually means a missing pressure pin or empty Dirichlet set"
             ) from exc
-        factorization_counts[label] = factorization_counts.get(label, 0) + 1
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
@@ -64,34 +56,6 @@ class Factorization:
                 raise SolverError(
                     f"solve residual {res:.3e} exceeds {RESIDUAL_HARD:.0e}*(1+||b||)")
         return x
-
-
-@dataclass(frozen=True)
-class SaddleSystem:
-    """Block system [[A, B^T], [B, 0]] with velocity Dirichlet constraints.
-
-    ``dirichlet_values`` (aligned with ``dirichlet_dofs``) default to zero;
-    set them through ``apply_dirichlet``.  The first pressure dof is pinned
-    to zero to remove the constant-pressure nullspace.
-    """
-
-    A: sp.spmatrix
-    B: sp.spmatrix
-    dirichlet_dofs: np.ndarray
-    dirichlet_values: np.ndarray | None = None
-    label: str = "saddle"
-
-
-def apply_dirichlet(system: SaddleSystem, values: np.ndarray) -> SaddleSystem:
-    """Attach boundary values; the elimination happens at factorization."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (len(system.dirichlet_dofs),):
-        raise SolverError(
-            f"need one boundary value per constrained dof: expected "
-            f"{len(system.dirichlet_dofs)}, got {values.shape}")
-    if not np.isfinite(values).all():
-        raise SolverError("non-finite Dirichlet value")
-    return replace(system, dirichlet_values=values)
 
 
 def eliminated_entries(coo: sp.coo_matrix, constrained: np.ndarray):
@@ -134,29 +98,28 @@ def eliminate_dirichlet(
 
 
 class SaddleFactorization:
-    """LU of an eliminated saddle matrix; solves take the momentum load and
-    optional per-solve Dirichlet values (defaulting to ``default_values``).
+    """LU of an eliminated saddle matrix.  Each solve takes the momentum
+    load and one vector of Dirichlet values aligned with the velocity
+    Dirichlet dofs (zero when omitted).
 
     Without a ``coupling`` matrix the data are homogeneous: every solve
     has zero Dirichlet values.
     """
 
     def __init__(self, matrix: sp.spmatrix, n_vel: int, constrained: np.ndarray,
-                 label: str, coupling: sp.spmatrix | None = None,
-                 default_values: np.ndarray | None = None):
+                 label: str, coupling: sp.spmatrix | None = None):
         self.n_vel = n_vel
         self.constrained = constrained
         self.coupling = coupling
         self.fact = Factorization(matrix, label=label)
-        self.default_values = (np.zeros(len(constrained)) if default_values is None
-                               else default_values)
 
     def solve(
         self, load: np.ndarray, values: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Solve for (velocity, multiplier) with momentum load and zero
         divergence rhs; constrained entries are set exactly."""
-        cvals = self.default_values if values is None else np.append(values, 0.0)
+        cvals = (np.zeros(len(self.constrained)) if values is None
+                 else np.append(values, 0.0))
         b = np.zeros(self.fact.n)
         b[: self.n_vel] = load
         if cvals.any():
@@ -173,16 +136,13 @@ def saddle_constrained(dirichlet_dofs: np.ndarray, n_vel: int) -> np.ndarray:
     return np.concatenate([dirichlet_dofs, [n_vel]]).astype(np.int64)
 
 
-def factorize(system: SaddleSystem | sp.spmatrix, label: str | None = None):
-    """Factorize a saddle system (-> SaddleFactorization) or a plain square
-    sparse matrix (-> Factorization)."""
-    if not isinstance(system, SaddleSystem):
-        return Factorization(system, label=label or "unlabeled")
-    n_vel = system.A.shape[0]
-    s_full = sp.bmat([[system.A, system.B.T], [system.B, None]], format="coo")
-    constrained = saddle_constrained(system.dirichlet_dofs, n_vel)
+def saddle_factorization(A: sp.spmatrix, B: sp.spmatrix, dirichlet_dofs: np.ndarray,
+                         label: str) -> SaddleFactorization:
+    """Factorize the block system [[A, B^T], [B, 0]] with the velocity
+    Dirichlet dofs eliminated and the first pressure dof pinned to zero
+    (removing the constant-pressure nullspace)."""
+    n_vel = A.shape[0]
+    s_full = sp.bmat([[A, B.T], [B, None]], format="coo")
+    constrained = saddle_constrained(dirichlet_dofs, n_vel)
     matrix, coupling = eliminate_dirichlet(s_full, constrained)
-    values = (None if system.dirichlet_values is None
-              else np.append(system.dirichlet_values, 0.0))
-    return SaddleFactorization(matrix, n_vel, constrained, label or system.label,
-                               coupling, values)
+    return SaddleFactorization(matrix, n_vel, constrained, label, coupling)

@@ -78,7 +78,6 @@ class NewtonResult:
     records: list[IterationRecord]
     outcome: str  # converged | diverged | max_iterations
     ops: Operators | None = None
-    boundary_values: np.ndarray | None = None
     loads: np.ndarray | None = None
 
     @property
@@ -360,18 +359,21 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
 
 
 def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
-                    boundary_values: np.ndarray | None = None, u0=None,
-                    ops: Operators | None = None):
+                    u0=None, ops: Operators | None = None):
     """Assemble operators, boundary data, loads, and the Stokes-initialized
-    starting trajectory shared by both residual measures."""
+    starting trajectory shared by both residual measures.
+
+    ``g`` is the horizontal lid velocity (homogeneous walls when omitted),
+    ``u0`` the initial velocity as a vector or a callable (the steady
+    Stokes field of the lid data when omitted).  Non-finite data raise
+    ``ValueError``.
+    """
+    values = (np.zeros(len(space.dirichlet_dofs)) if g is None
+              else fem.lid_boundary_values(space, g))
+    if not np.isfinite(values).all():
+        raise ValueError("lid velocity g has non-finite values on the lid")
     if ops is None:
         ops = Operators(space, grid, nu)
-    if boundary_values is not None:
-        values = np.asarray(boundary_values, dtype=np.float64)
-    elif g is not None:
-        values = fem.lid_boundary_values(space, g)
-    else:
-        values = np.zeros(len(space.dirichlet_dofs))
     loads = None
     if f is not None:
         times = grid.times()
@@ -383,22 +385,23 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
         u0_vec = fem.interpolate_velocity(space, u0)
     else:
         u0_vec = np.asarray(u0, dtype=np.float64)
+    if u0_vec.shape != (space.n_velocity,) or not np.isfinite(u0_vec).all():
+        raise ValueError(f"initial velocity u0 must be {space.n_velocity} finite "
+                         f"values, got shape {u0_vec.shape}")
     y0 = unsteady_stokes_initial_guess(ops, u0_vec, values, loads)
-    return ops, values, loads, y0
+    return ops, loads, y0
 
 
 def _solve(space: Space, grid: TimeGrid, nu: float, variant: str, *, g=None,
-           f=None, boundary_values=None, u0=None, warm_start=None,
-           ops: Operators | None = None, **loop) -> NewtonResult:
+           f=None, u0=None, warm_start=None, ops: Operators | None = None,
+           **loop) -> NewtonResult:
     """Stokes initialization (or warm start) plus the outer loop; ``loop``
     holds the keywords of ``newton_loop``."""
-    ops, values, loads, y0 = prepare_problem(
-        space, grid, nu, g=g, f=f, boundary_values=boundary_values, u0=u0, ops=ops)
+    ops, loads, y0 = prepare_problem(space, grid, nu, g=g, f=f, u0=u0, ops=ops)
     if warm_start is not None:
         y0 = warm_start.copy()
     result = newton_loop(ops, y0, loads, variant=variant, **loop)
     result.ops = ops
-    result.boundary_values = values
     result.loads = loads
     return result
 

@@ -12,6 +12,7 @@ sparsity template.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,9 @@ from . import fem
 from .fem import Space
 from .linalg import (
     SaddleFactorization,
-    SaddleSystem,
     eliminated_entries,
-    factorize,
     saddle_constrained,
+    saddle_factorization,
 )
 
 
@@ -121,7 +121,11 @@ class _LinearizedTemplate:
 
 
 class Operators:
-    """Assembled matrices and factorizations shared by all schemes."""
+    """Assembled matrices and factorizations shared by all schemes.
+
+    ``factorizations`` counts the LUs of one run per label (heat, stokes,
+    linearized); operators derived by ``with_nu`` share it.
+    """
 
     def __init__(self, space: Space, grid: TimeGrid, nu: float):
         if nu <= 0:
@@ -133,10 +137,11 @@ class Operators:
         self.K = fem.assemble_stiffness(space)
         self.B = fem.assemble_divergence(space)
         dt = grid.dt
-        self.heat = factorize(SaddleSystem(
-            self.M / dt + self.K, self.B, space.dirichlet_dofs, label="heat"))
-        self.stokes = factorize(SaddleSystem(
-            self.K, self.B, space.dirichlet_dofs, label="stokes"))
+        self.heat = saddle_factorization(self.M / dt + self.K, self.B,
+                                         space.dirichlet_dofs, "heat")
+        self.stokes = saddle_factorization(self.K, self.B, space.dirichlet_dofs,
+                                           "stokes")
+        self.factorizations = Counter(heat=1, stokes=1)
         self._template = _LinearizedTemplate(space, self.M / dt + nu * self.K, self.B)
 
     def with_nu(self, nu: float) -> "Operators":
@@ -151,8 +156,10 @@ class Operators:
     def linearized(self, y_level: np.ndarray) -> SaddleFactorization:
         """Factorized linearized operator at ``y_level``, homogeneous data."""
         t = self._template
-        return SaddleFactorization(t.matrix(y_level), self.space.n_velocity,
+        fact = SaddleFactorization(t.matrix(y_level), self.space.n_velocity,
                                    t.constrained, "linearized")
+        self.factorizations["linearized"] += 1
+        return fact
 
 
 def sweep(ops: Operators, loads: np.ndarray, y: FieldTrajectory | None = None,
@@ -161,9 +168,9 @@ def sweep(ops: Operators, loads: np.ndarray, y: FieldTrajectory | None = None,
     """Backward-Euler sweep from ``start`` (zero when omitted).
 
     Level n+1 solves ``(M/dt + A) u^{n+1} + B^T lam = M u^n/dt + loads[n]``
-    with Dirichlet data ``values[n]`` (homogeneous when omitted).  ``A`` is
-    the heat-type ``K``, or with ``y`` the Navier-Stokes operator
-    linearized at ``y^{n+1}``.
+    with the time-constant Dirichlet data ``values`` on every level
+    (homogeneous when omitted).  ``A`` is the heat-type ``K``, or with
+    ``y`` the Navier-Stokes operator linearized at ``y^{n+1}``.
     """
     grid = ops.grid
     out = FieldTrajectory.zeros(grid, ops.space.n_velocity)
@@ -172,8 +179,7 @@ def sweep(ops: Operators, loads: np.ndarray, y: FieldTrajectory | None = None,
     level = out.values[0]
     for n in range(grid.N):
         fact = ops.heat if y is None else ops.linearized(y.values[n + 1])
-        level, _ = fact.solve(ops.M @ level / grid.dt + loads[n],
-                              None if values is None else values[n])
+        level, _ = fact.solve(ops.M @ level / grid.dt + loads[n], values)
         out.values[n + 1] = level
     return out
 
@@ -207,14 +213,12 @@ def unsteady_stokes_initial_guess(
     """Backward-Euler unsteady Stokes trajectory starting from u0.
 
     ``loads[n]`` is the momentum load of the step to level n+1 (zero when
-    omitted).  ``values`` is the Dirichlet data: one vector for
-    time-constant boundaries (the experiments) or an (N, n_constrained)
-    array with one row per step.
+    omitted).  ``values`` is the time-constant Dirichlet data, one entry
+    per velocity Dirichlet dof, imposed on every level 1..N.
     """
     shape = (ops.grid.N, ops.space.n_velocity)
     if loads is None:
         loads = np.broadcast_to(np.zeros(shape[1]), shape)
-    values = np.broadcast_to(values, (ops.grid.N, np.shape(values)[-1]))
     return sweep(ops, loads, start=u0, values=values)
 
 

@@ -51,10 +51,13 @@ BAD_VALUES = [("nu", "abc"), ("dt", "0"), ("dt", "-0.02"), ("T", "inf"),
 
 
 def test_parse_rejects_bad_value():
-    """Unparsable, non-finite and degenerate values name the key."""
+    """Unparsable, non-finite and degenerate values, and a schedule on the
+    manufactured unit square (which never runs continuation), name the key."""
     for key, text in BAD_VALUES:
         with pytest.raises(ConfigError, match=f"key '{key}'"):
             parse_config(f"[experiment]\ngeometry = semidisk\n{key} = {text}\n")
+    with pytest.raises(ConfigError, match="key 'schedule'"):
+        parse_config("[experiment]\ngeometry = unit_square\nschedule = 0.2, 0.1\n")
 
 
 def test_dt_must_divide_T():

@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nslsq import linalg
 from nslsq.fem import assemble_divergence, assemble_stiffness
-from nslsq.linalg import (
-    SaddleSystem,
-    SolverError,
-    apply_dirichlet,
-    factorize,
-)
+from nslsq.linalg import Factorization, SolverError, saddle_factorization
 
 
 def test_one_by_one():
-    f = factorize(sp.csc_matrix(np.array([[2.0]])))
+    f = Factorization(sp.csc_matrix(np.array([[2.0]])))
     assert f.solve(np.array([4.0]))[0] == pytest.approx(2.0)
 
 
@@ -22,7 +16,7 @@ def test_random_spd_matches_dense_elimination():
     a = rng.standard_normal((20, 20))
     a = a @ a.T + 20 * np.eye(20)
     b = rng.standard_normal(20)
-    x = factorize(sp.csc_matrix(a)).solve(b)
+    x = Factorization(sp.csc_matrix(a)).solve(b)
     assert np.abs(a @ x - b).max() < 1e-10
     assert np.abs(x - np.linalg.solve(a, b)).max() < 1e-10
 
@@ -30,29 +24,27 @@ def test_random_spd_matches_dense_elimination():
 def test_singular_matrix_reports():
     a = sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(SolverError, match="singular"):
-        factorize(a)
+        Factorization(a)
 
 
 def test_non_square_rejected():
     with pytest.raises(SolverError, match="square"):
-        factorize(sp.csc_matrix(np.ones((2, 3))))
+        Factorization(sp.csc_matrix(np.ones((2, 3))))
 
 
 def test_rhs_shape_mismatch():
-    f = factorize(sp.csc_matrix(np.eye(3)))
+    f = Factorization(sp.csc_matrix(np.eye(3)))
     with pytest.raises(SolverError, match="shape"):
         f.solve(np.ones(4))
 
 
 def test_factorization_reuse_and_counts():
-    linalg.reset_factorization_counts()
     rng = np.random.default_rng(1)
     a = sp.csc_matrix(np.diag(rng.uniform(1, 2, size=10)))
-    f = factorize(a, label="probe")
+    f = Factorization(a, label="probe")
     for _ in range(5):
         b = rng.standard_normal(10)
         assert np.abs(a @ f.solve(b) - b).max() < 1e-12
-    assert linalg.factorization_counts["probe"] == 1
 
 
 def test_two_triangle_constrained_space_is_trivial():
@@ -75,15 +67,15 @@ def test_two_triangle_constrained_space_is_trivial():
     free = np.setdiff1d(np.arange(space.n_velocity), space.dirichlet_dofs)
     z = null_space(B.toarray()[1:, :][:, free])
     assert z.shape[1] == 0
-    fact = factorize(SaddleSystem(assemble_stiffness(space), B, space.dirichlet_dofs))
+    fact = saddle_factorization(assemble_stiffness(space), B, space.dirichlet_dofs,
+                                "two-triangle")
     vel, _ = fact.solve(np.ones(space.n_velocity))
     assert np.abs(vel).max() < 1e-12
 
 
 def test_saddle_stokes_zero_data_gives_zero(square1):
-    system = SaddleSystem(assemble_stiffness(square1), assemble_divergence(square1),
-                          square1.dirichlet_dofs)
-    fact = factorize(system, label="stokes-test")
+    fact = saddle_factorization(assemble_stiffness(square1), assemble_divergence(square1),
+                                square1.dirichlet_dofs, "stokes-test")
     vel, lam = fact.solve(np.zeros(square1.n_velocity))
     assert np.abs(vel).max() == 0.0
     assert np.abs(lam).max() < 1e-12
@@ -91,29 +83,20 @@ def test_saddle_stokes_zero_data_gives_zero(square1):
 
 def test_saddle_exact_zeros_on_constrained(square2):
     rng = np.random.default_rng(4)
-    system = SaddleSystem(assemble_stiffness(square2), assemble_divergence(square2),
-                          square2.dirichlet_dofs)
-    fact = factorize(system)
+    fact = saddle_factorization(assemble_stiffness(square2), assemble_divergence(square2),
+                                square2.dirichlet_dofs, "stokes-test")
     vel, _ = fact.solve(rng.standard_normal(square2.n_velocity))
     assert np.abs(vel[square2.dirichlet_dofs]).max() == 0.0
 
 
-def test_apply_dirichlet_validates_length(square1):
-    system = SaddleSystem(assemble_stiffness(square1), assemble_divergence(square1),
-                          square1.dirichlet_dofs)
-    with pytest.raises(SolverError, match="boundary value"):
-        apply_dirichlet(system, np.zeros(3))
-
-
-def test_apply_dirichlet_inhomogeneous_patch(square2):
+def test_inhomogeneous_dirichlet_patch(square2):
     """Global linear divergence-free field is reproduced exactly by the
-    constrained Stokes solve (patch test)."""
+    constrained Stokes solve with its boundary values passed per solve
+    (patch test)."""
     from conftest import linear_field
 
     u_lin = linear_field(square2, (0.3, 0.7, -0.2), (-0.1, 0.4, -0.7))  # div=0
-    system = SaddleSystem(assemble_stiffness(square2), assemble_divergence(square2),
-                          square2.dirichlet_dofs)
-    system = apply_dirichlet(system, u_lin[square2.dirichlet_dofs])
-    fact = factorize(system, label="patch")
-    vel, _ = fact.solve(np.zeros(square2.n_velocity))
+    fact = saddle_factorization(assemble_stiffness(square2), assemble_divergence(square2),
+                                square2.dirichlet_dofs, "patch")
+    vel, _ = fact.solve(np.zeros(square2.n_velocity), u_lin[square2.dirichlet_dofs])
     assert np.abs(vel - u_lin).max() < 1e-9

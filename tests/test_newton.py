@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslsq import linalg, manufactured as mf, newton
+from nslsq import manufactured as mf, newton
 from nslsq.fem import build_space, interpolate_velocity
 from nslsq.mesh import generate_semidisk, generate_unit_square
 from nslsq.newton import (
@@ -18,6 +18,7 @@ from nslsq.newton import (
     evaluate_energy,
     line_search_quartic,
     newton_loop,
+    prepare_problem,
     residual_variant_solve,
     riesz_lift,
 )
@@ -412,25 +413,38 @@ def test_iteration_cap(setup):
 
 def test_factorization_reuse_across_run(setup):
     space, grid, ops, loads, y0 = setup
-    linalg.reset_factorization_counts()
-    newton_loop(ops, y0, loads)
-    counts = dict(linalg.factorization_counts)
-    assert counts.get("heat", 0) == 0  # prebuilt in fixture, reused here
-    assert counts.get("stokes", 0) == 0
-    assert counts.get("linearized", 0) > 0
+    before = ops.factorizations.copy()
+    res = newton_loop(ops, y0, loads)
+    added = ops.factorizations - before
+    assert ops.factorizations["heat"] == 1  # prebuilt in fixture, reused here
+    assert ops.factorizations["stokes"] == 1
+    assert added == {"linearized": grid.N * res.iterations}
 
 
 def test_factorization_counts_fresh_run():
     space = build_space(generate_unit_square(2))
     grid = TimeGrid(0.5, 4)
-    linalg.reset_factorization_counts()
     res = damped_newton_solve(space, grid, nu=NU, f=mf.forcing(NU),
                               u0=lambda x: mf.exact_velocity(x, 0.0))
     assert res.converged
-    counts = dict(linalg.factorization_counts)
+    counts = res.ops.factorizations
     assert counts["heat"] == 1
     assert counts["stokes"] == 1
     assert counts["linearized"] == grid.N * res.iterations
+
+
+def test_prepare_problem_rejects_non_finite_data(disk_coarse, square2):
+    """Bad lid data or initial velocity is reported as bad input before any
+    iterate, not as a diverged run."""
+    grid = TimeGrid(0.1, 2)
+    with pytest.raises(ValueError, match="lid velocity g"):
+        damped_newton_solve(disk_coarse, grid, 0.1, g=lambda x: np.nan * x)
+    with pytest.raises(ValueError, match="lid velocity g"):
+        prepare_problem(disk_coarse, grid, 0.1, g=lambda x: np.inf + 0 * x)
+    n = square2.n_velocity
+    for u0 in (np.full(n, np.nan), lambda x: np.nan * x, np.zeros(3), np.zeros((2, n))):
+        with pytest.raises(ValueError, match="u0"):
+            prepare_problem(square2, grid, 0.1, u0=u0)
 
 
 def test_divergence_constraint_on_all_levels(setup):
@@ -481,6 +495,11 @@ def test_continuation_warm_start_reduces_iterations():
     cold = damped_newton_solve(space, grid, 0.05, **kw)
     assert cont[-1][1].converged and cold.converged
     assert cont[-1][1].iterations <= cold.iterations
+    # one count per continuation run: the constant LUs are shared by the stages
+    counts = cont[-1][1].ops.factorizations
+    assert cont[0][1].ops.factorizations is counts
+    assert counts["heat"] == counts["stokes"] == 1
+    assert counts["linearized"] == grid.N * sum(res.iterations for _, res in cont)
 
 
 # ------------------------------------------------------------ residual variant

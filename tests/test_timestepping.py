@@ -12,7 +12,7 @@ from nslsq.fem import (
     lid_boundary_values,
     load_vector,
 )
-from nslsq.linalg import SaddleSystem, factorize
+from nslsq.linalg import saddle_factorization
 from nslsq.mesh import Tag, generate_unit_square
 from nslsq.timestepping import (
     Operators,
@@ -57,8 +57,8 @@ def test_steady_stokes_velocity_independent_of_viscosity(disk_coarse):
     ops = Operators(disk_coarse, grid, nu=1.0)
     values = lid_boundary_values(disk_coarse, LID_G)
     u_unit = steady_stokes_initial(ops, values)
-    scaled = factorize(SaddleSystem(7.5 * ops.K, ops.B, disk_coarse.dirichlet_dofs),
-                       label="stokes-scaled")
+    scaled = saddle_factorization(7.5 * ops.K, ops.B, disk_coarse.dirichlet_dofs,
+                                  "stokes-scaled")
     u_scaled, _ = scaled.solve(np.zeros(disk_coarse.n_velocity), values)
     assert np.abs(u_unit - u_scaled).max() < 1e-9
 
@@ -94,6 +94,9 @@ def test_unsteady_stokes_monotone_approach_to_steady(disk_coarse):
     dists = [vdist(n) for n in range(1, grid.N + 1)]
     assert all(b <= a + 1e-12 for a, b in zip(dists[:-1], dists[1:]))
     assert divergence_sup(ops, traj) < 1e-8
+    # the time-constant data are imposed exactly on every computed level
+    assert np.array_equal(traj.values[1:, disk_coarse.dirichlet_dofs],
+                          np.tile(values, (grid.N, 1)))
 
 
 def test_kinetic_energy_decays_without_forcing(disk_coarse):
@@ -121,23 +124,6 @@ def test_single_huge_step_reaches_steady(disk_coarse):
     assert np.sqrt(d @ (ops.K @ d)) < 1e-6
 
 
-def test_per_level_boundary_data(disk_coarse):
-    """Drivers accept one Dirichlet row per step; constant rows reproduce
-    the time-constant path bitwise."""
-    grid = TimeGrid(0.5, 4)
-    ops = Operators(disk_coarse, grid, nu=1.0)
-    values = lid_boundary_values(disk_coarse, LID_G)
-    u0 = steady_stokes_initial(ops, values)
-    constant = unsteady_stokes_initial_guess(ops, u0, values)
-    tiled = unsteady_stokes_initial_guess(ops, u0, np.tile(values, (grid.N, 1)))
-    assert np.array_equal(constant.values, tiled.values)
-    ramp = np.vstack([(n + 1) / grid.N * values for n in range(grid.N)])
-    ramped = unsteady_stokes_initial_guess(ops, u0, ramp)
-    for n in range(1, grid.N + 1):
-        got = ramped.values[n][disk_coarse.dirichlet_dofs]
-        assert np.array_equal(got, (n / grid.N) * values)
-
-
 def test_trajectory_level_zero_bitwise(disk_coarse):
     grid = TimeGrid(1.0, 3)
     ops = Operators(disk_coarse, grid, nu=1.0)
@@ -156,15 +142,14 @@ def test_implicit_step_first_order_in_dt(square2):
     B = assemble_divergence(space)
     rng = np.random.default_rng(8)
     g_load = rng.standard_normal(space.n_velocity)
-    stokes = factorize(SaddleSystem(K, B, space.dirichlet_dofs), label="fo-stokes")
+    stokes = saddle_factorization(K, B, space.dirichlet_dofs, "fo-stokes")
     U, _ = stokes.solve(g_load)
 
     T = 1.0
     errs, dts = [], []
     for N in (25, 50, 100):
         grid = TimeGrid(T, N)
-        fact = factorize(SaddleSystem(M / grid.dt + K, B, space.dirichlet_dofs),
-                         label="fo-heat")
+        fact = saddle_factorization(M / grid.dt + K, B, space.dirichlet_dofs, "fo-heat")
         level = np.zeros(space.n_velocity)
         err = 0.0
         for n in range(N):
@@ -186,7 +171,7 @@ def test_mass_only_limit_is_projected_explicit_update(square1):
     M = assemble_mass(space)
     B = assemble_divergence(space)
     dt = 0.25
-    fact = factorize(SaddleSystem(M / dt, B, space.dirichlet_dofs), label="mass-only")
+    fact = saddle_factorization(M / dt, B, space.dirichlet_dofs, "mass-only")
     rng = np.random.default_rng(9)
     load = rng.standard_normal(space.n_velocity)
     y1, _ = fact.solve(M @ np.zeros(space.n_velocity) / dt + load)
