@@ -32,14 +32,13 @@ from .mesh import (
 )
 from .newton import (
     POLICIES,
+    VARIANTS,
     NewtonResult,
     continuation_in_nu,
     damped_newton_solve,
     residual_variant_solve,
 )
 from .timestepping import TimeGrid
-
-VARIANTS = ("E", "Etilde")
 
 
 def lid_profile(x):
@@ -259,18 +258,23 @@ def _solver_for(config: ExperimentConfig):
     return residual_variant_solve if config.variant == "Etilde" else damped_newton_solve
 
 
+def write_mesh(mesh: Mesh, outdir: Path):
+    """Write ``mesh.node`` and ``mesh.ele`` into ``outdir``, creating it."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    node_text, ele_text = write_triangle_format(mesh)
+    (outdir / "mesh.node").write_text(node_text)
+    (outdir / "mesh.ele").write_text(ele_text)
+
+
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Execute a configured solve and write history, report, mesh, and
     snapshots into the output directory."""
     t_start = time.perf_counter()
     outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     mesh = build_mesh(config)
     space = build_space(mesh)
     grid = config.grid
-    node_text, ele_text = write_triangle_format(mesh)
-    (outdir / "mesh.node").write_text(node_text)
-    (outdir / "mesh.ele").write_text(ele_text)
+    write_mesh(mesh, outdir)
 
     rate = None
     errors = None
@@ -359,19 +363,13 @@ def main(argv=None) -> int:
     p_mesh.add_argument("--out", required=True, help="output directory")
 
     args = parser.parse_args(argv)
-    if args.command == "mesh":
-        mesh = (generate_semidisk(args.h) if args.geometry == "semidisk"
-                else generate_unit_square(max(1, round(1.0 / args.h))))
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        node_text, ele_text = write_triangle_format(mesh)
-        (outdir / "mesh.node").write_text(node_text)
-        (outdir / "mesh.ele").write_text(ele_text)
-        print(f"wrote {outdir / 'mesh.node'} ({mesh.n_vertices} vertices, "
-              f"{mesh.n_triangles} triangles)")
-        return 0
-
     try:
+        if args.command == "mesh":
+            mesh = build_mesh(ExperimentConfig(geometry=args.geometry, h=args.h))
+            write_mesh(mesh, Path(args.out))
+            print(f"wrote {Path(args.out) / 'mesh.node'} ({mesh.n_vertices} "
+                  f"vertices, {mesh.n_triangles} triangles)")
+            return 0
         config = parse_config(Path(args.config).read_text())
         if args.policy:
             config.policy = args.policy

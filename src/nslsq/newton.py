@@ -7,13 +7,18 @@ the exact quartic polynomial that the squared residual norm is along
 that direction.  Fixing the step to one recovers the standard Newton
 method.
 
-Two residual measures drive the loop.  ``E`` (``damped_newton_solve``)
-carries the momentum defect through a corrector field (heat-type sweep)
-and lifts its discrete time derivative into the velocity space to
-realize the dual norm.  ``Etilde`` (``residual_variant_solve``) lifts
-the strong momentum defect itself: fewer auxiliary solves, same
-direction.  Each measure supplies twice its functional, the direction's
-load, and the two scalars of the remainder that the quartic needs.
+Two residual measures drive the loop, and both take the same Newton
+direction: the Navier-Stokes sweep linearized at the current iterate,
+with the momentum defect as load.  A measure only represents momentum
+loads and pairs two representations.  ``E`` (``damped_newton_solve``)
+represents a load by the corrector field it drives (heat-type sweep)
+together with the Riesz lift of the corrector's discrete time
+derivative, paired by the space-time inner product ``a0_inner``.
+``Etilde`` (``residual_variant_solve``) represents a load by its
+constrained Poisson lift, paired by the V inner product: fewer auxiliary
+solves.  The representation of minus the defect gives twice the
+functional, and that of the direction's self-convection gives the two
+scalars of the remainder that the quartic needs.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import numpy as np
 from . import fem
 from .fem import Space
 from .linalg import SolverError
+from .mesh import Tag
 from .timestepping import (
     FieldTrajectory,
     Operators,
@@ -38,7 +44,6 @@ from .timestepping import (
 
 DIVERGENCE_FACTOR = 1e6
 MAX_OUTER_ITERATIONS = 100
-POLICIES = ("quartic", "cheap", "fixed1")
 
 
 @dataclass
@@ -159,73 +164,48 @@ def a0_inner(ops: Operators, u1: FieldTrajectory, w1: np.ndarray,
             + dt * _stiffness_inner(ops.K, w1, w2))
 
 
-def energy(ops: Operators, v: FieldTrajectory, w: np.ndarray) -> float:
-    """Least-squares functional value: half the squared A0-norm of the
-    corrector."""
-    return 0.5 * a0_inner(ops, v, w, v, w)
+def _corrector_fields(ops: Operators, loads: np.ndarray):
+    """E's representation of momentum loads: the heat-type corrector they
+    drive and the Riesz lift of its time derivative."""
+    v = sweep(ops, loads)
+    return v, riesz_lift(ops, v)
 
 
 def evaluate_energy(ops: Operators, y: FieldTrajectory,
                     loads: np.ndarray | None = None):
-    """From-scratch energy of a trajectory: corrector, lift, value."""
+    """From-scratch energy of a trajectory (half the squared A0-norm of its
+    corrector), with the corrector and its lift."""
     v = compute_corrector(ops, y, loads)
     w = riesz_lift(ops, v)
-    return energy(ops, v, w), v, w
+    return 0.5 * a0_inner(ops, v, w, v, w), v, w
 
 
 def compute_direction(ops: Operators, y: FieldTrajectory,
-                      v: FieldTrajectory) -> FieldTrajectory:
-    """Linearized Navier-Stokes sweep driven by the corrector.
+                      defects: np.ndarray) -> FieldTrajectory:
+    """Newton direction: the Navier-Stokes sweep linearized at ``y`` with
+    the momentum defects as loads, shared by both residual measures.
 
     The operator at level n+1 carries the convection linearization at
     y^{n+1} and is re-factorized per level (shared sparsity pattern).
     """
-    return sweep(ops, -(_mass_rate(ops, v.values) + (ops.K @ v.values[1:].T).T), y)
+    return sweep(ops, defects, y)
 
 
 def compute_nonlinear_corrector(ops: Operators, direction: FieldTrajectory):
     """Corrector of the quadratic remainder of the Newton step and its
     lift; the load is minus the self-convection of the direction."""
-    vbb = sweep(ops, _self_convection_loads(ops, direction))
-    return vbb, riesz_lift(ops, vbb)
+    return _corrector_fields(ops, _self_convection_loads(ops, direction))
 
 
-def _corrector_residual(ops, y, loads):
-    """E: twice the functional, with the corrector and its lift."""
-    e_val, v, w = evaluate_energy(ops, y, loads)
-    return 2.0 * e_val, (v, w)
-
-
-def _corrector_step(ops, y, a, fields) -> CorrectorBundle:
-    """E: the direction is driven by the corrector; the remainder is the
-    corrector of the direction's self-convection."""
-    v, w = fields
-    direction = compute_direction(ops, y, v)
-    vbb, wbb = compute_nonlinear_corrector(ops, direction)
-    return CorrectorBundle(direction, a, a0_inner(ops, v, w, vbb, wbb),
-                           a0_inner(ops, vbb, wbb, vbb, wbb))
-
-
-def _lifted_residual(ops, y, loads):
-    """Etilde: twice the functional, with the momentum defect and its lift."""
-    defects = defect_loads(ops, y, loads)
-    h = lift(ops, -defects)
-    return ops.grid.dt * _stiffness_inner(ops.K, h, h), (defects, h)
-
-
-def _lifted_step(ops, y, a, fields) -> CorrectorBundle:
-    """Etilde: the direction takes the defect as its load; the remainder is
-    the lift of the direction's self-convection."""
-    defects, h = fields
-    direction = sweep(ops, defects, y)
-    hg = lift(ops, _self_convection_loads(ops, direction))
-    dt = ops.grid.dt
-    return CorrectorBundle(direction, a, dt * _stiffness_inner(ops.K, h, hg),
-                           dt * _stiffness_inner(ops.K, hg, hg))
-
-
-_MEASURES = {"E": (_corrector_residual, _corrector_step),
-             "Etilde": (_lifted_residual, _lifted_step)}
+# Each residual measure is a representation of momentum loads and the inner
+# product that pairs two representations; twice the functional is the
+# squared norm of the representation of minus the defects.
+_MEASURES = {
+    "E": (_corrector_fields, lambda ops, r1, r2: a0_inner(ops, *r1, *r2)),
+    "Etilde": (lift, lambda ops, h1, h2: ops.grid.dt * _stiffness_inner(ops.K, h1, h2)),
+}
+POLICIES = ("quartic", "cheap", "fixed1")
+VARIANTS = tuple(_MEASURES)
 
 
 def line_search_quartic(a: float, b: float, c: float, m: float) -> tuple[float, float]:
@@ -306,8 +286,8 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
         raise ValueError(f"unknown step policy '{policy}'")
     if variant not in _MEASURES:
         raise ValueError(f"unknown residual measure '{variant}', "
-                         f"expected one of {tuple(_MEASURES)}")
-    residual, newton_step = _MEASURES[variant]
+                         f"expected one of {VARIANTS}")
+    represent, inner = _MEASURES[variant]
     y = y0
     records: list[IterationRecord] = []
     rel_inc: float | None = None
@@ -315,7 +295,9 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
     k = 0
     while True:
         t0 = time.perf_counter()
-        a, fields = residual(ops, y, loads)
+        defects = defect_loads(ops, y, loads)
+        r = represent(ops, -defects)
+        a = inner(ops, r, r)
         sqrt2e = np.sqrt(a) if a >= 0 else np.nan
         if sqrt2e0 is None:
             sqrt2e0 = sqrt2e
@@ -328,7 +310,8 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
         else:
             outcome = None
             try:
-                bundle = newton_step(ops, y, a, fields)
+                direction = compute_direction(ops, y, defects)
+                r2 = represent(ops, _self_convection_loads(ops, direction))
             except SolverError:
                 if not sqrt2e > 10.0 * sqrt2e0:
                     raise
@@ -337,7 +320,8 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
             _record(records, k, sqrt2e, None, rel_inc, t0)
             return NewtonResult(y, records, outcome)
 
-        b, c = bundle.cross_inner, bundle.rem_norm_sq
+        b, c = inner(ops, r, r2), inner(ops, r2, r2)
+        bundle = CorrectorBundle(direction, a, b, c)
         if policy == "quartic":
             lam, _ = line_search_quartic(a, b, c, m)
         elif policy == "cheap":
@@ -347,7 +331,6 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
         if on_iterate is not None:
             on_iterate(k, y, bundle, lam)
 
-        direction = bundle.direction
         with np.errstate(over="ignore", invalid="ignore"):
             y_norm = np.sqrt(l2v_norm_sq(ops, y.values[1:]))
             step = lam * np.sqrt(l2v_norm_sq(ops, direction.values[1:]))
@@ -365,9 +348,11 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
 
     ``g`` is the horizontal lid velocity (homogeneous walls when omitted),
     ``u0`` the initial velocity as a vector or a callable (the steady
-    Stokes field of the lid data when omitted).  Non-finite data raise
-    ``ValueError``.
+    Stokes field of the lid data when omitted).  Non-finite data, and lid
+    data on a mesh without a lid, raise ``ValueError``.
     """
+    if g is not None and not (space.boundary_node_tags == int(Tag.LID)).any():
+        raise ValueError("lid velocity g given, but the mesh has no lid boundary")
     values = (np.zeros(len(space.dirichlet_dofs)) if g is None
               else fem.lid_boundary_values(space, g))
     if not np.isfinite(values).all():

@@ -193,16 +193,13 @@ def lift(ops: Operators, loads: np.ndarray) -> np.ndarray:
     return out
 
 
-def steady_stokes_initial(ops: Operators, values: np.ndarray,
-                          load: np.ndarray | None = None) -> np.ndarray:
+def steady_stokes_initial(ops: Operators, values: np.ndarray) -> np.ndarray:
     """Steady Stokes velocity with the given Dirichlet values.
 
     Solved with unit viscosity; with zero forcing the velocity does not
     depend on the viscosity (only the multiplier scales).
     """
-    if load is None:
-        load = np.zeros(ops.space.n_velocity)
-    vel, _ = ops.stokes.solve(load, values)
+    vel, _ = ops.stokes.solve(np.zeros(ops.space.n_velocity), values)
     return vel
 
 

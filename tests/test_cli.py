@@ -252,6 +252,11 @@ def test_main_error_exit_code(tmp_path, capsys):
     rc = main(["run", str(cfg_path), "--schedule", ","])
     assert rc == 1
     assert "key 'schedule'" in capsys.readouterr().err
+    # a mesh size the generator rejects, and one that is not positive
+    for geometry, h in (("semidisk", "0.7"), ("unit_square", "0")):
+        rc = main(["mesh", geometry, "--h", h, "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert "error" in capsys.readouterr().err
 
 
 def test_main_diverged_exit_code(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ from nslsq import manufactured as mf, newton
 from nslsq.fem import build_space, interpolate_velocity
 from nslsq.mesh import generate_semidisk, generate_unit_square
 from nslsq.newton import (
+    VARIANTS,
     a0_inner,
     cheap_step_rule,
     compute_corrector,
@@ -14,7 +15,7 @@ from nslsq.newton import (
     compute_nonlinear_corrector,
     continuation_in_nu,
     damped_newton_solve,
-    energy,
+    defect_loads,
     evaluate_energy,
     line_search_quartic,
     newton_loop,
@@ -22,10 +23,9 @@ from nslsq.newton import (
     residual_variant_solve,
     riesz_lift,
 )
-from nslsq.timestepping import FieldTrajectory, Operators, TimeGrid
+from nslsq.timestepping import FieldTrajectory, Operators, TimeGrid, sweep
 
 NU = 0.1
-VARIANTS = ("E", "Etilde")
 
 
 @pytest.fixture(scope="module")
@@ -205,13 +205,14 @@ def test_energy_properties(setup):
     space, grid, ops, loads, y0 = setup
     v = compute_corrector(ops, y0, loads)
     w = riesz_lift(ops, v)
-    e1 = energy(ops, v, w)
+    e1 = 0.5 * a0_inner(ops, v, w, v, w)
     assert e1 >= 0
-    assert a0_inner(ops, v, w, v, w) == pytest.approx(2 * e1, rel=1e-12)
+    assert evaluate_energy(ops, y0, loads)[0] == pytest.approx(e1, rel=1e-12)
     v2 = FieldTrajectory(grid, 2.0 * v.values)
-    assert energy(ops, v2, 2.0 * w) == pytest.approx(4 * e1, rel=1e-12)
+    assert 0.5 * a0_inner(ops, v2, 2.0 * w, v2, 2.0 * w) == pytest.approx(
+        4 * e1, rel=1e-12)
     zero = FieldTrajectory.zeros(grid, space.n_velocity)
-    assert energy(ops, zero, np.zeros_like(w)) == 0.0
+    assert a0_inner(ops, zero, np.zeros_like(w), zero, np.zeros_like(w)) == 0.0
 
 
 def test_a0_inner_symmetry_and_cauchy_schwarz(setup):
@@ -233,17 +234,17 @@ def test_a0_inner_symmetry_and_cauchy_schwarz(setup):
 
 
 def test_direction_zero_for_zero_corrector(setup):
+    """Zero defects (the corrector vanishes with them) give a zero direction."""
     space, grid, ops, _, y0 = setup
-    vzero = FieldTrajectory.zeros(grid, space.n_velocity)
-    d = compute_direction(ops, y0, vzero)
+    d = compute_direction(ops, y0, np.zeros((grid.N, space.n_velocity)))
     assert np.abs(d.values).max() == 0.0
 
 
 def test_direction_descent_identity(setup):
     """Central finite differences of E along the direction equal 2E."""
     space, grid, ops, loads, y0 = setup
-    e_val, v, w = evaluate_energy(ops, y0, loads)
-    d = compute_direction(ops, y0, v)
+    e_val, _, _ = evaluate_energy(ops, y0, loads)
+    d = compute_direction(ops, y0, defect_loads(ops, y0, loads))
     y_norm = np.sqrt(newton.l2v_norm_sq(ops, y0.values[1:]))
     d_norm = np.sqrt(newton.l2v_norm_sq(ops, d.values[1:]))
     eps = 1e-4 * y_norm / d_norm
@@ -254,10 +255,17 @@ def test_direction_descent_identity(setup):
 
 
 def test_direction_corrector_coincides_with_corrector(setup):
-    """Re-deriving the corrector of the linearized pair returns v itself."""
+    """Re-deriving the corrector of the linearized pair returns v itself,
+    and the direction driven by the corrector's heat-type residual
+    -(M v'/dt + K v) (the defect plus a multiplier gradient) is the
+    direction driven by the defect."""
     space, grid, ops, loads, y0 = setup
     v = compute_corrector(ops, y0, loads)
-    d = compute_direction(ops, y0, v)
+    d = compute_direction(ops, y0, defect_loads(ops, y0, loads))
+    vv = v.values
+    d_v = sweep(ops, -(newton._mass_rate(ops, vv) + (ops.K @ vv[1:].T).T), y0)
+    gap = newton.l2v_norm_sq(ops, d_v.values[1:] - d.values[1:])
+    assert np.sqrt(gap) <= 1e-10 * np.sqrt(newton.l2v_norm_sq(ops, d.values[1:]))
     # heat-type sweep with load -(M d' + nu K d + L(y)d) must reproduce v
     from nslsq import fem
 
@@ -283,8 +291,7 @@ def test_nonlinear_corrector_scaling_and_zero(setup):
     zero = FieldTrajectory.zeros(grid, space.n_velocity)
     vbb, wbb = compute_nonlinear_corrector(ops, zero)
     assert np.abs(vbb.values).max() == 0.0 and np.abs(wbb).max() == 0.0
-    v = compute_corrector(ops, y0, loads)
-    d = compute_direction(ops, y0, v)
+    d = compute_direction(ops, y0, defect_loads(ops, y0, loads))
     vbb1, _ = compute_nonlinear_corrector(ops, d)
     alpha = 0.37
     vbb2, _ = compute_nonlinear_corrector(
@@ -299,7 +306,7 @@ def test_lambda_consistency_identity(setup):
     space, grid, ops, loads, y0 = setup
     v = compute_corrector(ops, y0, loads)
     w = riesz_lift(ops, v)
-    d = compute_direction(ops, y0, v)
+    d = compute_direction(ops, y0, defect_loads(ops, y0, loads))
     vbb, wbb = compute_nonlinear_corrector(ops, d)
     vnorm = np.sqrt(a0_inner(ops, v, w, v, w))
     for lam in (0.3, 0.7, 1.0):
@@ -337,12 +344,16 @@ def _functional_from_scratch(ops, y, loads, variant):
 
 def test_line_search_truth_at_accepted_steps(setup):
     """From-scratch functional at every accepted step equals the quartic
-    prediction (the whole algebraic chain at once), for both measures."""
+    prediction (the whole algebraic chain at once), for both measures.
+    Both measures take the same Newton direction from the same iterate."""
     space, grid, ops, loads, y0 = setup
+    first_directions = []
     for variant in VARIANTS:
         checks = []
 
         def grab(k, y, bundle, lam):
+            if k == 0:
+                first_directions.append(bundle.direction.values)
             q = 0.5 * ((1 - lam) ** 2 * bundle.v_norm_sq
                        + 2 * lam**2 * (1 - lam) * bundle.cross_inner
                        + lam**4 * bundle.rem_norm_sq)
@@ -354,6 +365,7 @@ def test_line_search_truth_at_accepted_steps(setup):
         assert res.converged and len(checks) >= 3, variant
         for e_scratch, q in checks:
             assert e_scratch == pytest.approx(q, rel=1e-6, abs=1e-24), variant
+    assert np.array_equal(*first_directions)
 
 
 def test_zero_problem_stays_zero(square2):
@@ -441,6 +453,8 @@ def test_prepare_problem_rejects_non_finite_data(disk_coarse, square2):
         damped_newton_solve(disk_coarse, grid, 0.1, g=lambda x: np.nan * x)
     with pytest.raises(ValueError, match="lid velocity g"):
         prepare_problem(disk_coarse, grid, 0.1, g=lambda x: np.inf + 0 * x)
+    with pytest.raises(ValueError, match="lid velocity g"):
+        damped_newton_solve(square2, grid, 0.1, g=lambda x: 1 + 0 * x)
     n = square2.n_velocity
     for u0 in (np.full(n, np.nan), lambda x: np.nan * x, np.zeros(3), np.zeros((2, n))):
         with pytest.raises(ValueError, match="u0"):
