@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Fill and time of every LU a cavity run factorizes, for a fixed set of cases.
+
+    python scripts/lu_fill.py
+
+Each case is the semi-disk cavity at one mesh size, step and viscosity:
+the desk mesh (h = 0.05, nu = 1/500) at dt = 0.02 and 0.01, h = 0.025
+at dt = 0.02 (nu = 1/500), and the full-scale mesh (h = 0.0162) at
+dt = 0.01, nu = 1/1100.  For each label it prints the nnz of the matrix
+the solver factorizes, the nnz of L + U, and the time of one plain
+``splu`` of that matrix: the heat-type and Stokes-type operators (one
+LU per run each), and one linearized level at the steady Stokes lid
+field (one LU per time level and outer iterate).  It takes about 20 s
+on a 2-core VM, most of it at full scale.
+"""
+
+import sys
+import time
+from pathlib import Path
+
+import scipy.sparse.linalg as spla
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from nslsq.cli import lid_profile  # noqa: E402
+from nslsq.fem import build_space, lid_boundary_values  # noqa: E402
+from nslsq.mesh import generate_semidisk  # noqa: E402
+from nslsq.timestepping import Operators, TimeGrid, steady_stokes_initial  # noqa: E402
+
+# (name, h, dt, nu)
+CASES = (
+    ("desk", 0.05, 0.02, 1 / 500),
+    ("desk", 0.05, 0.01, 1 / 500),
+    ("h=0.025", 0.025, 0.02, 1 / 500),
+    ("full scale", 0.0162, 0.01, 1 / 1100),
+)
+
+
+def fill(matrix):
+    """nnz of L + U and seconds of one plain ``splu`` of ``matrix``."""
+    t0 = time.perf_counter()
+    lu = spla.splu(matrix)
+    return lu.L.nnz + lu.U.nnz, time.perf_counter() - t0
+
+
+def main():
+    print(f"{'case':<11} {'dt':>6} {'nu':>9} {'label':<11} {'nnz(A)':>10} "
+          f"{'nnz(L+U)':>11} {'splu s':>8}")
+    spaces = {}
+    for name, h, dt, nu in CASES:
+        if h not in spaces:
+            spaces = {h: build_space(generate_semidisk(h))}
+        space = spaces[h]
+        ops = Operators(space, TimeGrid(dt, 1), nu)
+        lid = steady_stokes_initial(ops, lid_boundary_values(space, lid_profile))
+        for label, fact in (("heat", ops.heat), ("stokes", ops.stokes),
+                            ("linearized", ops.linearized(lid))):
+            lu_nnz, secs = fill(fact.fact.matrix)
+            print(f"{name:<11} {dt:>6} {f'1/{round(1 / nu)}':>9} {label:<11} "
+                  f"{fact.fact.matrix.nnz:>10} {lu_nnz:>11} {secs:>8.3f}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -87,6 +87,10 @@ class _Rule:
         gref = p2_grads(pts)                # (nq, 6, 2)
         # physical gradient: g[t,q,j,d] = sum_e Jinv[t,e,d] gref[q,j,e]
         self.g = np.einsum("ted,qje->tqjd", space.jinv, gref)
+        # the same gradients as one (6, 2*nq) matrix per triangle, [j, 2q+d]
+        nt, nq = self.g.shape[:2]
+        self.g_table = np.ascontiguousarray(
+            self.g.transpose(0, 2, 1, 3)).reshape(nt, 6, 2 * nq)
         p = space.mesh.vertices[space.mesh.triangles]  # (nt, 3, 2)
         lam = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], axis=1)
         self.x = np.einsum("qk,tkd->tqd", lam, p)      # physical points
@@ -197,10 +201,10 @@ class Space:
 
     def velocity_grad_at_quad(self, u: np.ndarray, rule: _Rule) -> np.ndarray:
         """Gradients at quadrature points, shape (nt, nq, 2, 2), [c,d]=d_d u_c."""
-        ux, uy = self.split(u)
-        gx = np.einsum("tm,tqmd->tqd", ux[self.tri_p2], rule.g)
-        gy = np.einsum("tm,tqmd->tqd", uy[self.tri_p2], rule.g)
-        return np.stack([gx, gy], axis=2)
+        self._check_velocity(u)
+        local = u.reshape(2, -1)[:, self.tri_p2].transpose(1, 0, 2)  # (nt, 2, 6)
+        grads = local @ rule.g_table                                  # (nt, 2, 2*nq)
+        return grads.reshape(len(grads), 2, -1, 2).transpose(0, 2, 1, 3)
 
 
 def build_space(mesh: Mesh) -> Space:
@@ -233,9 +237,9 @@ def convection_scalar_block(space: Space, a: np.ndarray) -> np.ndarray:
     """Element tensors (nt,6,6) of int((a.grad)phi_j phi_i); shared by both
     velocity components."""
     r = space.rule5
-    aq = space.velocity_at_quad(a, r)       # (nt, nq, 2)
-    adotg = np.einsum("tqd,tqjd->tqj", aq, r.g)
-    return np.einsum("t,q,qi,tqj->tij", space.det, r.w, r.phi, adotg)
+    aq = space.velocity_at_quad(a, r) * (space.det[:, None] * r.w)[:, :, None]
+    adotg = np.einsum("tqd,tqjd->tqj", aq, r.g)   # weighted (a.grad)phi_j
+    return r.phi.T @ adotg
 
 
 def assemble_convection(space: Space, a: np.ndarray) -> sp.csr_matrix:

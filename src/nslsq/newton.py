@@ -186,7 +186,8 @@ def compute_direction(ops: Operators, y: FieldTrajectory,
     the momentum defects as loads, shared by both residual measures.
 
     The operator at level n+1 carries the convection linearization at
-    y^{n+1} and is re-factorized per level (shared sparsity pattern).
+    y^{n+1} and is re-factorized per level, one fresh LU per level on a
+    pattern shared by every level (``timestepping._LinearizedTemplate``).
     """
     return sweep(ops, defects, y)
 
@@ -351,6 +352,15 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
     Stokes field of the lid data when omitted).  Non-finite data, and lid
     data on a mesh without a lid, raise ``ValueError``.
     """
+    ops, loads, u0_vec, values = _problem_data(space, grid, nu, g=g, f=f, u0=u0,
+                                               ops=ops)
+    return ops, loads, unsteady_stokes_initial_guess(ops, u0_vec, values, loads)
+
+
+def _problem_data(space: Space, grid: TimeGrid, nu: float, *, g, f, u0,
+                  ops: Operators | None):
+    """The checked data of ``prepare_problem`` before its initial-guess
+    sweep: operators, loads, initial velocity and Dirichlet values."""
     if g is not None and not (space.boundary_node_tags == int(Tag.LID)).any():
         raise ValueError("lid velocity g given, but the mesh has no lid boundary")
     values = (np.zeros(len(space.dirichlet_dofs)) if g is None
@@ -373,17 +383,19 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
     if u0_vec.shape != (space.n_velocity,) or not np.isfinite(u0_vec).all():
         raise ValueError(f"initial velocity u0 must be {space.n_velocity} finite "
                          f"values, got shape {u0_vec.shape}")
-    y0 = unsteady_stokes_initial_guess(ops, u0_vec, values, loads)
-    return ops, loads, y0
+    return ops, loads, u0_vec, values
 
 
 def _solve(space: Space, grid: TimeGrid, nu: float, variant: str, *, g=None,
            f=None, u0=None, warm_start=None, ops: Operators | None = None,
            **loop) -> NewtonResult:
     """Stokes initialization (or warm start) plus the outer loop; ``loop``
-    holds the keywords of ``newton_loop``."""
-    ops, loads, y0 = prepare_problem(space, grid, nu, g=g, f=f, u0=u0, ops=ops)
-    if warm_start is not None:
+    holds the keywords of ``newton_loop``.  A warm start skips the Stokes
+    sweep but not the checks of ``g`` and ``u0``."""
+    if warm_start is None:
+        ops, loads, y0 = prepare_problem(space, grid, nu, g=g, f=f, u0=u0, ops=ops)
+    else:
+        ops, loads, _, _ = _problem_data(space, grid, nu, g=g, f=f, u0=u0, ops=ops)
         y0 = warm_start.copy()
     result = newton_loop(ops, y0, loads, variant=variant, **loop)
     result.ops = ops

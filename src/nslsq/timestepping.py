@@ -6,8 +6,11 @@ Every scheme of the outer iteration steps one constrained system
 per interval (``lift``).  The constant-coefficient operators (heat type
 ``M/dt + K`` and Stokes type ``K``) are factorized once per run and
 reused across every time level and outer iterate, while the linearized
-Navier-Stokes operator is re-factorized at each level through a prebuilt
-sparsity template.
+Navier-Stokes operator is re-factorized at each level.  Its matrix is
+assembled straight into CSC on one sparsity pattern, built on the first
+linearized level, that stores only the free-free entries and the unit
+diagonal of the constrained dofs: a stored zero fills the LU like a
+nonzero.
 """
 
 from __future__ import annotations
@@ -72,12 +75,17 @@ class FieldTrajectory:
 
 
 class _LinearizedTemplate:
-    """Fixed sparsity pattern of the linearized saddle operator.
+    """Linearized saddle operator at one level, assembled straight into CSC.
 
     The constant part (M/dt + nu*K, divergence blocks, Dirichlet identity
     rows, eliminated as in ``linalg.eliminate_dirichlet``) and the
-    positions of the convection entries are prepared once; each time
-    level only recomputes the convection values.
+    positions of the free-free convection entries are prepared once.
+    Convection entries on constrained rows and columns are not stored at
+    all: COLAMD and SuperLU treat a stored zero as a structural nonzero,
+    and these zeros nearly doubled the fill.  The CSC pattern and the slot
+    of every entry are built on the first level (not at construction, so
+    operator set-up does not pay for it), and each level then only sums
+    its values into ``data``, every level sharing ``indices``/``indptr``.
     """
 
     def __init__(self, space: Space, a_const: sp.spmatrix, b_div: sp.spmatrix):
@@ -89,35 +97,47 @@ class _LinearizedTemplate:
         const_rows, const_cols, self.const_data, free = eliminated_entries(
             s, self.constrained)
 
+        # convection entries of block (c, d), ordered (c, d, triangle, i, j)
         nt, ns = space.mesh.n_triangles, space.n_scalar
         base_r = np.broadcast_to(space.tri_p2[:, :, None], (nt, 6, 6)).ravel()
         base_c = np.broadcast_to(space.tri_p2[:, None, :], (nt, 6, 6)).ravel()
-        rows = [base_r, base_r + ns]
-        cols = [base_c, base_c + ns]
-        for c in range(2):
-            for d in range(2):
-                rows.append(base_r + c * ns)
-                cols.append(base_c + d * ns)
-        conv_rows = np.concatenate(rows)
-        conv_cols = np.concatenate(cols)
-        self.conv_mask = (free[conv_rows] & free[conv_cols]).astype(np.float64)
-        self.rows = np.concatenate([const_rows, conv_rows])
-        self.cols = np.concatenate([const_cols, conv_cols])
+        shift = ns * np.arange(2)
+        shape = (2, 2, base_r.size)
+        rows = np.broadcast_to(base_r + shift[:, None, None], shape).ravel()
+        cols = np.broadcast_to(base_c + shift[None, :, None], shape).ravel()
+        self._conv_keep = np.flatnonzero(free[rows] & free[cols])
+        self._rows = np.concatenate([const_rows, rows[self._conv_keep]])
+        self._cols = np.concatenate([const_cols, cols[self._conv_keep]])
+        self._pattern = None
+
+    def _build_pattern(self):
+        """CSC ``indices``/``indptr`` of the operator, the slot of each
+        stored entry, and the reaction quadrature table."""
+        n = self.n
+        keys, slots = np.unique(self._cols.astype(np.int64) * n + self._rows,
+                                return_inverse=True)
+        indices = (keys % n).astype(np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        r = self.space.rule5
+        wphiphi = np.einsum("q,qi,qj->qij", r.w, r.phi, r.phi)
+        self._pattern = indices, indptr, slots, wphiphi
 
     def matrix(self, y_level: np.ndarray) -> sp.csc_matrix:
+        if self._pattern is None:
+            self._build_pattern()
+        indices, indptr, slots, wphiphi = self._pattern
         space = self.space
-        r = space.rule5
-        ce = fem.convection_scalar_block(space, y_level).ravel()
-        gy = space.velocity_grad_at_quad(y_level, r)
-        parts = [ce, ce]
-        for c in range(2):
-            for d in range(2):
-                parts.append(np.einsum("t,q,qi,qj,tq->tij", space.det, r.w,
-                                       r.phi, r.phi, gy[:, :, c, d]).ravel())
-        conv_data = np.concatenate(parts) * self.conv_mask
-        data = np.concatenate([self.const_data, conv_data])
-        return sp.coo_matrix((data, (self.rows, self.cols)),
-                             shape=(self.n, self.n)).tocsc()
+        gy = space.velocity_grad_at_quad(y_level, space.rule5)
+        conv = np.einsum("tqcd,qij->cdtij", gy * space.det[:, None, None, None],
+                         wphiphi, optimize=True)
+        ce = fem.convection_scalar_block(space, y_level)
+        conv[0, 0] += ce
+        conv[1, 1] += ce
+        values = np.concatenate([self.const_data,
+                                 conv.reshape(-1)[self._conv_keep]])
+        data = np.bincount(slots, weights=values, minlength=len(indices))
+        return sp.csc_matrix((data, indices, indptr), shape=(self.n, self.n))
 
 
 class Operators:

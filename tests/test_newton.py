@@ -516,6 +516,23 @@ def test_continuation_warm_start_reduces_iterations():
     assert counts["linearized"] == grid.N * sum(res.iterations for _, res in cont)
 
 
+def test_warm_start_skips_stokes_initial_guess(square2, monkeypatch):
+    """Only the first continuation stage sweeps the Stokes initial guess;
+    a warm-started solve still checks its data."""
+    calls = []
+    guess = newton.unsteady_stokes_initial_guess
+    monkeypatch.setattr(newton, "unsteady_stokes_initial_guess",
+                        lambda *args: calls.append(1) or guess(*args))
+    grid = TimeGrid(0.5, 4)
+    kw = dict(f=mf.forcing(0.1), u0=lambda x: mf.exact_velocity(x, 0.0))
+    cont = continuation_in_nu(square2, grid, [0.2, 0.1], **kw)
+    assert all(res.converged for _, res in cont)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="u0"):
+        damped_newton_solve(square2, grid, 0.1, u0=np.zeros(3),
+                            warm_start=cont[-1][1].trajectory)
+
+
 # ------------------------------------------------------------ residual variant
 
 

@@ -13,7 +13,7 @@ from nslsq.fem import (
     load_vector,
 )
 from nslsq.linalg import saddle_factorization
-from nslsq.mesh import Tag, generate_unit_square
+from nslsq.mesh import Tag, generate_semidisk, generate_unit_square
 from nslsq.timestepping import (
     Operators,
     TimeGrid,
@@ -216,3 +216,29 @@ def test_linearized_template_matches_direct_assembly(square2):
     constrained = np.concatenate([space.dirichlet_dofs, [space.n_velocity]])
     ref, _ = eliminate_dirichlet(s, constrained)
     assert np.abs((fast - ref).tocoo().data).max(initial=0.0) < 1e-13
+    assert fast.has_canonical_format
+    # no stored entry, zero or not, off the diagonal of a constrained dof
+    coo = fast.tocoo()
+    touches = np.isin(coo.row, constrained) | np.isin(coo.col, constrained)
+    assert np.array_equal(coo.row[touches], coo.col[touches])
+    assert np.all(coo.data[touches] == 1.0)
+    assert np.count_nonzero(touches) == len(constrained)
+    # every level shares one pattern
+    other = ops.linearized(rng.standard_normal(space.n_velocity)).fact.matrix
+    assert np.shares_memory(other.indices, fast.indices)
+    assert np.shares_memory(other.indptr, fast.indptr)
+
+
+def test_linearized_lu_fill_desk():
+    """One linearized level of the desk cavity at the steady Stokes lid
+    field factorizes with at most 550k entries in L + U."""
+    import scipy.sparse.linalg as spla
+
+    from nslsq.cli import lid_profile
+
+    space = build_space(generate_semidisk(0.05))
+    for dt in (0.02, 0.01):
+        ops = Operators(space, TimeGrid(dt, 1), nu=1 / 500)
+        lid = steady_stokes_initial(ops, lid_boundary_values(space, lid_profile))
+        lu = spla.splu(ops.linearized(lid).fact.matrix)
+        assert lu.L.nnz + lu.U.nnz <= 550_000
