@@ -2,13 +2,14 @@
 """Full-scale driven-cavity reproduction (long-running mode).
 
 Discretization: semi-disk with h ~ 1.62e-2 (~9000 triangles), T = 10,
-dt = 1e-2, stopping at sqrt(2E) <= 1e-8.  One run performs ~1000
-backward-Euler levels per auxiliary solve and a fresh linearized
-factorization per level per outer iterate.  scripts/lu_fill.py measures
-that factorization at about 1.3 s on a 2-core VM (nnz(L+U) 13.8M), so an
-outer iterate spends about 20 min in it: about 2 h for nu = 1/500 (6
-iterates) and 3.5 h for nu = 1/1100 (10 iterates).  Use --nu to run a
-single case.
+dt = 1e-2, stopping at sqrt(2E) <= 1e-8.  One run performs 1000
+backward-Euler levels per auxiliary solve.  The direction sweep of each
+outer iterate factorizes the linearized operator on one level in three,
+334 of the 1000 (``Operators.factorizations``), and solves the others by
+GMRES preconditioned with the held LU.  scripts/lu_fill.py measures one
+such factorization at about 1.3 s on a 2-core VM (nnz(L+U) 13.8M), so an
+outer iterate spends about 7 min factorizing; the GMRES solves have not
+been timed at this size.  Use --nu to run a single case.
 
 With --check the computed sqrt(2E) column is compared row-by-row against
 the reference histories (2 significant figures); mismatches are reported,

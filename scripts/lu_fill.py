@@ -10,8 +10,8 @@ dt = 0.01, nu = 1/1100.  For each label it prints the nnz of the matrix
 the solver factorizes, the nnz of L + U, and the time of one plain
 ``splu`` of that matrix: the heat-type and Stokes-type operators (one
 LU per run each), and one linearized level at the steady Stokes lid
-field (one LU per time level and outer iterate).  It takes about 20 s
-on a 2-core VM, most of it at full scale.
+field (one LU per three levels of each direction sweep).  It takes
+about 20 s on a 2-core VM, most of it at full scale.
 """
 
 import sys

@@ -157,6 +157,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
 @dataclass
 class RunReport:
+    """The JSON of ``report.txt``.  ``solver_counts`` is the run's
+    ``Operators.factorizations``: LUs by label, lagged direction levels
+    and their GMRES iterations."""
+
     config: dict
     records: list
     final_sqrt2E: float
@@ -168,6 +172,7 @@ class RunReport:
     n_velocity_dofs: int
     convergence_rate: float | None = None
     errors: list[float] | None = None
+    solver_counts: dict = field(default_factory=dict)
 
 
 def build_mesh(config: ExperimentConfig) -> Mesh:
@@ -307,6 +312,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         n_velocity_dofs=space.n_velocity,
         convergence_rate=rate,
         errors=errors,
+        solver_counts=dict(result.ops.factorizations),
     )
     (outdir / "report.txt").write_text(json.dumps(asdict(report), indent=2) + "\n")
     return report

@@ -186,8 +186,10 @@ def compute_direction(ops: Operators, y: FieldTrajectory,
     the momentum defects as loads, shared by both residual measures.
 
     The operator at level n+1 carries the convection linearization at
-    y^{n+1} and is re-factorized per level, one fresh LU per level on a
-    pattern shared by every level (``timestepping._LinearizedTemplate``).
+    y^{n+1}, assembled per level on a pattern shared by every level
+    (``timestepping._LinearizedTemplate``).  Every third level gets a
+    fresh LU; the levels in between are solved by GMRES preconditioned
+    with the last one (``timestepping.LinearizedLevel``).
     """
     return sweep(ops, defects, y)
 

@@ -5,12 +5,14 @@ Every scheme of the outer iteration steps one constrained system
 (``sweep``), and every Riesz lift solves one constant Stokes-type system
 per interval (``lift``).  The constant-coefficient operators (heat type
 ``M/dt + K`` and Stokes type ``K``) are factorized once per run and
-reused across every time level and outer iterate, while the linearized
-Navier-Stokes operator is re-factorized at each level.  Its matrix is
-assembled straight into CSC on one sparsity pattern, built on the first
-linearized level, that stores only the free-free entries and the unit
-diagonal of the constrained dofs: a stored zero fills the LU like a
-nonzero.
+reused across every time level and outer iterate.  The linearized
+Navier-Stokes operator of the direction sweep is factorized on every
+``LU_LAG``-th level only; the levels in between are solved by GMRES on
+their own matrix, preconditioned with the LU held from the last
+factorized level.  Its matrix is assembled at every level straight into
+CSC on one sparsity pattern, built on the first linearized level, that
+stores only the free-free entries and the unit diagonal of the
+constrained dofs: a stored zero fills the LU like a nonzero.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ import scipy.sparse as sp
 from . import fem
 from .fem import Space
 from .linalg import (
-    SaddleFactorization,
+    Factorization,
     eliminated_entries,
+    krylov_solve,
     saddle_constrained,
     saddle_factorization,
 )
+
+LU_LAG = 3  # a direction sweep factorizes every third level
 
 
 @dataclass(frozen=True)
@@ -140,11 +145,62 @@ class _LinearizedTemplate:
         return sp.csc_matrix((data, indices, indptr), shape=(self.n, self.n))
 
 
+class LinearizedLevel:
+    """The linearized saddle system of one direction-sweep level, with
+    homogeneous data.
+
+    ``fact`` is the LU of this level's ``matrix`` (``age`` 0) or the LU
+    held from the level ``age`` steps back.  A held LU preconditions GMRES
+    on this level's matrix (``linalg.krylov_solve``); a solve GMRES does
+    not resolve factorizes the level after all, so the next levels hold
+    its LU.  ``counts`` is the run's ``Operators.factorizations``.
+    """
+
+    def __init__(self, matrix: sp.csc_matrix, n_vel: int, constrained: np.ndarray,
+                 counts: Counter, held: LinearizedLevel | None = None):
+        self.matrix = matrix
+        self.n_vel = n_vel
+        self.constrained = constrained
+        self.counts = counts
+        if held is None or held.age + 1 == LU_LAG:
+            self._factorize()
+        else:
+            self.fact, self.age = held.fact, held.age + 1
+
+    def _factorize(self):
+        self.fact, self.age = Factorization(self.matrix, "linearized"), 0
+        self.counts["linearized"] += 1
+
+    def solve(self, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve for (velocity, multiplier) with momentum load and zero
+        divergence rhs; constrained entries are zero."""
+        b = np.zeros(self.matrix.shape[0])
+        b[: self.n_vel] = load
+        b[self.constrained] = 0.0
+        x = None
+        # a non-finite load skips GMRES and propagates through the held LU,
+        # as it does through a fresh one, to the outer divergence check
+        if self.age and np.isfinite(b).all():
+            x, iterations = krylov_solve(self.matrix, self.fact, b)
+            self.counts["krylov_iterations"] += iterations
+            if x is None:
+                self._factorize()
+        if x is None:
+            x = self.fact.solve(b)
+        if self.age:
+            self.counts["lagged"] += 1
+        x[self.constrained] = 0.0
+        return x[: self.n_vel], x[self.n_vel:]
+
+
 class Operators:
     """Assembled matrices and factorizations shared by all schemes.
 
-    ``factorizations`` counts the LUs of one run per label (heat, stokes,
-    linearized); operators derived by ``with_nu`` share it.
+    ``factorizations`` counts, per run, the LUs by label (heat, stokes,
+    linearized), the direction-sweep levels solved by GMRES on a held LU
+    (``lagged``) and their GMRES iterations (``krylov_iterations``).
+    Every direction sweep adds N to ``linearized + lagged``.  Operators
+    derived by ``with_nu`` share the counter.
     """
 
     def __init__(self, space: Space, grid: TimeGrid, nu: float):
@@ -161,7 +217,8 @@ class Operators:
                                          space.dirichlet_dofs, "heat")
         self.stokes = saddle_factorization(self.K, self.B, space.dirichlet_dofs,
                                            "stokes")
-        self.factorizations = Counter(heat=1, stokes=1)
+        self.factorizations = Counter(heat=1, stokes=1, linearized=0, lagged=0,
+                                      krylov_iterations=0)
         self._template = _LinearizedTemplate(space, self.M / dt + nu * self.K, self.B)
 
     def with_nu(self, nu: float) -> "Operators":
@@ -173,13 +230,15 @@ class Operators:
             self.space, self.M / self.grid.dt + nu * self.K, self.B)
         return other
 
-    def linearized(self, y_level: np.ndarray) -> SaddleFactorization:
-        """Factorized linearized operator at ``y_level``, homogeneous data."""
+    def linearized(self, y_level: np.ndarray,
+                   held: LinearizedLevel | None = None) -> LinearizedLevel:
+        """Linearized operator at ``y_level``, homogeneous data, assembled
+        here for every level.  It is factorized afresh unless ``held``, the
+        previous level of a direction sweep, holds an LU younger than
+        ``LU_LAG`` levels, which it then reuses."""
         t = self._template
-        fact = SaddleFactorization(t.matrix(y_level), self.space.n_velocity,
-                                   t.constrained, "linearized")
-        self.factorizations["linearized"] += 1
-        return fact
+        return LinearizedLevel(t.matrix(y_level), self.space.n_velocity,
+                               t.constrained, self.factorizations, held)
 
 
 def sweep(ops: Operators, loads: np.ndarray, y: FieldTrajectory | None = None,
@@ -187,19 +246,28 @@ def sweep(ops: Operators, loads: np.ndarray, y: FieldTrajectory | None = None,
           values: np.ndarray | None = None) -> FieldTrajectory:
     """Backward-Euler sweep from ``start`` (zero when omitted).
 
-    Level n+1 solves ``(M/dt + A) u^{n+1} + B^T lam = M u^n/dt + loads[n]``
-    with the time-constant Dirichlet data ``values`` on every level
-    (homogeneous when omitted).  ``A`` is the heat-type ``K``, or with
-    ``y`` the Navier-Stokes operator linearized at ``y^{n+1}``.
+    Level n+1 solves ``(M/dt + A) u^{n+1} + B^T lam = M u^n/dt + loads[n]``.
+    ``A`` is the heat-type ``K``, with the time-constant Dirichlet data
+    ``values`` on every level (homogeneous when omitted).  With ``y`` it
+    is the Navier-Stokes operator linearized at ``y^{n+1}``, with
+    homogeneous data: the direction sweep.  Its levels are factorized
+    every ``LU_LAG`` levels, starting with the first, and the levels in
+    between are solved by GMRES preconditioned with the held LU
+    (``Operators.linearized``).  The held LU lives only for one sweep.
     """
     grid = ops.grid
     out = FieldTrajectory.zeros(grid, ops.space.n_velocity)
     if start is not None:
         out.values[0] = start
     level = out.values[0]
+    lin = None
     for n in range(grid.N):
-        fact = ops.heat if y is None else ops.linearized(y.values[n + 1])
-        level, _ = fact.solve(ops.M @ level / grid.dt + loads[n], values)
+        rhs = ops.M @ level / grid.dt + loads[n]
+        if y is None:
+            level, _ = ops.heat.solve(rhs, values)
+        else:
+            lin = ops.linearized(y.values[n + 1], lin)
+            level, _ = lin.solve(rhs)
         out.values[n + 1] = level
     return out
 

@@ -186,6 +186,12 @@ def test_report_counts_match_mesh(tiny_run):
     data = json.loads((out / "report.txt").read_text())
     assert data["n_triangles"] == mesh.n_triangles
     assert data["outcome"] == "converged"
+    # every direction level is factorized or solved on a held LU: N = 4
+    counts = data["solver_counts"]
+    assert counts.keys() == {"heat", "stokes", "linearized", "lagged",
+                             "krylov_iterations"}
+    assert counts["heat"] == counts["stokes"] == 1
+    assert counts["linearized"] + counts["lagged"] == 4 * report.records[-1]["k"]
 
 
 def test_determinism_bit_identical_history(tmp_path):

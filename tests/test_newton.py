@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslsq import manufactured as mf, newton
+from nslsq import manufactured as mf, newton, timestepping
 from nslsq.fem import build_space, interpolate_velocity
+from nslsq.linalg import Factorization
 from nslsq.mesh import generate_semidisk, generate_unit_square
 from nslsq.newton import (
     VARIANTS,
@@ -286,6 +287,45 @@ def test_direction_corrector_coincides_with_corrector(setup):
     assert num <= 1e-6 * den
 
 
+def test_lagged_direction_matches_fresh_lu_direction(setup, monkeypatch):
+    """The direction sweep factorizes levels 1, 4 and 7 and solves the
+    levels in between by GMRES on the held LU; it matches a sweep with a
+    fresh LU on every level.  When GMRES is never accepted, every level
+    falls back to a fresh LU."""
+    space, grid, ops, loads, y0 = setup
+    y = newton_loop(ops, y0, loads, max_iter=1).trajectory  # GMRES iterates here
+    defects = defect_loads(ops, y, loads)
+    t, n_vel = ops._template, space.n_velocity
+    ref = np.zeros((grid.N + 1, n_vel))
+    for n in range(grid.N):
+        b = np.zeros(t.n)
+        b[:n_vel] = ops.M @ ref[n] / grid.dt + defects[n]
+        b[t.constrained] = 0.0
+        x = Factorization(t.matrix(y.values[n + 1]), "linearized").solve(b)
+        ref[n + 1] = x[:n_vel]
+        ref[n + 1, space.dirichlet_dofs] = 0.0
+    ref_norm = np.sqrt(newton.l2v_norm_sq(ops, ref[1:]))
+
+    def compare_sweep():
+        before = ops.factorizations.copy()
+        d = compute_direction(ops, y, defects)
+        added = ops.factorizations - before
+        assert added["linearized"] + added["lagged"] == grid.N
+        gap = np.sqrt(newton.l2v_norm_sq(ops, d.values[1:] - ref[1:]))
+        return added, gap / ref_norm
+
+    added, rel = compare_sweep()
+    assert (added["linearized"], added["lagged"]) == (3, 5)
+    assert added["krylov_iterations"] > 0
+    assert rel <= 1e-10
+
+    monkeypatch.setattr(timestepping, "krylov_solve",
+                        lambda matrix, fact, b: (None, 60))
+    added, rel = compare_sweep()
+    assert (added["linearized"], added["lagged"]) == (grid.N, 0)
+    assert rel <= 1e-12
+
+
 def test_nonlinear_corrector_scaling_and_zero(setup):
     space, grid, ops, loads, y0 = setup
     zero = FieldTrajectory.zeros(grid, space.n_velocity)
@@ -430,7 +470,9 @@ def test_factorization_reuse_across_run(setup):
     added = ops.factorizations - before
     assert ops.factorizations["heat"] == 1  # prebuilt in fixture, reused here
     assert ops.factorizations["stokes"] == 1
-    assert added == {"linearized": grid.N * res.iterations}
+    # N = 8: each direction sweep factorizes levels 1, 4 and 7
+    assert added["linearized"] == 3 * res.iterations
+    assert added["lagged"] == 5 * res.iterations
 
 
 def test_factorization_counts_fresh_run():
@@ -442,7 +484,9 @@ def test_factorization_counts_fresh_run():
     counts = res.ops.factorizations
     assert counts["heat"] == 1
     assert counts["stokes"] == 1
-    assert counts["linearized"] == grid.N * res.iterations
+    # N = 4: each direction sweep factorizes levels 1 and 4
+    assert counts["linearized"] == 2 * res.iterations
+    assert counts["linearized"] + counts["lagged"] == grid.N * res.iterations
 
 
 def test_prepare_problem_rejects_non_finite_data(disk_coarse, square2):
@@ -513,7 +557,8 @@ def test_continuation_warm_start_reduces_iterations():
     counts = cont[-1][1].ops.factorizations
     assert cont[0][1].ops.factorizations is counts
     assert counts["heat"] == counts["stokes"] == 1
-    assert counts["linearized"] == grid.N * sum(res.iterations for _, res in cont)
+    # N = 8: each direction sweep factorizes levels 1, 4 and 7
+    assert counts["linearized"] == 3 * sum(res.iterations for _, res in cont)
 
 
 def test_warm_start_skips_stokes_initial_guess(square2, monkeypatch):
