@@ -6,24 +6,25 @@
 Each case is the semi-disk cavity at one mesh size, step and viscosity:
 the desk mesh (h = 0.05, nu = 1/500) at dt = 0.02 and 0.01, h = 0.025
 at dt = 0.02 (nu = 1/500), and the full-scale mesh (h = 0.0162) at
-dt = 0.01, nu = 1/1100.  For each label it prints the nnz of the matrix
-the solver factorizes, the nnz of L + U, and the time of one plain
-``splu`` of that matrix: the heat-type and Stokes-type operators (one
-LU per run each), and one linearized level at the steady Stokes lid
-field (one LU per three levels of each direction sweep).  It takes
-about 20 s on a 2-core VM, most of it at full scale.
+dt = 0.01, nu = 1/1100.  For each label it factorizes the matrix the
+solver factorizes, as the solver does (``linalg.Factorization``), and
+prints the matrix nnz, the ordering the LU took, its fill (``lu_nnz``,
+the entries SuperLU stores for L and U) and the time of that
+factorization: the heat-type and Stokes-type operators (one LU per run
+each, symmetric ordering), and one linearized level at the steady Stokes
+lid field (one LU per three levels of each direction sweep, COLAMD).  It
+takes about 15 s on a 2-core VM, most of it at full scale.
 """
 
 import sys
 import time
 from pathlib import Path
 
-import scipy.sparse.linalg as spla
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nslsq.cli import lid_profile  # noqa: E402
 from nslsq.fem import build_space, lid_boundary_values  # noqa: E402
+from nslsq.linalg import Factorization  # noqa: E402
 from nslsq.mesh import generate_semidisk  # noqa: E402
 from nslsq.timestepping import Operators, TimeGrid, steady_stokes_initial  # noqa: E402
 
@@ -36,16 +37,9 @@ CASES = (
 )
 
 
-def fill(matrix):
-    """nnz of L + U and seconds of one plain ``splu`` of ``matrix``."""
-    t0 = time.perf_counter()
-    lu = spla.splu(matrix)
-    return lu.L.nnz + lu.U.nnz, time.perf_counter() - t0
-
-
 def main():
     print(f"{'case':<11} {'dt':>6} {'nu':>9} {'label':<11} {'nnz(A)':>10} "
-          f"{'nnz(L+U)':>11} {'splu s':>8}")
+          f"{'ordering':<8} {'nnz(L+U)':>11} {'LU s':>8}")
     spaces = {}
     for name, h, dt, nu in CASES:
         if h not in spaces:
@@ -55,9 +49,13 @@ def main():
         lid = steady_stokes_initial(ops, lid_boundary_values(space, lid_profile))
         for label, fact in (("heat", ops.heat), ("stokes", ops.stokes),
                             ("linearized", ops.linearized(lid))):
-            lu_nnz, secs = fill(fact.fact.matrix)
+            matrix = fact.fact.matrix
+            t0 = time.perf_counter()
+            lu = Factorization(matrix, label)
+            secs = time.perf_counter() - t0
             print(f"{name:<11} {dt:>6} {f'1/{round(1 / nu)}':>9} {label:<11} "
-                  f"{fact.fact.matrix.nnz:>10} {lu_nnz:>11} {secs:>8.3f}", flush=True)
+                  f"{matrix.nnz:>10} {lu.ordering:<8} {lu.lu_nnz:>11} {secs:>8.3f}",
+                  flush=True)
 
 
 if __name__ == "__main__":

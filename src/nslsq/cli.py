@@ -159,7 +159,8 @@ def parse_config(text: str) -> ExperimentConfig:
 class RunReport:
     """The JSON of ``report.txt``.  ``solver_counts`` is the run's
     ``Operators.factorizations``: LUs by label, lagged direction levels
-    and their GMRES iterations."""
+    and their GMRES iterations.  ``lu_nnz`` is the fill of the run's heat
+    and Stokes LUs."""
 
     config: dict
     records: list
@@ -173,6 +174,7 @@ class RunReport:
     convergence_rate: float | None = None
     errors: list[float] | None = None
     solver_counts: dict = field(default_factory=dict)
+    lu_nnz: dict = field(default_factory=dict)
 
 
 def build_mesh(config: ExperimentConfig) -> Mesh:
@@ -313,6 +315,8 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         convergence_rate=rate,
         errors=errors,
         solver_counts=dict(result.ops.factorizations),
+        lu_nnz={"heat": result.ops.heat.fact.lu_nnz,
+                "stokes": result.ops.stokes.fact.lu_nnz},
     )
     (outdir / "report.txt").write_text(json.dumps(asdict(report), indent=2) + "\n")
     return report

@@ -1,6 +1,16 @@
 """Sparse saddle-point systems, direct LU solves with residual checks,
 and GMRES preconditioned with the LU of a nearby matrix.
 
+Every LU is made by ``Factorization``, with one ordering rule: a matrix
+equal to its transpose (the heat, Stokes and stream operators after the
+symmetric Dirichlet elimination) is ordered by minimum degree on
+``A + A^T`` with diagonal pivots (SuperLU's symmetric mode); any other
+matrix (the linearized operator, whose convection is unsymmetric) keeps
+COLAMD with partial pivoting, which fills it less.  The diagonal pivot
+threshold ``DIAG_PIVOT_THRESH`` is small, so the symmetric ordering
+survives pivoting, but not zero: at zero a tiny nonzero diagonal is
+taken as the pivot however large its column.
+
 Every solve is verified against the relative residual contract
 ``||Ax - b||_inf <= 1e-8 (1 + ||b||_inf)``; a single step of iterative
 refinement is attempted on marginal failures, anything past 1e-6 is a
@@ -20,6 +30,7 @@ RESIDUAL_HARD = 1e-6
 KRYLOV_RTOL = 1e-13
 KRYLOV_RESTART = 20
 KRYLOV_CYCLES = 3
+DIAG_PIVOT_THRESH = 1e-6  # symmetric path: off-diagonal pivot only below this
 
 
 class SolverError(RuntimeError):
@@ -27,7 +38,24 @@ class SolverError(RuntimeError):
 
 
 class Factorization:
-    """Reusable sparse LU of a square matrix (SuperLU, COLAMD ordering)."""
+    """Reusable sparse LU of a square matrix (SuperLU).
+
+    An exactly symmetric matrix is ordered by minimum degree on
+    ``A + A^T`` and pivots on the diagonal unless the diagonal entry is
+    below ``DIAG_PIVOT_THRESH`` times its column's largest entry (an exact
+    zero, as in a pressure block, always pivots off the diagonal).  Any
+    other matrix is ordered by COLAMD with partial pivoting, and so is a
+    symmetric one whose symmetric LU meets an exactly zero pivot: a
+    saddle matrix that is singular in exact arithmetic (a rank-deficient
+    multiplier block) then factorizes through a roundoff-sized COLAMD
+    pivot, or is reported singular, as before the symmetric ordering.
+    ``ordering`` (``"mmd-sym"`` or ``"colamd"``) and ``lu_nnz`` record
+    which LU was made.  ``lu_nnz`` is the number of entries SuperLU stores
+    for ``L`` and ``U`` (its ``nnz``); reading the ``L`` or ``U``
+    attribute instead would make SciPy build and keep CSC copies of both
+    factors.  The residual contract of every ``solve`` guards the
+    diagonal pivots.
+    """
 
     def __init__(self, matrix: sp.spmatrix, label: str = "unlabeled"):
         self.matrix = matrix.tocsc()
@@ -36,13 +64,24 @@ class Factorization:
             raise SolverError(f"matrix not square: {self.matrix.shape}")
         if not np.isfinite(self.matrix.data).all():
             raise SolverError(f"non-finite matrix entries ({label})")
-        try:
-            self._lu = spla.splu(self.matrix)
-        except RuntimeError as exc:
-            raise SolverError(
-                f"singular matrix ({label}): {exc}; a singular saddle system "
-                "usually means a missing pressure pin or empty Dirichlet set"
-            ) from exc
+        self.ordering = "colamd"
+        if abs(self.matrix - self.matrix.T).max() == 0:
+            try:
+                self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                                     options=dict(SymmetricMode=True))
+                self.ordering = "mmd-sym"
+            except RuntimeError:
+                pass  # an exactly zero pivot: COLAMD decides, as for any matrix
+        if self.ordering == "colamd":
+            try:
+                self._lu = spla.splu(self.matrix)
+            except RuntimeError as exc:
+                raise SolverError(
+                    f"singular matrix ({label}): {exc}; a singular saddle system "
+                    "usually means a missing pressure pin or empty Dirichlet set"
+                ) from exc
+        self.lu_nnz = self._lu.nnz
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)

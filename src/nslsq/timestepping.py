@@ -5,7 +5,9 @@ Every scheme of the outer iteration steps one constrained system
 (``sweep``), and every Riesz lift solves one constant Stokes-type system
 per interval (``lift``).  The constant-coefficient operators (heat type
 ``M/dt + K`` and Stokes type ``K``) are factorized once per run and
-reused across every time level and outer iterate.  The linearized
+reused across every time level and outer iterate; both are exactly
+symmetric after the Dirichlet elimination, so their LUs take
+``linalg.Factorization``'s symmetric ordering.  The linearized
 Navier-Stokes operator of the direction sweep is factorized on every
 ``LU_LAG``-th level only; the levels in between are solved by GMRES on
 their own matrix, preconditioned with the LU held from the last

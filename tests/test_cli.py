@@ -194,6 +194,14 @@ def test_report_counts_match_mesh(tiny_run):
     assert counts["linearized"] + counts["lagged"] == 4 * report.records[-1]["k"]
 
 
+def test_report_records_heat_and_stokes_fill(tiny_run):
+    _, report, out = tiny_run
+    fill = json.loads((out / "report.txt").read_text())["lu_nnz"]
+    assert fill == report.lu_nnz
+    assert fill.keys() == {"heat", "stokes"}
+    assert fill["heat"] > 0 and fill["stokes"] > 0
+
+
 def test_determinism_bit_identical_history(tmp_path):
     outs = []
     for name in ("a", "b"):

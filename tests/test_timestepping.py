@@ -230,15 +230,27 @@ def test_linearized_template_matches_direct_assembly(square2):
 
 
 def test_linearized_lu_fill_desk():
-    """One linearized level of the desk cavity at the steady Stokes lid
-    field factorizes with at most 550k entries in L + U."""
-    import scipy.sparse.linalg as spla
-
+    """The solver's LU of one linearized level of the desk cavity at the
+    steady Stokes lid field keeps COLAMD and at most 550k entries in
+    L + U."""
     from nslsq.cli import lid_profile
 
     space = build_space(generate_semidisk(0.05))
     for dt in (0.02, 0.01):
         ops = Operators(space, TimeGrid(dt, 1), nu=1 / 500)
         lid = steady_stokes_initial(ops, lid_boundary_values(space, lid_profile))
-        lu = spla.splu(ops.linearized(lid).fact.matrix)
-        assert lu.L.nnz + lu.U.nnz <= 550_000
+        fact = ops.linearized(lid).fact
+        assert fact.ordering == "colamd"
+        assert fact.lu_nnz <= 550_000
+
+
+def test_heat_and_stokes_lu_fill_desk():
+    """The solver's heat and Stokes LUs of the desk cavity take the
+    symmetric ordering and at most 500k entries in L + U (462k; COLAMD
+    gives 609k)."""
+    space = build_space(generate_semidisk(0.05))
+    for dt in (0.02, 0.01):
+        ops = Operators(space, TimeGrid(dt, 1), nu=1 / 500)
+        for fact in (ops.heat.fact, ops.stokes.fact):
+            assert fact.ordering == "mmd-sym"
+            assert fact.lu_nnz <= 500_000
