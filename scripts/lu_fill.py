@@ -8,12 +8,17 @@ the desk mesh (h = 0.05, nu = 1/500) at dt = 0.02 and 0.01, h = 0.025
 at dt = 0.02 (nu = 1/500), and the full-scale mesh (h = 0.0162) at
 dt = 0.01, nu = 1/1100.  For each label it factorizes the matrix the
 solver factorizes, as the solver does (``linalg.Factorization``), and
-prints the matrix nnz, the ordering the LU took, its fill (``lu_nnz``,
-the entries SuperLU stores for L and U) and the time of that
-factorization: the heat-type and Stokes-type operators (one LU per run
-each, symmetric ordering), and one linearized level at the steady Stokes
-lid field (one LU per three levels of each direction sweep, COLAMD).  It
-takes about 15 s on a 2-core VM, most of it at full scale.
+prints the matrix nnz, the ordering the LU took, whether it computed
+that ordering (``fresh``) or took one held from an earlier LU of the same
+pattern (``held``), its fill (``lu_nnz``, the entries SuperLU stores for
+L and U) and the time of that factorization.  The LUs are the heat-type
+operator (fresh symmetric ordering) and the Stokes-type operator (on the
+heat LU's ordering), one LU per run each, then two linearized levels
+(one LU per three levels of each direction sweep): the first at the
+steady Stokes lid field, which orders the pattern by COLAMD, and a later
+one at half that field, on the held ordering.  The two linearized rows
+give the per-level saving of the held ordering.  It takes about 20 s on
+a 2-core VM, most of it at full scale.
 """
 
 import sys
@@ -39,7 +44,7 @@ CASES = (
 
 def main():
     print(f"{'case':<11} {'dt':>6} {'nu':>9} {'label':<11} {'nnz(A)':>10} "
-          f"{'ordering':<8} {'nnz(L+U)':>11} {'LU s':>8}")
+          f"{'ordering':<8} {'source':<6} {'nnz(L+U)':>11} {'LU s':>8}")
     spaces = {}
     for name, h, dt, nu in CASES:
         if h not in spaces:
@@ -47,15 +52,16 @@ def main():
         space = spaces[h]
         ops = Operators(space, TimeGrid(dt, 1), nu)
         lid = steady_stokes_initial(ops, lid_boundary_values(space, lid_profile))
-        for label, fact in (("heat", ops.heat), ("stokes", ops.stokes),
-                            ("linearized", ops.linearized(lid))):
-            matrix = fact.fact.matrix
+        for label, fact in (("heat", ops.heat.fact), ("stokes", ops.stokes.fact),
+                            ("linearized", ops.linearized(lid).fact),
+                            ("linearized", ops.linearized(0.5 * lid).fact)):
             t0 = time.perf_counter()
-            lu = Factorization(matrix, label)
+            lu = Factorization.reusing(fact.held, fact.matrix, label)
             secs = time.perf_counter() - t0
+            source = "held" if lu.order is lu.held else "fresh"
             print(f"{name:<11} {dt:>6} {f'1/{round(1 / nu)}':>9} {label:<11} "
-                  f"{matrix.nnz:>10} {lu.ordering:<8} {lu.lu_nnz:>11} {secs:>8.3f}",
-                  flush=True)
+                  f"{fact.matrix.nnz:>10} {lu.ordering:<8} {source:<6} {lu.lu_nnz:>11} "
+                  f"{secs:>8.3f}", flush=True)
 
 
 if __name__ == "__main__":

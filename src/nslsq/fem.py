@@ -266,14 +266,13 @@ def assemble_linearized_convection(space: Space, y: np.ndarray) -> sp.csr_matrix
 def convection_vector(space: Space, a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Load vector of the trilinear term, entries int((a.grad)u . phi_i)."""
     r = space.rule5
-    aq = space.velocity_at_quad(a, r)
-    gu = space.velocity_grad_at_quad(u, r)
-    integrand = np.einsum("tqd,tqcd->tqc", aq, gu)      # (nt, nq, 2)
-    out = np.empty(space.n_velocity)
-    for c in range(2):
-        elem = np.einsum("t,q,tq,qi->ti", space.det, r.w, integrand[:, :, c], r.phi)
-        out[c * space.n_scalar:(c + 1) * space.n_scalar] = space.scatter_p2_vector(elem)
-    return out
+    aq = space.velocity_at_quad(a, r)          # (nt, nq, 2)
+    gu = space.velocity_grad_at_quad(u, r)     # (nt, nq, 2, 2)
+    # ((a.grad)u)_c times det*w at each quadrature point, (nt, nq, 2)
+    integrand = aq[:, :, None, 0] * gu[..., 0] + aq[:, :, None, 1] * gu[..., 1]
+    integrand *= (space.det[:, None] * r.w)[:, :, None]
+    elem = integrand.transpose(2, 0, 1) @ r.phi  # (2, nt, 6), one matmul
+    return np.concatenate([space.scatter_p2_vector(e) for e in elem])
 
 
 def load_vector(space: Space, f, t: float) -> np.ndarray:

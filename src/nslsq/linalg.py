@@ -9,7 +9,10 @@ matrix (the linearized operator, whose convection is unsymmetric) keeps
 COLAMD with partial pivoting, which fills it less.  The diagonal pivot
 threshold ``DIAG_PIVOT_THRESH`` is small, so the symmetric ordering
 survives pivoting, but not zero: at zero a tiny nonzero diagonal is
-taken as the pivot however large its column.
+taken as the pivot however large its column.  An ordering depends only
+on the sparsity pattern, so an LU made by ``Factorization.reusing`` takes
+the ``Ordering`` of an earlier LU of the same pattern instead of
+computing it again.
 
 Every solve is verified against the relative residual contract
 ``||Ax - b||_inf <= 1e-8 (1 + ||b||_inf)``; a single step of iterative
@@ -21,7 +24,10 @@ factorizes is counted by its owner (``timestepping.Operators``).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -37,6 +43,41 @@ class SolverError(RuntimeError):
     pass
 
 
+@dataclass(frozen=True)
+class Ordering:
+    """The fill-reducing ordering of one LU, for later LUs of its pattern.
+
+    Column ``j`` of the ordered matrix is column ``columns[j]`` of the
+    matrix (``columns`` inverts SuperLU's ``perm_c``).  ``name`` is the
+    ordering that made it (``"colamd"`` or ``"mmd-sym"``); a symmetric
+    ordering permutes the rows the same way, so the diagonal stays on the
+    diagonal for SuperLU's diagonal pivots.
+    """
+
+    name: str
+    columns: np.ndarray
+
+    @property
+    def symmetric(self) -> bool:
+        return self.name == "mmd-sym"
+
+
+class _OrderedLU:
+    """SuperLU of a matrix with its columns (and, for a symmetric ordering,
+    its rows) permuted; ``solve`` takes and returns vectors in the order of
+    the unpermuted matrix, like the SuperLU of a fresh ``Factorization``."""
+
+    def __init__(self, lu, order: Ordering):
+        self.lu = lu
+        self.order = order
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        q = self.order.columns
+        x = np.empty_like(b)
+        x[q] = self.lu.solve(b[q] if self.order.symmetric else b)
+        return x
+
+
 class Factorization:
     """Reusable sparse LU of a square matrix (SuperLU).
 
@@ -49,13 +90,25 @@ class Factorization:
     saddle matrix that is singular in exact arithmetic (a rank-deficient
     multiplier block) then factorizes through a roundoff-sized COLAMD
     pivot, or is reported singular, as before the symmetric ordering.
-    ``ordering`` (``"mmd-sym"`` or ``"colamd"``) and ``lu_nnz`` record
-    which LU was made.  ``lu_nnz`` is the number of entries SuperLU stores
-    for ``L`` and ``U`` (its ``nnz``); reading the ``L`` or ``U``
-    attribute instead would make SciPy build and keep CSC copies of both
-    factors.  The residual contract of every ``solve`` guards the
-    diagonal pivots.
+
+    ``Factorization.reusing(order, matrix, label)`` factorizes ``matrix``
+    on the ``order`` of an earlier LU of the same sparsity pattern, with
+    that LU's pivoting rule, and skips the ordering and the symmetry test:
+    it factorizes the ordered matrix in SuperLU's natural order and
+    permutes every solve around it.  If that LU meets an exactly zero
+    pivot, the matrix is factorized afresh.  The held ordering reaches
+    ``__init__`` through the ``held`` attribute, so that every LU is made
+    by the one ``__init__(matrix, label)``.
+
+    ``ordering`` (``"mmd-sym"`` or ``"colamd"``, also for a held ordering)
+    and ``lu_nnz`` record which LU was made, and ``order`` is its
+    ``Ordering``.  ``lu_nnz`` is the number of entries SuperLU stores for
+    ``L`` and ``U`` (its ``nnz``); reading the ``L`` or ``U`` attribute
+    instead would make SciPy build and keep CSC copies of both factors.
+    The residual contract of every ``solve`` guards the diagonal pivots.
     """
+
+    held: Ordering | None = None  # set by ``reusing`` before ``__init__`` runs
 
     def __init__(self, matrix: sp.spmatrix, label: str = "unlabeled"):
         self.matrix = matrix.tocsc()
@@ -64,6 +117,29 @@ class Factorization:
             raise SolverError(f"matrix not square: {self.matrix.shape}")
         if not np.isfinite(self.matrix.data).all():
             raise SolverError(f"non-finite matrix entries ({label})")
+        lu = None if self.held is None else self._factorize_held(self.held)
+        if lu is None:
+            lu = self._factorize_fresh(label)
+        self.lu_nnz = lu.nnz
+
+    def _factorize_held(self, order: Ordering):
+        q = order.columns
+        if order.symmetric:
+            ordered = self.matrix[q][:, q]
+            thresh = DIAG_PIVOT_THRESH
+        else:
+            ordered, thresh = self.matrix[:, q], 1.0
+        try:
+            # SciPy turns on SymmetricMode with the natural order: the
+            # diagonal of the ordered matrix is preferred at equal size
+            lu = spla.splu(ordered, permc_spec="NATURAL", diag_pivot_thresh=thresh)
+        except RuntimeError:
+            return None  # an exactly zero pivot: factorize afresh
+        self._lu = _OrderedLU(lu, order)
+        self.ordering, self.order = order.name, order
+        return lu
+
+    def _factorize_fresh(self, label: str):
         self.ordering = "colamd"
         if abs(self.matrix - self.matrix.T).max() == 0:
             try:
@@ -81,7 +157,19 @@ class Factorization:
                     f"singular matrix ({label}): {exc}; a singular saddle system "
                     "usually means a missing pressure pin or empty Dirichlet set"
                 ) from exc
-        self.lu_nnz = self._lu.nnz
+        columns = np.empty(self.n, dtype=np.intp)
+        columns[self._lu.perm_c] = np.arange(self.n)
+        self.order = Ordering(self.ordering, columns)
+        return self._lu
+
+    @classmethod
+    def reusing(cls, order: Ordering | None, matrix: sp.spmatrix,
+                label: str = "unlabeled") -> "Factorization":
+        """LU of ``matrix`` on a held ``order`` (a fresh LU when None)."""
+        fact = cls.__new__(cls)
+        fact.held = order
+        fact.__init__(matrix, label)
+        return fact
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
@@ -103,30 +191,62 @@ class Factorization:
 
 def krylov_solve(matrix: sp.spmatrix, fact: Factorization,
                  b: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """GMRES on ``matrix x = b`` preconditioned with ``fact``, the LU of a
-    nearby matrix, starting from that LU's solution.
+    """Restarted GMRES on ``matrix x = b`` preconditioned on the right with
+    ``fact``, the LU of a nearby matrix, starting from that LU's solution.
 
-    Returns ``(x, iterations)``, with ``x`` None unless GMRES converged and
-    the true residual meets ``||b - Ax||_2 <= KRYLOV_RTOL ||b||_2`` as well
-    as the solve contract.  The relative test is what holds the answer:
-    the loads of a Newton direction shrink with the defect, and at loads
-    near 1e-8 the contract's ``1 +`` floor accepts a relative error near 1.
+    Each iteration takes one LU solve, ``z_j = LU^-1 v_j``, and keeps
+    ``z_j``, so the update ``x += Z y`` needs none: a solve costs
+    ``iterations + 1`` LU solves.  Arnoldi orthogonalizes by classical
+    Gram-Schmidt applied twice, and Givens rotations reduce the Hessenberg
+    matrix; with right preconditioning their residual estimate is that of
+    ``matrix x = b`` itself.  A cycle of at most ``KRYLOV_RESTART``
+    iterations stops when the estimate meets ``KRYLOV_RTOL ||b||_2``, and
+    ends with the true residual, from which the next of at most
+    ``KRYLOV_CYCLES`` cycles restarts.
+
+    Returns ``(x, iterations)``, with ``x`` None unless the true residual
+    meets ``||b - Ax||_2 <= KRYLOV_RTOL ||b||_2`` as well as the solve
+    contract.  The relative test is what holds the answer: the loads of a
+    Newton direction shrink with the defect, and at loads near 1e-8 the
+    contract's ``1 +`` floor accepts a relative error near 1.
     """
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
     lu_solve = fact._lu.solve
-    precond = spla.LinearOperator(matrix.shape, matvec=lu_solve, dtype=np.float64)
-    x, info = spla.gmres(matrix, b, x0=lu_solve(b), rtol=KRYLOV_RTOL, atol=0.0,
-                         restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES, M=precond,
-                         callback=count, callback_type="pr_norm")
-    res = b - matrix @ x
-    accepted = (info == 0
-                and np.linalg.norm(res) <= KRYLOV_RTOL * np.linalg.norm(b)
-                and np.abs(res).max() <= RESIDUAL_TOL * (1.0 + np.abs(b).max()))
+    tol = KRYLOV_RTOL * np.linalg.norm(b)
+    x = lu_solve(b)
+    r = b - matrix @ x
+    beta = np.linalg.norm(r)
+    iterations, m = 0, KRYLOV_RESTART
+    for _ in range(KRYLOV_CYCLES):
+        if beta <= tol:
+            break
+        V, Z = np.empty((m + 1, len(b))), np.empty((m, len(b)))
+        H, g = np.zeros((m, m)), np.zeros(m + 1)
+        cs, sn = np.zeros(m), np.zeros(m)
+        V[0], g[0] = r / beta, beta
+        for j in range(m):
+            Z[j] = lu_solve(V[j])
+            w = matrix @ Z[j]
+            for _ in range(2):
+                h = V[: j + 1] @ w
+                w -= h @ V[: j + 1]
+                H[: j + 1, j] += h
+            hn = np.linalg.norm(w)
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            rho = np.hypot(H[j, j], hn)
+            cs[j], sn[j] = H[j, j] / rho, hn / rho
+            H[j, j], g[j + 1], g[j] = rho, -sn[j] * g[j], cs[j] * g[j]
+            iterations += 1
+            if abs(g[j + 1]) <= tol or hn == 0.0:
+                break
+            V[j + 1] = w / hn
+        k = j + 1
+        x += la.solve_triangular(H[:k, :k], g[:k]) @ Z[:k]
+        r = b - matrix @ x
+        beta = np.linalg.norm(r)
+    accepted = (beta <= tol
+                and np.abs(r).max() <= RESIDUAL_TOL * (1.0 + np.abs(b).max()))
     return (x if accepted else None), iterations
 
 
@@ -173,15 +293,16 @@ class SaddleFactorization:
     """LU of an eliminated saddle matrix.  Each solve takes the momentum
     load and one vector of Dirichlet values aligned with the velocity
     Dirichlet dofs (zero when omitted); ``coupling`` carries the values
-    into the free rows.
+    into the free rows.  ``order`` is an ordering held from an LU of the
+    same pattern (``Factorization.reusing``), or None.
     """
 
     def __init__(self, matrix: sp.spmatrix, n_vel: int, constrained: np.ndarray,
-                 label: str, coupling: sp.spmatrix):
+                 label: str, coupling: sp.spmatrix, order: Ordering | None = None):
         self.n_vel = n_vel
         self.constrained = constrained
         self.coupling = coupling
-        self.fact = Factorization(matrix, label=label)
+        self.fact = Factorization.reusing(order, matrix, label)
 
     def solve(
         self, load: np.ndarray, values: np.ndarray | None = None
@@ -207,12 +328,12 @@ def saddle_constrained(dirichlet_dofs: np.ndarray, n_vel: int) -> np.ndarray:
 
 
 def saddle_factorization(A: sp.spmatrix, B: sp.spmatrix, dirichlet_dofs: np.ndarray,
-                         label: str) -> SaddleFactorization:
+                         label: str, order: Ordering | None = None) -> SaddleFactorization:
     """Factorize the block system [[A, B^T], [B, 0]] with the velocity
     Dirichlet dofs eliminated and the first pressure dof pinned to zero
-    (removing the constant-pressure nullspace)."""
+    (removing the constant-pressure nullspace), on ``order`` when given."""
     n_vel = A.shape[0]
     s_full = sp.bmat([[A, B.T], [B, None]], format="coo")
     constrained = saddle_constrained(dirichlet_dofs, n_vel)
     matrix, coupling = eliminate_dirichlet(s_full, constrained)
-    return SaddleFactorization(matrix, n_vel, constrained, label, coupling)
+    return SaddleFactorization(matrix, n_vel, constrained, label, coupling, order)

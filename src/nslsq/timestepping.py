@@ -7,14 +7,17 @@ per interval (``lift``).  The constant-coefficient operators (heat type
 ``M/dt + K`` and Stokes type ``K``) are factorized once per run and
 reused across every time level and outer iterate; both are exactly
 symmetric after the Dirichlet elimination, so their LUs take
-``linalg.Factorization``'s symmetric ordering.  The linearized
-Navier-Stokes operator of the direction sweep is factorized on every
-``LU_LAG``-th level only; the levels in between are solved by GMRES on
-their own matrix, preconditioned with the LU held from the last
-factorized level.  Its matrix is assembled at every level straight into
-CSC on one sparsity pattern, built on the first linearized level, that
-stores only the free-free entries and the unit diagonal of the
-constrained dofs: a stored zero fills the LU like a nonzero.
+``linalg.Factorization``'s symmetric ordering, and the Stokes LU takes
+the heat LU's ordering (the two share their sparsity pattern).  The
+linearized Navier-Stokes operator of the direction sweep is factorized
+on every ``LU_LAG``-th level only; the levels in between are solved by
+right-preconditioned GMRES on their own matrix, with the LU held from
+the last factorized level.  Its matrix is assembled at every level
+straight into CSC on one sparsity pattern, built on the first linearized
+level, that stores only the free-free entries and the unit diagonal of
+the constrained dofs: a stored zero fills the LU like a nonzero.  The
+first linearized LU of a run orders that pattern by COLAMD, and every
+later one reuses its ordering (``_LinearizedTemplate.order``).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from . import fem
 from .fem import Space
 from .linalg import (
     Factorization,
+    Ordering,
     eliminated_entries,
     krylov_solve,
     saddle_constrained,
@@ -93,14 +97,16 @@ class _LinearizedTemplate:
     of every entry are built on the first level (not at construction, so
     operator set-up does not pay for it), and each level then only sums
     its values into ``data``, every level sharing ``indices``/``indptr``.
+    ``order`` is the column ordering of the first LU on that pattern,
+    held for every later LU (None until the first).
     """
 
     def __init__(self, space: Space, a_const: sp.spmatrix, b_div: sp.spmatrix):
         self.space = space
-        n_vel = a_const.shape[0]
-        self.n = n_vel + b_div.shape[0]
+        self.n_vel = a_const.shape[0]
+        self.n = self.n_vel + b_div.shape[0]
         s = sp.bmat([[a_const, b_div.T], [b_div, None]], format="coo")
-        self.constrained = saddle_constrained(space.dirichlet_dofs, n_vel)
+        self.constrained = saddle_constrained(space.dirichlet_dofs, self.n_vel)
         const_rows, const_cols, self.const_data, free = eliminated_entries(
             s, self.constrained)
 
@@ -116,6 +122,7 @@ class _LinearizedTemplate:
         self._rows = np.concatenate([const_rows, rows[self._conv_keep]])
         self._cols = np.concatenate([const_cols, cols[self._conv_keep]])
         self._pattern = None
+        self.order: Ordering | None = None
 
     def _build_pattern(self):
         """CSC ``indices``/``indptr`` of the operator, the slot of each
@@ -155,14 +162,14 @@ class LinearizedLevel:
     held from the level ``age`` steps back.  A held LU preconditions GMRES
     on this level's matrix (``linalg.krylov_solve``); a solve GMRES does
     not resolve factorizes the level after all, so the next levels hold
-    its LU.  ``counts`` is the run's ``Operators.factorizations``.
+    its LU.  Every LU is made on the ``template``'s held ordering once it
+    has one.  ``counts`` is the run's ``Operators.factorizations``.
     """
 
-    def __init__(self, matrix: sp.csc_matrix, n_vel: int, constrained: np.ndarray,
+    def __init__(self, matrix: sp.csc_matrix, template: _LinearizedTemplate,
                  counts: Counter, held: LinearizedLevel | None = None):
         self.matrix = matrix
-        self.n_vel = n_vel
-        self.constrained = constrained
+        self.template = template
         self.counts = counts
         if held is None or held.age + 1 == LU_LAG:
             self._factorize()
@@ -170,15 +177,18 @@ class LinearizedLevel:
             self.fact, self.age = held.fact, held.age + 1
 
     def _factorize(self):
-        self.fact, self.age = Factorization(self.matrix, "linearized"), 0
+        t = self.template
+        self.fact = Factorization.reusing(t.order, self.matrix, "linearized")
+        t.order, self.age = self.fact.order, 0
         self.counts["linearized"] += 1
 
     def solve(self, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve for (velocity, multiplier) with momentum load and zero
         divergence rhs; constrained entries are zero."""
+        n_vel, constrained = self.template.n_vel, self.template.constrained
         b = np.zeros(self.matrix.shape[0])
-        b[: self.n_vel] = load
-        b[self.constrained] = 0.0
+        b[:n_vel] = load
+        b[constrained] = 0.0
         x = None
         # a non-finite load skips GMRES and propagates through the held LU,
         # as it does through a fresh one, to the outer divergence check
@@ -191,8 +201,8 @@ class LinearizedLevel:
             x = self.fact.solve(b)
         if self.age:
             self.counts["lagged"] += 1
-        x[self.constrained] = 0.0
-        return x[: self.n_vel], x[self.n_vel:]
+        x[constrained] = 0.0
+        return x[:n_vel], x[n_vel:]
 
 
 class Operators:
@@ -217,8 +227,12 @@ class Operators:
         dt = grid.dt
         self.heat = saddle_factorization(self.M / dt + self.K, self.B,
                                          space.dirichlet_dofs, "heat")
-        self.stokes = saddle_factorization(self.K, self.B, space.dirichlet_dofs,
-                                           "stokes")
+        # K and M/dt + K share their pattern: the heat LU's symmetric
+        # ordering serves the Stokes LU (a COLAMD fallback is not reused)
+        heat_order = self.heat.fact.order
+        self.stokes = saddle_factorization(
+            self.K, self.B, space.dirichlet_dofs, "stokes",
+            heat_order if heat_order.symmetric else None)
         self.factorizations = Counter(heat=1, stokes=1, linearized=0, lagged=0,
                                       krylov_iterations=0)
         self._template = _LinearizedTemplate(space, self.M / dt + nu * self.K, self.B)
@@ -239,8 +253,7 @@ class Operators:
         previous level of a direction sweep, holds an LU younger than
         ``LU_LAG`` levels, which it then reuses."""
         t = self._template
-        return LinearizedLevel(t.matrix(y_level), self.space.n_velocity,
-                               t.constrained, self.factorizations, held)
+        return LinearizedLevel(t.matrix(y_level), t, self.factorizations, held)
 
 
 def sweep(ops: Operators, loads: np.ndarray, y: FieldTrajectory | None = None,

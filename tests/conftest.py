@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nslsq.fem import Space, build_space
-from nslsq.mesh import generate_semidisk, generate_unit_square
+from nslsq.mesh import Mesh, generate_semidisk, generate_unit_square
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +38,16 @@ def linear_field(space: Space, coeffs_x, coeffs_y) -> np.ndarray:
     ax, bx, cx = coeffs_x
     ay, by, cy = coeffs_y
     return np.concatenate([ax + bx * x + cx * y, ay + by * x + cy * y])
+
+
+def jittered_semidisk(h: float, seed: int) -> Mesh:
+    """The semi-disk with every interior vertex moved by at most a tenth
+    of the shortest edge of the mesh."""
+    mesh = generate_semidisk(h)
+    p, t = mesh.vertices, mesh.triangles
+    shortest = min(np.linalg.norm(p[t[:, i]] - p[t[:, (i + 1) % 3]], axis=1).min()
+                   for i in range(3))
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(-0.07, 0.07, p.shape) * shortest
+    shift[np.unique(mesh.boundary_edges)] = 0.0
+    return Mesh(p + shift, t, mesh.boundary_edges, mesh.boundary_tags)

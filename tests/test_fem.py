@@ -16,7 +16,7 @@ from nslsq.fem import (
 )
 from nslsq.mesh import Tag
 
-from conftest import constant_field, linear_field
+from conftest import constant_field, jittered_semidisk, linear_field
 
 # P2 element mass matrix of a triangle with area A, local order
 # [v0, v1, v2, e01, e12, e20], integrated exactly (frozen CAS result).
@@ -186,13 +186,29 @@ def test_linearized_convection_is_directional_derivative(square2):
     assert errs[1] / errs[0] == pytest.approx(2.0, rel=0.05)
 
 
+def _convection_vector_einsum(space, a, u):
+    """The per-component einsum form of ``convection_vector``."""
+    r = space.rule5
+    integrand = np.einsum("tqd,tqcd->tqc", space.velocity_at_quad(a, r),
+                          space.velocity_grad_at_quad(u, r))
+    return np.concatenate([
+        space.scatter_p2_vector(
+            np.einsum("t,q,tq,qi->ti", space.det, r.w, integrand[:, :, c], r.phi))
+        for c in range(2)])
+
+
 def test_convection_vector_matches_matrix(square2):
+    """The load equals the convection matrix times u, and the einsum
+    formula it replaced, on a structured square and a jittered semi-disk."""
     rng = np.random.default_rng(17)
-    a = rng.standard_normal(square2.n_velocity)
-    u = rng.standard_normal(square2.n_velocity)
-    direct = convection_vector(square2, a, u)
-    viamat = assemble_convection(square2, a) @ u
-    assert np.abs(direct - viamat).max() < 1e-12 * max(1.0, np.abs(direct).max())
+    for space in (square2, build_space(jittered_semidisk(0.2, 3))):
+        a = rng.standard_normal(space.n_velocity)
+        u = rng.standard_normal(space.n_velocity)
+        direct = convection_vector(space, a, u)
+        viamat = assemble_convection(space, a) @ u
+        assert np.abs(direct - viamat).max() < 1e-12 * max(1.0, np.abs(direct).max())
+        oracle = _convection_vector_einsum(space, a, u)
+        assert np.abs(direct - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
 
 def test_assembly_determinism(disk_coarse):

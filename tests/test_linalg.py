@@ -4,9 +4,19 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nslsq.fem import assemble_divergence, assemble_stiffness, build_space
-from nslsq.linalg import RESIDUAL_TOL, Factorization, SolverError, saddle_factorization
-from nslsq.mesh import Mesh, generate_semidisk
+from nslsq.linalg import (
+    KRYLOV_CYCLES,
+    KRYLOV_RESTART,
+    KRYLOV_RTOL,
+    RESIDUAL_TOL,
+    Factorization,
+    SolverError,
+    krylov_solve,
+    saddle_factorization,
+)
 from nslsq.timestepping import Operators, TimeGrid
+
+from conftest import jittered_semidisk
 
 
 def test_one_by_one():
@@ -142,25 +152,12 @@ def test_unsymmetric_matrix_keeps_colamd():
     assert f.lu_nnz == plain.nnz
 
 
-def _jittered_semidisk(h: float, seed: int) -> Mesh:
-    """The semi-disk with every interior vertex moved by at most a tenth
-    of the shortest edge of the mesh."""
-    mesh = generate_semidisk(h)
-    p, t = mesh.vertices, mesh.triangles
-    shortest = min(np.linalg.norm(p[t[:, i]] - p[t[:, (i + 1) % 3]], axis=1).min()
-                   for i in range(3))
-    rng = np.random.default_rng(seed)
-    shift = rng.uniform(-0.07, 0.07, p.shape) * shortest
-    shift[np.unique(mesh.boundary_edges)] = 0.0
-    return Mesh(p + shift, t, mesh.boundary_edges, mesh.boundary_tags)
-
-
 @pytest.mark.parametrize("mesh", ["square4", "jittered-semidisk"])
 def test_heat_and_stokes_symmetric_lu_first_pass(mesh, square4):
     """Heat and Stokes solves with random loads and Dirichlet values meet
     the residual contract without refinement and agree with a COLAMD LU
     of the same matrix."""
-    space = square4 if mesh == "square4" else build_space(_jittered_semidisk(0.2, 3))
+    space = square4 if mesh == "square4" else build_space(jittered_semidisk(0.2, 3))
     ops = Operators(space, TimeGrid(0.1, 1), nu=0.01)
     rng = np.random.default_rng(6)
     for saddle in (ops.heat, ops.stokes):
@@ -175,3 +172,49 @@ def test_heat_and_stokes_symmetric_lu_first_pass(mesh, square4):
         assert np.abs(fact.matrix @ x - b).max() <= RESIDUAL_TOL * (1 + np.abs(b).max())
         ref = spla.splu(fact.matrix, permc_spec="COLAMD").solve(b)
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def _unsymmetric(n: int, seed: int) -> sp.csc_matrix:
+    rng = np.random.default_rng(seed)
+    return sp.csc_matrix(sp.random(n, n, density=0.05, random_state=rng)
+                         + 4 * sp.eye(n))
+
+
+def test_krylov_nearby_lu_one_lu_solve_per_iteration():
+    """GMRES preconditioned with the LU of a nearby matrix meets the
+    relative residual test, and with right preconditioning takes one LU
+    solve per iteration plus one for the start."""
+    a = _unsymmetric(200, 7)
+    near = a + 1e-2 * _unsymmetric(200, 8)
+    fact = Factorization(a)
+    fact._lu = _RecordingLU(fact._lu)
+    b = np.random.default_rng(9).standard_normal(200)
+    x, iterations = krylov_solve(near, fact, b)
+    assert x is not None and 0 < iterations <= KRYLOV_RESTART
+    assert np.linalg.norm(b - near @ x) <= KRYLOV_RTOL * np.linalg.norm(b)
+    assert len(fact._lu.rhs) == iterations + 1
+
+
+def test_krylov_own_lu_takes_no_iteration():
+    a = _unsymmetric(200, 7)
+    fact = Factorization(a)
+    fact._lu = _RecordingLU(fact._lu)
+    b = np.random.default_rng(10).standard_normal(200)
+    x, iterations = krylov_solve(a, fact, b)
+    assert iterations == 0 and len(fact._lu.rhs) == 1
+    assert np.linalg.norm(b - a @ x) <= KRYLOV_RTOL * np.linalg.norm(b)
+
+
+def test_krylov_far_lu_gives_up():
+    """The identity's LU captures nothing of a cyclic shift of 100
+    unknowns: restarted GMRES runs out of cycles and returns no solution."""
+    n = 100
+    shift = sp.csc_matrix((np.ones(n), (np.roll(np.arange(n), -1), np.arange(n))))
+    fact = Factorization(sp.eye(n, format="csc"))
+    fact._lu = _RecordingLU(fact._lu)
+    b = np.zeros(n)
+    b[0] = 1.0
+    x, iterations = krylov_solve(shift, fact, b)
+    assert x is None
+    assert iterations <= KRYLOV_CYCLES * KRYLOV_RESTART
+    assert len(fact._lu.rhs) == iterations + 1

@@ -12,7 +12,7 @@ from nslsq.fem import (
     lid_boundary_values,
     load_vector,
 )
-from nslsq.linalg import saddle_factorization
+from nslsq.linalg import Factorization, saddle_factorization
 from nslsq.mesh import Tag, generate_semidisk, generate_unit_square
 from nslsq.timestepping import (
     Operators,
@@ -254,3 +254,33 @@ def test_heat_and_stokes_lu_fill_desk():
         for fact in (ops.heat.fact, ops.stokes.fact):
             assert fact.ordering == "mmd-sym"
             assert fact.lu_nnz <= 500_000
+
+
+@pytest.mark.parametrize("mesh", ["square4", "disk_coarse"])
+def test_later_linearized_lu_holds_first_ordering(mesh, request):
+    """A later linearized LU of one template is made on the first LU's
+    COLAMD ordering, and matches a fresh COLAMD LU of its own matrix in
+    fill and in its solution."""
+    space = request.getfixturevalue(mesh)
+    ops = Operators(space, TimeGrid(1.0, 10), nu=0.01)
+    rng = np.random.default_rng(23)
+    first = ops.linearized(rng.standard_normal(space.n_velocity)).fact
+    later = ops.linearized(rng.standard_normal(space.n_velocity)).fact
+    assert later.order is first.order  # held, not computed again
+    fresh = Factorization(later.matrix, "linearized")
+    assert later.ordering == fresh.ordering == "colamd"
+    assert later.lu_nnz == fresh.lu_nnz
+    b = rng.standard_normal(later.n)
+    ref = fresh.solve(b)
+    assert np.abs(later.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_stokes_lu_holds_heat_ordering(disk_coarse):
+    """The Stokes LU is made on the heat LU's symmetric ordering, with the
+    fill of its own fresh symmetric LU."""
+    ops = Operators(disk_coarse, TimeGrid(0.1, 1), nu=0.01)
+    heat, stokes = ops.heat.fact, ops.stokes.fact
+    assert stokes.order is heat.order
+    fresh = Factorization(stokes.matrix, "stokes")
+    assert stokes.ordering == fresh.ordering == "mmd-sym"
+    assert stokes.lu_nnz == fresh.lu_nnz
