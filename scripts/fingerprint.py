@@ -20,7 +20,9 @@ Each solve saves its outcome, its sqrt2E, lambda and rel_increment rows
 prints, per solve, whether it is bit-identical, the largest sqrt2E row
 deviation in units of r_k + r_{k-1} (with r_{-1} = 0), and the largest
 trajectory difference relative to the max-abs of the first trajectory.
-It exits 1 when an outcome or an iteration count differs.
+It exits 1 when an outcome or an iteration count differs, when a sqrt2E
+row deviates by more than ROW_GATE (r_k + r_{k-1}), or when a sqrt2E row
+is NaN in one file only.
 """
 
 import argparse
@@ -44,6 +46,7 @@ from nslsq.timestepping import TimeGrid  # noqa: E402
 
 SOLVERS = {"E": damped_newton_solve, "Etilde": residual_variant_solve}
 ROWS = ("sqrt2E", "lambda", "rel_increment")
+ROW_GATE = 1e-9  # largest sqrt2E row deviation, in units of r_k + r_{k-1}
 
 
 def _manufactured(nu):
@@ -93,7 +96,7 @@ def compare(path_a, path_b) -> int:
     a, b = np.load(path_a), np.load(path_b)
     status = 0
     print(f"{'solve':<28} {'outcome':<16} {'iters':>5} {'identical':>9} "
-          f"{'row dev':>9} {'traj rel':>9}")
+          f"{'row dev':>9} {'traj rel':>9} {'gate':>5}")
     for name in a["names"]:
         outcome = str(a[f"{name}/outcome"])
         ra, rb = a[f"{name}/sqrt2E"], b[f"{name}/sqrt2E"]
@@ -110,10 +113,15 @@ def compare(path_a, path_b) -> int:
         dev = np.abs(ra - rb)
         scale = ra + np.concatenate([[0.0], ra[:-1]])
         with np.errstate(divide="ignore", invalid="ignore"):
-            row_dev = float(np.max(np.where(dev == 0.0, 0.0, dev / scale)))
+            ratio = np.where(dev == 0.0, 0.0, dev / scale)  # NaN where both are NaN
+        one_sided = np.isnan(ra) != np.isnan(rb)
+        row_dev = np.nan if one_sided.any() else float(np.nanmax(ratio, initial=0.0))
+        passed = not one_sided.any() and not (ratio > ROW_GATE).any()
+        status = status if passed else 1
         traj_rel = float(np.abs(ta - tb).max() / max(np.abs(ta).max(), 1e-300))
         print(f"{name:<28} {outcome:<16} {len(ra) - 1:>5} "
-              f"{'yes' if identical else 'no':>9} {row_dev:>9.2e} {traj_rel:>9.2e}")
+              f"{'yes' if identical else 'no':>9} {row_dev:>9.2e} {traj_rel:>9.2e} "
+              f"{'ok' if passed else 'FAIL':>5}")
     return status
 
 

@@ -6,21 +6,24 @@
 Each case is the semi-disk cavity at one mesh size, step and viscosity:
 the desk mesh (h = 0.05, nu = 1/500) at dt = 0.02 and 0.01, h = 0.025
 at dt = 0.02 (nu = 1/500), and the full-scale mesh (h = 0.0162) at
-dt = 0.01, nu = 1/1100.  For each label it factorizes the matrix the
-solver factorizes, as the solver does (``linalg.Factorization``), and
-prints the matrix nnz, the ordering the LU took, whether it computed
-that ordering (``fresh``) or took one held from an earlier LU of the same
-pattern (``held``), its fill (``lu_nnz``, the entries SuperLU stores for
-L and U) and the time of that factorization.  The LUs are the heat-type
-operator (fresh symmetric ordering) and the Stokes-type operator (on the
-heat LU's ordering), one LU per run each, then two linearized levels
-(one LU per three levels of each direction sweep): the first at the
-steady Stokes lid field, which orders the pattern by COLAMD, and a later
-one at half that field, on the held ordering.  The two linearized rows
-give the per-level saving of the held ordering.  It takes about 20 s on
-a 2-core VM, most of it at full scale.
+dt = 0.01, nu = 1/1100.  For each label it takes the LU the solver
+makes (``linalg.Factorization`` on the matrix's ``EliminatedPattern``)
+and prints the matrix nnz, the ordering the LU took, whether it computed
+that ordering (``fresh``) or took the one its pattern holds from the
+pattern's first LU (``held``), and its fill (``lu_nnz``, the entries
+SuperLU stores for L and U).  It then times a fresh LU of the same
+matrix and one on the pattern's held ordering, three of each,
+interleaved, and prints the median of each side by side.  The LUs are
+the heat-type operator (the first LU of its pattern), the Stokes-type
+operator (on the heat LU's ordering; one LU per run each), then two
+linearized levels (one LU per three levels of each direction sweep): the
+first at the steady Stokes lid field, which orders the linearized
+pattern by COLAMD, and a later one at half that field, on the held
+ordering.  The linearized rows give the per-level saving of the held
+ordering.  It takes about 45 s on a 2-core VM, most of it at full scale.
 """
 
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -42,9 +45,20 @@ CASES = (
 )
 
 
+def median_seconds(makers: dict, repeats: int = 3) -> dict:
+    """Median time of each LU maker, over ``repeats`` interleaved rounds."""
+    times = {name: [] for name in makers}
+    for _ in range(repeats):
+        for name, make in makers.items():
+            t0 = time.perf_counter()
+            make()
+            times[name].append(time.perf_counter() - t0)
+    return {name: statistics.median(t) for name, t in times.items()}
+
+
 def main():
     print(f"{'case':<11} {'dt':>6} {'nu':>9} {'label':<11} {'nnz(A)':>10} "
-          f"{'ordering':<8} {'source':<6} {'nnz(L+U)':>11} {'LU s':>8}")
+          f"{'ordering':<8} {'source':<6} {'nnz(L+U)':>11} {'fresh s':>8} {'held s':>8}")
     spaces = {}
     for name, h, dt, nu in CASES:
         if h not in spaces:
@@ -52,16 +66,21 @@ def main():
         space = spaces[h]
         ops = Operators(space, TimeGrid(dt, 1), nu)
         lid = steady_stokes_initial(ops, lid_boundary_values(space, lid_profile))
-        for label, fact in (("heat", ops.heat.fact), ("stokes", ops.stokes.fact),
-                            ("linearized", ops.linearized(lid).fact),
-                            ("linearized", ops.linearized(0.5 * lid).fact)):
-            t0 = time.perf_counter()
-            lu = Factorization.reusing(fact.held, fact.matrix, label)
-            secs = time.perf_counter() - t0
-            source = "held" if lu.order is lu.held else "fresh"
+        saddles = (("heat", lambda: ops.heat), ("stokes", lambda: ops.stokes),
+                   ("linearized", lambda: ops.linearized(lid)),
+                   ("linearized", lambda: ops.linearized(0.5 * lid)))
+        for label, make_saddle in saddles:
+            saddle = make_saddle()
+            fact, pattern = saddle.fact, saddle.pattern
+            source = "held" if fact.order is fact.held else "fresh"
+            secs = median_seconds({
+                "fresh": lambda: Factorization(fact.matrix, label),
+                "held": lambda: pattern.factorize(fact.matrix, label)})
             print(f"{name:<11} {dt:>6} {f'1/{round(1 / nu)}':>9} {label:<11} "
-                  f"{fact.matrix.nnz:>10} {lu.ordering:<8} {source:<6} {lu.lu_nnz:>11} "
-                  f"{secs:>8.3f}", flush=True)
+                  f"{fact.matrix.nnz:>10} {fact.ordering:<8} {source:<6} "
+                  f"{fact.lu_nnz:>11} {secs['fresh']:>8.3f} {secs['held']:>8.3f}",
+                  flush=True)
+            del saddle, fact  # one linearized level alive at a time
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import manufactured as mf
 from .fem import Space, build_space, vorticity_load
-from .linalg import Factorization, SolverError, eliminate_dirichlet
+from .linalg import EliminatedPattern, SolverError
 from .mesh import (
     Mesh,
     Tag,
@@ -195,8 +195,9 @@ def build_mesh(config: ExperimentConfig) -> Mesh:
 def stream_function(space: Space, u: np.ndarray) -> np.ndarray:
     """Scalar P2 stream function: -Lap(psi) = d2 u1 - d1 u2 weakly, psi = 0
     on the whole boundary; streamlines are its iso-contours."""
-    matrix, _ = eliminate_dirichlet(space.scalar_stiffness, space.boundary_nodes)
-    fact = Factorization(matrix, "stream")
+    k = space.scalar_stiffness.tocoo()
+    pattern = EliminatedPattern(k.row, k.col, space.n_scalar, space.boundary_nodes)
+    fact = pattern.factorize(pattern.matrix(k.data), "stream")
     b = vorticity_load(space, u)
     b[space.boundary_nodes] = 0.0
     psi = fact.solve(b)

@@ -1,18 +1,17 @@
 """Sparse saddle-point systems, direct LU solves with residual checks,
 and GMRES preconditioned with the LU of a nearby matrix.
 
-Every LU is made by ``Factorization``, with one ordering rule: a matrix
-equal to its transpose (the heat, Stokes and stream operators after the
-symmetric Dirichlet elimination) is ordered by minimum degree on
-``A + A^T`` with diagonal pivots (SuperLU's symmetric mode); any other
-matrix (the linearized operator, whose convection is unsymmetric) keeps
-COLAMD with partial pivoting, which fills it less.  The diagonal pivot
-threshold ``DIAG_PIVOT_THRESH`` is small, so the symmetric ordering
-survives pivoting, but not zero: at zero a tiny nonzero diagonal is
-taken as the pivot however large its column.  An ordering depends only
-on the sparsity pattern, so an LU made by ``Factorization.reusing`` takes
-the ``Ordering`` of an earlier LU of the same pattern instead of
-computing it again.
+Every eliminated matrix is a matrix of an ``EliminatedPattern``, which
+eliminates the constrained dofs once; a ``SaddlePattern`` also lays out
+the saddle right-hand side and solution.  An ordering depends only on
+the sparsity pattern, so every LU after a pattern's first takes its
+ordering.  A pattern's first LU (``Factorization``) orders a matrix equal
+to its transpose (heat, Stokes, stream) by minimum degree on ``A + A^T``
+with diagonal pivots, and any other (the linearized operator) by COLAMD
+with partial pivoting, which fills it less.  ``DIAG_PIVOT_THRESH`` is
+small, so the symmetric ordering survives pivoting, but not zero: at
+zero a tiny nonzero diagonal is taken as the pivot however large its
+column.
 
 Every solve is verified against the relative residual contract
 ``||Ax - b||_inf <= 1e-8 (1 + ||b||_inf)``; a single step of iterative
@@ -92,13 +91,14 @@ class Factorization:
     pivot, or is reported singular, as before the symmetric ordering.
 
     ``Factorization.reusing(order, matrix, label)`` factorizes ``matrix``
-    on the ``order`` of an earlier LU of the same sparsity pattern, with
-    that LU's pivoting rule, and skips the ordering and the symmetry test:
-    it factorizes the ordered matrix in SuperLU's natural order and
-    permutes every solve around it.  If that LU meets an exactly zero
-    pivot, the matrix is factorized afresh.  The held ordering reaches
-    ``__init__`` through the ``held`` attribute, so that every LU is made
-    by the one ``__init__(matrix, label)``.
+    on the ``order`` of an earlier LU of the same sparsity pattern (which
+    its ``EliminatedPattern`` holds), with that LU's pivoting rule, and
+    skips the ordering and the symmetry test: it factorizes the ordered
+    matrix in SuperLU's natural order and permutes every solve around it.
+    If that LU meets an exactly zero pivot, the matrix is factorized
+    afresh.  The held ordering reaches ``__init__`` through the ``held``
+    attribute, so that every LU is made by the one
+    ``__init__(matrix, label)``.
 
     ``ordering`` (``"mmd-sym"`` or ``"colamd"``, also for a held ordering)
     and ``lu_nnz`` record which LU was made, and ``order`` is its
@@ -250,90 +250,125 @@ def krylov_solve(matrix: sp.spmatrix, fact: Factorization,
     return (x if accepted else None), iterations
 
 
-def eliminated_entries(coo: sp.coo_matrix, constrained: np.ndarray):
-    """COO entries of the symmetric elimination of the constrained dofs.
+class EliminatedPattern:
+    """Sparsity pattern of square matrices whose constrained dofs are
+    eliminated symmetrically, in CSC.
 
-    Returns ``(rows, cols, data, free)``: the free-free entries in their
-    original order followed by a unit diagonal on the constrained dofs,
-    and the mask of free dofs.
-    """
-    free = np.ones(coo.shape[0], dtype=bool)
-    free[constrained] = False
-    keep = free[coo.row] & free[coo.col]
-    rows = np.concatenate([coo.row[keep], constrained])
-    cols = np.concatenate([coo.col[keep], constrained])
-    data = np.concatenate([coo.data[keep], np.ones(len(constrained))])
-    return rows, cols, data, free
-
-
-def eliminate_dirichlet(
-    matrix: sp.spmatrix, constrained: np.ndarray
-) -> tuple[sp.csc_matrix, sp.csr_matrix]:
-    """Symmetric elimination of the constrained dofs of a square matrix.
-
-    Returns the eliminated matrix (identity on constrained rows/columns)
-    and the coupling matrix mapping constrained values to the rhs
-    correction of the free rows.
-    """
-    n = matrix.shape[0]
-    coo = matrix.tocoo()
-    rows, cols, data, free = eliminated_entries(coo, constrained)
-    eliminated = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
-
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[constrained] = np.arange(len(constrained))
-    cpl = free[coo.row] & ~free[coo.col]
-    coupling = sp.coo_matrix(
-        (coo.data[cpl], (coo.row[cpl], pos[coo.col[cpl]])),
-        shape=(n, len(constrained))).tocsr()
-    return eliminated, coupling
-
-
-class SaddleFactorization:
-    """LU of an eliminated saddle matrix.  Each solve takes the momentum
-    load and one vector of Dirichlet values aligned with the velocity
-    Dirichlet dofs (zero when omitted); ``coupling`` carries the values
-    into the free rows.  ``order`` is an ordering held from an LU of the
-    same pattern (``Factorization.reusing``), or None.
+    Built once from the ``(rows, cols)`` of every entry a matrix of the
+    pattern may hold (an entry may repeat); a matrix is then given by its
+    entry ``values`` in that order.  Entries on a constrained row or column
+    are dropped, not stored as zeros, which COLAMD and SuperLU would fill
+    like nonzeros, and each constrained dof gets a unit diagonal.
+    ``matrix(values)`` sums each slot's values in entry order with one
+    ``bincount``, and every matrix shares ``indices``/``indptr``.
+    ``coupling(values)`` maps constrained values to their load on the free
+    rows.  Every LU made on the pattern (``factorize``) after its first
+    takes the first one's ordering.
     """
 
-    def __init__(self, matrix: sp.spmatrix, n_vel: int, constrained: np.ndarray,
-                 label: str, coupling: sp.spmatrix, order: Ordering | None = None):
-        self.n_vel = n_vel
-        self.constrained = constrained
-        self.coupling = coupling
-        self.fact = Factorization.reusing(order, matrix, label)
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int,
+                 constrained: np.ndarray):
+        self.n = n
+        self.constrained = np.asarray(constrained, dtype=np.intp)
+        nc = len(self.constrained)
+        free = np.ones(n, dtype=bool)
+        free[self.constrained] = False
+        free_row, free_col = free[rows], free[cols]
+        keep = free_row & free_col
+        keys, slots = np.unique(
+            np.concatenate([cols[keep].astype(np.int64) * n + rows[keep],
+                            self.constrained * (n + 1)]),
+            return_inverse=True)
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
+        self._slots = np.full(len(rows), len(keys))  # dropped: one slot past the end
+        self._slots[keep] = slots[: len(slots) - nc]
+        self._diagonal = slots[len(slots) - nc:]
+        self._coupled = np.flatnonzero(free_row & ~free_col)
+        position = np.empty(n, dtype=np.intp)
+        position[self.constrained] = np.arange(nc)
+        self._coupled_at = rows[self._coupled], position[cols[self._coupled]]
+        self.order: Ordering | None = None
 
-    def solve(
-        self, load: np.ndarray, values: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Solve for (velocity, multiplier) with momentum load and zero
-        divergence rhs; constrained entries are set exactly."""
+    def matrix(self, values: np.ndarray) -> sp.csc_matrix:
+        data = np.bincount(self._slots, weights=values,
+                           minlength=len(self.indices) + 1)[:-1]
+        data[self._diagonal] = 1.0
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def coupling(self, values: np.ndarray) -> sp.csr_matrix:
+        return sp.coo_matrix((values[self._coupled], self._coupled_at),
+                             shape=(self.n, len(self.constrained))).tocsr()
+
+    def factorize(self, matrix: sp.csc_matrix, label: str) -> Factorization:
+        """LU of a matrix of this pattern, on the held ordering after the first."""
+        fact = Factorization.reusing(self.order, matrix, label)
+        self.order = fact.order
+        return fact
+
+
+class SaddlePattern(EliminatedPattern):
+    """Eliminated pattern of the saddle matrix ``[[A, B^T], [B, 0]]``, with
+    the velocity Dirichlet dofs constrained and the first pressure dof
+    pinned to zero (removing the constant-pressure nullspace).
+
+    ``a_rows``/``a_cols`` are the entries of the velocity block ``A``, and
+    ``values(*a_values)`` is the value vector of a matrix: the divergence
+    values, then those of ``A``.  ``solve`` is the layout of every saddle
+    solve: the momentum load goes into the velocity rows and the Dirichlet
+    values (zero when omitted) onto the constrained rows, and the solution
+    splits into ``(velocity, multiplier)``.
+    """
+
+    def __init__(self, a_rows: np.ndarray, a_cols: np.ndarray, B: sp.spmatrix,
+                 dirichlet_dofs: np.ndarray):
+        self.n_vel = n_vel = B.shape[1]
+        b = B.tocoo()
+        self._b_values = np.concatenate([b.data, b.data])
+        super().__init__(np.concatenate([b.col, n_vel + b.row, a_rows]),
+                         np.concatenate([n_vel + b.row, b.col, a_cols]),
+                         n_vel + B.shape[0], np.append(dirichlet_dofs, n_vel))
+
+    def values(self, *a_values: np.ndarray) -> np.ndarray:
+        return np.concatenate([self._b_values, *a_values])
+
+    def solve(self, solve, load: np.ndarray, values: np.ndarray | None = None,
+              coupling: sp.spmatrix | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(velocity, multiplier) of ``solve``, a solver of a matrix of this
+        pattern, for the momentum ``load``, zero divergence and the
+        Dirichlet ``values`` (carried into the free rows by the matrix's
+        ``coupling``); constrained entries are set exactly."""
         cvals = (np.zeros(len(self.constrained)) if values is None
                  else np.append(values, 0.0))
-        b = np.zeros(self.fact.n)
+        b = np.zeros(self.n)
         b[: self.n_vel] = load
         if cvals.any():
-            b -= self.coupling @ cvals
+            b -= coupling @ cvals
         b[self.constrained] = cvals
-        x = self.fact.solve(b)
+        x = solve(b)
         x[self.constrained] = cvals
         return x[: self.n_vel], x[self.n_vel:]
 
 
-def saddle_constrained(dirichlet_dofs: np.ndarray, n_vel: int) -> np.ndarray:
-    """Constrained unknowns of a saddle system: the Dirichlet velocity dofs
-    and the pinned first pressure dof."""
-    return np.concatenate([dirichlet_dofs, [n_vel]]).astype(np.int64)
+class SaddleFactorization:
+    """LU and Dirichlet coupling of one matrix of a ``SaddlePattern``,
+    given by its ``values``; each solve takes the momentum load and the
+    Dirichlet values (zero when omitted), as ``SaddlePattern.solve``."""
+
+    def __init__(self, pattern: SaddlePattern, values: np.ndarray, label: str):
+        self.pattern = pattern
+        self.fact = pattern.factorize(pattern.matrix(values), label)
+        self.coupling = pattern.coupling(values)
+
+    def solve(self, load: np.ndarray, values: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+        return self.pattern.solve(self.fact.solve, load, values, self.coupling)
 
 
 def saddle_factorization(A: sp.spmatrix, B: sp.spmatrix, dirichlet_dofs: np.ndarray,
-                         label: str, order: Ordering | None = None) -> SaddleFactorization:
-    """Factorize the block system [[A, B^T], [B, 0]] with the velocity
-    Dirichlet dofs eliminated and the first pressure dof pinned to zero
-    (removing the constant-pressure nullspace), on ``order`` when given."""
-    n_vel = A.shape[0]
-    s_full = sp.bmat([[A, B.T], [B, None]], format="coo")
-    constrained = saddle_constrained(dirichlet_dofs, n_vel)
-    matrix, coupling = eliminate_dirichlet(s_full, constrained)
-    return SaddleFactorization(matrix, n_vel, constrained, label, coupling, order)
+                         label: str) -> SaddleFactorization:
+    """LU of [[A, B^T], [B, 0]] on a saddle pattern of its own."""
+    a = A.tocoo()
+    pattern = SaddlePattern(a.row, a.col, B, dirichlet_dofs)
+    return SaddleFactorization(pattern, pattern.values(a.data), label)

@@ -186,10 +186,10 @@ def compute_direction(ops: Operators, y: FieldTrajectory,
     the momentum defects as loads, shared by both residual measures.
 
     The operator at level n+1 carries the convection linearization at
-    y^{n+1}, assembled per level on a pattern shared by every level
-    (``timestepping._LinearizedTemplate``).  Every third level gets a
-    fresh LU; the levels in between are solved by GMRES preconditioned
-    with the last one (``timestepping.LinearizedLevel``).
+    y^{n+1}, assembled per level on the linearized pattern of ``ops``,
+    whose LUs after its first take that one's ordering.  Every third level
+    is factorized; the levels in between are solved by GMRES
+    preconditioned with the last LU (``Operators.linearized``).
     """
     return sweep(ops, defects, y)
 

@@ -3,41 +3,29 @@
 Every scheme of the outer iteration steps one constrained system
 ``(M/dt + A) u^{n+1} + B^T lam = M u^n/dt + load`` forward in time
 (``sweep``), and every Riesz lift solves one constant Stokes-type system
-per interval (``lift``).  The constant-coefficient operators (heat type
-``M/dt + K`` and Stokes type ``K``) are factorized once per run and
-reused across every time level and outer iterate; both are exactly
-symmetric after the Dirichlet elimination, so their LUs take
-``linalg.Factorization``'s symmetric ordering, and the Stokes LU takes
-the heat LU's ordering (the two share their sparsity pattern).  The
-linearized Navier-Stokes operator of the direction sweep is factorized
-on every ``LU_LAG``-th level only; the levels in between are solved by
-right-preconditioned GMRES on their own matrix, with the LU held from
-the last factorized level.  Its matrix is assembled at every level
-straight into CSC on one sparsity pattern, built on the first linearized
-level, that stores only the free-free entries and the unit diagonal of
-the constrained dofs: a stored zero fills the LU like a nonzero.  The
-first linearized LU of a run orders that pattern by COLAMD, and every
-later one reuses its ordering (``_LinearizedTemplate.order``).
+per interval (``lift``).  Every matrix here is a matrix of a
+``linalg.SaddlePattern``, and every LU after a pattern's first takes its
+ordering.  The heat-type ``M/dt + K`` and Stokes-type ``K`` operators
+share one pattern and are factorized once per run, for every time level
+and outer iterate.  The linearized Navier-Stokes operator of the
+direction sweep has a pattern of its own, shared by every viscosity.  It
+is assembled at every level and factorized on every ``LU_LAG``-th level
+only; the levels in between are solved by right-preconditioned GMRES on
+their own matrix, with the LU held from the last factorized level.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import fem
 from .fem import Space
-from .linalg import (
-    Factorization,
-    Ordering,
-    eliminated_entries,
-    krylov_solve,
-    saddle_constrained,
-    saddle_factorization,
-)
+from .linalg import SaddleFactorization, SaddlePattern, krylov_solve
 
 LU_LAG = 3  # a direction sweep factorizes every third level
 
@@ -85,73 +73,40 @@ class FieldTrajectory:
         return FieldTrajectory(self.grid, out)
 
 
-class _LinearizedTemplate:
-    """Linearized saddle operator at one level, assembled straight into CSC.
+class _Convection:
+    """Entries and values of the convection linearized at one level.
 
-    The constant part (M/dt + nu*K, divergence blocks, Dirichlet identity
-    rows, eliminated as in ``linalg.eliminate_dirichlet``) and the
-    positions of the free-free convection entries are prepared once.
-    Convection entries on constrained rows and columns are not stored at
-    all: COLAMD and SuperLU treat a stored zero as a structural nonzero,
-    and these zeros nearly doubled the fill.  The CSC pattern and the slot
-    of every entry are built on the first level (not at construction, so
-    operator set-up does not pay for it), and each level then only sums
-    its values into ``data``, every level sharing ``indices``/``indptr``.
-    ``order`` is the column ordering of the first LU on that pattern,
-    held for every later LU (None until the first).
+    The entries of block (c, d) come in (c, d, triangle, i, j) order.  The
+    linearized ``pattern`` holds the velocity-block entries of the
+    constant part ``M/dt + nu K`` first and these after them, so each
+    stored entry sums its constant part first.  The pattern is built on
+    the first linearized level, so operator set-up does not pay for it.
     """
 
-    def __init__(self, space: Space, a_const: sp.spmatrix, b_div: sp.spmatrix):
-        self.space = space
-        self.n_vel = a_const.shape[0]
-        self.n = self.n_vel + b_div.shape[0]
-        s = sp.bmat([[a_const, b_div.T], [b_div, None]], format="coo")
-        self.constrained = saddle_constrained(space.dirichlet_dofs, self.n_vel)
-        const_rows, const_cols, self.const_data, free = eliminated_entries(
-            s, self.constrained)
+    def __init__(self, space: Space, M: sp.spmatrix, B: sp.spmatrix):
+        self.space, self._M, self._B = space, M, B
 
-        # convection entries of block (c, d), ordered (c, d, triangle, i, j)
-        nt, ns = space.mesh.n_triangles, space.n_scalar
-        base_r = np.broadcast_to(space.tri_p2[:, :, None], (nt, 6, 6)).ravel()
-        base_c = np.broadcast_to(space.tri_p2[:, None, :], (nt, 6, 6)).ravel()
-        shift = ns * np.arange(2)
-        shape = (2, 2, base_r.size)
-        rows = np.broadcast_to(base_r + shift[:, None, None], shape).ravel()
-        cols = np.broadcast_to(base_c + shift[None, :, None], shape).ravel()
-        self._conv_keep = np.flatnonzero(free[rows] & free[cols])
-        self._rows = np.concatenate([const_rows, rows[self._conv_keep]])
-        self._cols = np.concatenate([const_cols, cols[self._conv_keep]])
-        self._pattern = None
-        self.order: Ordering | None = None
-
-    def _build_pattern(self):
-        """CSC ``indices``/``indptr`` of the operator, the slot of each
-        stored entry, and the reaction quadrature table."""
-        n = self.n
-        keys, slots = np.unique(self._cols.astype(np.int64) * n + self._rows,
-                                return_inverse=True)
-        indices = (keys % n).astype(np.int32)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        r = self.space.rule5
-        wphiphi = np.einsum("q,qi,qj->qij", r.w, r.phi, r.phi)
-        self._pattern = indices, indptr, slots, wphiphi
-
-    def matrix(self, y_level: np.ndarray) -> sp.csc_matrix:
-        if self._pattern is None:
-            self._build_pattern()
-        indices, indptr, slots, wphiphi = self._pattern
+    @cached_property
+    def pattern(self) -> SaddlePattern:
         space = self.space
-        gy = space.velocity_grad_at_quad(y_level, space.rule5)
+        tri = space.tri_p2 + space.n_scalar * np.arange(2)[:, None, None]  # (c, t, i)
+        shape = (2, 2, *space.tri_p2.shape, 6)
+        rows = np.broadcast_to(tri[:, None, :, :, None], shape).ravel()
+        cols = np.broadcast_to(tri[None, :, :, None, :], shape).ravel()
+        a = self._M.tocoo()  # K and M/dt + nu K share the entries of M
+        return SaddlePattern(np.concatenate([a.row, rows]), np.concatenate([a.col, cols]),
+                             self._B, space.dirichlet_dofs)
+
+    def values(self, y_level: np.ndarray) -> np.ndarray:
+        space, r = self.space, self.space.rule5
+        gy = space.velocity_grad_at_quad(y_level, r)
+        wphiphi = np.einsum("q,qi,qj->qij", r.w, r.phi, r.phi)
         conv = np.einsum("tqcd,qij->cdtij", gy * space.det[:, None, None, None],
                          wphiphi, optimize=True)
         ce = fem.convection_scalar_block(space, y_level)
         conv[0, 0] += ce
         conv[1, 1] += ce
-        values = np.concatenate([self.const_data,
-                                 conv.reshape(-1)[self._conv_keep]])
-        data = np.bincount(slots, weights=values, minlength=len(indices))
-        return sp.csc_matrix((data, indices, indptr), shape=(self.n, self.n))
+        return conv.reshape(-1)
 
 
 class LinearizedLevel:
@@ -162,14 +117,13 @@ class LinearizedLevel:
     held from the level ``age`` steps back.  A held LU preconditions GMRES
     on this level's matrix (``linalg.krylov_solve``); a solve GMRES does
     not resolve factorizes the level after all, so the next levels hold
-    its LU.  Every LU is made on the ``template``'s held ordering once it
-    has one.  ``counts`` is the run's ``Operators.factorizations``.
+    its LU.  ``counts`` is the run's ``Operators.factorizations``.
     """
 
-    def __init__(self, matrix: sp.csc_matrix, template: _LinearizedTemplate,
-                 counts: Counter, held: LinearizedLevel | None = None):
+    def __init__(self, pattern: SaddlePattern, matrix: sp.csc_matrix, counts: Counter,
+                 held: LinearizedLevel | None = None):
+        self.pattern = pattern
         self.matrix = matrix
-        self.template = template
         self.counts = counts
         if held is None or held.age + 1 == LU_LAG:
             self._factorize()
@@ -177,18 +131,15 @@ class LinearizedLevel:
             self.fact, self.age = held.fact, held.age + 1
 
     def _factorize(self):
-        t = self.template
-        self.fact = Factorization.reusing(t.order, self.matrix, "linearized")
-        t.order, self.age = self.fact.order, 0
+        self.fact, self.age = self.pattern.factorize(self.matrix, "linearized"), 0
         self.counts["linearized"] += 1
 
     def solve(self, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve for (velocity, multiplier) with momentum load and zero
         divergence rhs; constrained entries are zero."""
-        n_vel, constrained = self.template.n_vel, self.template.constrained
-        b = np.zeros(self.matrix.shape[0])
-        b[:n_vel] = load
-        b[constrained] = 0.0
+        return self.pattern.solve(self._solve, load)
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
         x = None
         # a non-finite load skips GMRES and propagates through the held LU,
         # as it does through a fresh one, to the outer divergence check
@@ -201,12 +152,17 @@ class LinearizedLevel:
             x = self.fact.solve(b)
         if self.age:
             self.counts["lagged"] += 1
-        x[constrained] = 0.0
-        return x[:n_vel], x[n_vel:]
+        return x
 
 
 class Operators:
     """Assembled matrices and factorizations shared by all schemes.
+
+    The heat LU (``M/dt + K``) and the Stokes LU (``K``) are made on one
+    saddle pattern, so the Stokes LU takes the heat LU's ordering.  The
+    linearized operator has a pattern of its own, shared by every
+    viscosity (``with_nu``), so every linearized LU after a run's first
+    takes the first one's ordering.
 
     ``factorizations`` counts, per run, the LUs by label (heat, stokes,
     linearized), the direction-sweep levels solved by GMRES on a held LU
@@ -224,26 +180,25 @@ class Operators:
         self.M = fem.assemble_mass(space)
         self.K = fem.assemble_stiffness(space)
         self.B = fem.assemble_divergence(space)
-        dt = grid.dt
-        self.heat = saddle_factorization(self.M / dt + self.K, self.B,
-                                         space.dirichlet_dofs, "heat")
-        # K and M/dt + K share their pattern: the heat LU's symmetric
-        # ordering serves the Stokes LU (a COLAMD fallback is not reused)
-        heat_order = self.heat.fact.order
-        self.stokes = saddle_factorization(
-            self.K, self.B, space.dirichlet_dofs, "stokes",
-            heat_order if heat_order.symmetric else None)
+        # one scatter assembles M and K, so K has the entries of M
+        a = self.M.tocoo()
+        pattern = SaddlePattern(a.row, a.col, self.B, space.dirichlet_dofs)
+        m_dt = (self.M / grid.dt).data
+        self.heat = SaddleFactorization(pattern, pattern.values(m_dt + self.K.data),
+                                        "heat")
+        self.stokes = SaddleFactorization(pattern, pattern.values(self.K.data), "stokes")
         self.factorizations = Counter(heat=1, stokes=1, linearized=0, lagged=0,
                                       krylov_iterations=0)
-        self._template = _LinearizedTemplate(space, self.M / dt + nu * self.K, self.B)
+        self._convection = _Convection(space, self.M, self.B)
+        self._a_values = m_dt + nu * self.K.data  # M/dt + nu K on the entries of M
 
     def with_nu(self, nu: float) -> "Operators":
-        """Share assembled matrices and constant factorizations, swap nu."""
+        """Share assembled matrices, factorizations and the linearized
+        pattern, swap nu."""
         other = object.__new__(Operators)
         other.__dict__.update(self.__dict__)
         other.nu = nu
-        other._template = _LinearizedTemplate(
-            self.space, self.M / self.grid.dt + nu * self.K, self.B)
+        other._a_values = (self.M / self.grid.dt).data + nu * self.K.data
         return other
 
     def linearized(self, y_level: np.ndarray,
@@ -252,8 +207,9 @@ class Operators:
         here for every level.  It is factorized afresh unless ``held``, the
         previous level of a direction sweep, holds an LU younger than
         ``LU_LAG`` levels, which it then reuses."""
-        t = self._template
-        return LinearizedLevel(t.matrix(y_level), t, self.factorizations, held)
+        pattern = self._convection.pattern
+        values = pattern.values(self._a_values, self._convection.values(y_level))
+        return LinearizedLevel(pattern, pattern.matrix(values), self.factorizations, held)
 
 
 def sweep(ops: Operators, loads: np.ndarray, y: FieldTrajectory | None = None,

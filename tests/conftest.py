@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nslsq.fem import Space, build_space
 from nslsq.mesh import Mesh, generate_semidisk, generate_unit_square
@@ -51,3 +52,31 @@ def jittered_semidisk(h: float, seed: int) -> Mesh:
     shift = rng.uniform(-0.07, 0.07, p.shape) * shortest
     shift[np.unique(mesh.boundary_edges)] = 0.0
     return Mesh(p + shift, t, mesh.boundary_edges, mesh.boundary_tags)
+
+
+def eliminate_dirichlet(matrix, constrained: np.ndarray):
+    """Reference symmetric elimination of the constrained dofs of a square
+    matrix, independent of ``linalg.EliminatedPattern``.
+
+    Returns the eliminated matrix (the free-free entries and a unit
+    diagonal on the constrained dofs, through ``coo.tocsc()``) and the
+    coupling matrix mapping constrained values to the rhs correction of
+    the free rows.
+    """
+    n = matrix.shape[0]
+    coo = matrix.tocoo()
+    free = np.ones(n, dtype=bool)
+    free[constrained] = False
+    keep = free[coo.row] & free[coo.col]
+    rows = np.concatenate([coo.row[keep], constrained])
+    cols = np.concatenate([coo.col[keep], constrained])
+    data = np.concatenate([coo.data[keep], np.ones(len(constrained))])
+    eliminated = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsc()
+
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[constrained] = np.arange(len(constrained))
+    cpl = free[coo.row] & ~free[coo.col]
+    coupling = sp.coo_matrix(
+        (coo.data[cpl], (coo.row[cpl], pos[coo.col[cpl]])),
+        shape=(n, len(constrained))).tocsr()
+    return eliminated, coupling

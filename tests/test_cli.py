@@ -14,7 +14,7 @@ from nslsq.cli import (
     stream_function,
     write_vtk,
 )
-from conftest import linear_field
+from conftest import eliminate_dirichlet, linear_field
 
 MINIMAL = """\
 [experiment]
@@ -97,7 +97,6 @@ def test_stream_function_rigid_rotation_dense_oracle(square2):
     """u = (-y, x): the weak vorticity equals -2 against interior tests;
     compare the sparse path to a dense solve of the same reduced system."""
     from nslsq.fem import vorticity_load
-    from nslsq.linalg import eliminate_dirichlet
 
     u = linear_field(square2, (0.0, 0.0, -1.0), (0.0, 1.0, 0.0))
     psi = stream_function(square2, u)

@@ -196,37 +196,65 @@ def test_homogeneous_levels_have_exact_zeros(disk_coarse):
     assert np.abs(traj.values[:, disk_coarse.dirichlet_dofs]).max() == 0.0
 
 
-def test_linearized_template_matches_direct_assembly(square2):
-    """Per-level operator from the sparsity template equals the one built
-    from scratch with bmat + elimination."""
+@pytest.mark.parametrize("label", ["heat", "stokes", "linearized", "stream"])
+def test_eliminated_matrices_match_direct_assembly(label, square2, monkeypatch):
+    """Every eliminated matrix the solver factorizes equals the one built
+    from scratch with bmat and the reference elimination: exactly for the
+    heat, Stokes and stream operators, to roundoff for the linearized one,
+    whose convection entries sum in another order.  None stores an entry
+    off the diagonal of a constrained dof, and the matrices of one
+    pattern share its ``indices``/``indptr``."""
     import scipy.sparse as sp
 
+    from conftest import eliminate_dirichlet
+    from nslsq import linalg
+    from nslsq.cli import stream_function
     from nslsq.fem import assemble_linearized_convection
-    from nslsq.linalg import eliminate_dirichlet
 
     space = square2
     grid = TimeGrid(1.0, 10)
     ops = Operators(space, grid, nu=0.01)
     rng = np.random.default_rng(12)
     y = rng.standard_normal(space.n_velocity)
-    fast = ops.linearized(y).fact.matrix
-
-    a_full = ops.M / grid.dt + ops.nu * ops.K + assemble_linearized_convection(space, y)
-    s = sp.bmat([[a_full, ops.B.T], [ops.B, None]], format="csr")
-    constrained = np.concatenate([space.dirichlet_dofs, [space.n_velocity]])
-    ref, _ = eliminate_dirichlet(s, constrained)
-    assert np.abs((fast - ref).tocoo().data).max(initial=0.0) < 1e-13
+    constrained = np.append(space.dirichlet_dofs, space.n_velocity)
+    a = {"heat": ops.M / grid.dt + ops.K, "stokes": ops.K,
+         "linearized": (ops.M / grid.dt + ops.nu * ops.K
+                        + assemble_linearized_convection(space, y))}
+    if label == "stream":
+        made = []
+        factorize = linalg.EliminatedPattern.factorize
+        monkeypatch.setattr(
+            linalg.EliminatedPattern, "factorize",
+            lambda self, m, lab: made.append(m) or factorize(self, m, lab))
+        stream_function(space, y)
+        (fast,) = made
+        constrained = space.boundary_nodes
+        ref, _ = eliminate_dirichlet(space.scalar_stiffness, constrained)
+    else:
+        saddle = ops.linearized(y) if label == "linearized" else getattr(ops, label)
+        fast = saddle.fact.matrix
+        s = sp.bmat([[a[label], ops.B.T], [ops.B, None]], format="csr")
+        ref, coupling = eliminate_dirichlet(s, constrained)
     assert fast.has_canonical_format
+    if label == "linearized":
+        assert np.abs((fast - ref).tocoo().data).max(initial=0.0) < 1e-13
+        other = ops.linearized(rng.standard_normal(space.n_velocity)).fact.matrix
+        assert np.shares_memory(other.indices, fast.indices)
+        assert np.shares_memory(other.indptr, fast.indptr)
+    else:
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(fast, attr), getattr(ref, attr))
+    if label in ("heat", "stokes"):
+        assert (saddle.coupling != coupling).nnz == 0
+        heat, stokes = ops.heat.fact.matrix, ops.stokes.fact.matrix
+        assert np.shares_memory(heat.indices, stokes.indices)
+        assert np.shares_memory(heat.indptr, stokes.indptr)
     # no stored entry, zero or not, off the diagonal of a constrained dof
     coo = fast.tocoo()
     touches = np.isin(coo.row, constrained) | np.isin(coo.col, constrained)
     assert np.array_equal(coo.row[touches], coo.col[touches])
     assert np.all(coo.data[touches] == 1.0)
     assert np.count_nonzero(touches) == len(constrained)
-    # every level shares one pattern
-    other = ops.linearized(rng.standard_normal(space.n_velocity)).fact.matrix
-    assert np.shares_memory(other.indices, fast.indices)
-    assert np.shares_memory(other.indptr, fast.indptr)
 
 
 def test_linearized_lu_fill_desk():
@@ -273,6 +301,21 @@ def test_later_linearized_lu_holds_first_ordering(mesh, request):
     b = rng.standard_normal(later.n)
     ref = fresh.solve(b)
     assert np.abs(later.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_with_nu_holds_linearized_ordering(disk_coarse):
+    """Operators of another viscosity share the linearized pattern: their
+    first linearized LU takes the ordering of the first one at the old
+    viscosity, with the fill of a fresh LU, and the heat and Stokes LUs
+    are not made again."""
+    ops = Operators(disk_coarse, TimeGrid(1.0, 10), nu=0.01)
+    rng = np.random.default_rng(24)
+    first = ops.linearized(rng.standard_normal(disk_coarse.n_velocity)).fact
+    later = ops.with_nu(0.002).linearized(
+        rng.standard_normal(disk_coarse.n_velocity)).fact
+    assert later.order is first.order
+    assert later.lu_nnz == Factorization(later.matrix, "linearized").lu_nnz
+    assert ops.factorizations["heat"] == ops.factorizations["stokes"] == 1
 
 
 def test_stokes_lu_holds_heat_ordering(disk_coarse):
