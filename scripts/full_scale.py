@@ -4,12 +4,15 @@
 Discretization: semi-disk with h ~ 1.62e-2 (~9000 triangles), T = 10,
 dt = 1e-2, stopping at sqrt(2E) <= 1e-8.  One run performs 1000
 backward-Euler levels per auxiliary solve.  The direction sweep of each
-outer iterate factorizes the linearized operator on one level in three,
-334 of the 1000 (``Operators.factorizations``), and solves the others by
-GMRES preconditioned with the held LU.  scripts/lu_fill.py measures one
-such factorization at about 1.3 s on a 2-core VM (nnz(L+U) 13.8M), so an
-outer iterate spends about 7 min factorizing; the GMRES solves have not
-been timed at this size.  Use --nu to run a single case.
+outer iterate factorizes the linearized operator on 334 of its 1000
+levels and solves the others by GMRES on the held LU, as
+``timestepping._direction_level`` decides (``Operators.factorizations``
+counts both).  On a 2-core VM, with nu = 1/500 and the Stokes initial
+guess, a linearized LU took 1.02-1.06 s (nnz(L+U) 13.8M) and a lagged
+level 27-38 ms with no GMRES iterations, so the first outer iterate
+spends about 6 min factorizing and 20 s on the lagged levels; later
+iterates add GMRES iterations to the lagged levels.  Use --nu to run a
+single case.
 
 With --check the computed sqrt(2E) column is compared row-by-row against
 the reference histories (2 significant figures); mismatches are reported,
@@ -27,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from nslsq.cli import lid_profile, write_history_csv  # noqa: E402
 from nslsq.fem import build_space  # noqa: E402
 from nslsq.mesh import generate_semidisk  # noqa: E402
-from nslsq.newton import damped_newton_solve  # noqa: E402
+from nslsq.newton import POLICIES, damped_newton_solve  # noqa: E402
 from nslsq.timestepping import TimeGrid  # noqa: E402
 
 # reference sqrt(2E) histories at h~1.62e-2, dt=1e-2, T=10 (quartic policy)
@@ -49,8 +52,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--nu", choices=list(REFERENCE), default="1/500")
-    ap.add_argument("--policy", default="quartic",
-                    choices=["quartic", "cheap", "fixed1"])
+    ap.add_argument("--policy", default="quartic", choices=POLICIES)
     ap.add_argument("--h", type=float, default=1.62e-2)
     ap.add_argument("--T", type=float, default=10.0)
     ap.add_argument("--dt", type=float, default=1e-2)

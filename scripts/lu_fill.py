@@ -16,11 +16,12 @@ matrix and one on the pattern's held ordering, three of each,
 interleaved, and prints the median of each side by side.  The LUs are
 the heat-type operator (the first LU of its pattern), the Stokes-type
 operator (on the heat LU's ordering; one LU per run each), then two
-linearized levels (one LU per three levels of each direction sweep): the
-first at the steady Stokes lid field, which orders the linearized
-pattern by COLAMD, and a later one at half that field, on the held
-ordering.  The linearized rows give the per-level saving of the held
-ordering.  It takes about 45 s on a 2-core VM, most of it at full scale.
+linearized levels (``Operators.linearized``, factorized on the levels
+``timestepping._direction_level`` picks): the first at the steady Stokes
+lid field, which orders the linearized pattern by COLAMD, and a later
+one at half that field, on the held ordering.  The linearized rows give
+the per-level saving of the held ordering.  It takes about 45 s on a
+2-core VM, most of it at full scale.
 """
 
 import statistics
@@ -66,12 +67,15 @@ def main():
         space = spaces[h]
         ops = Operators(space, TimeGrid(dt, 1), nu)
         lid = steady_stokes_initial(ops, lid_boundary_values(space, lid_profile))
-        saddles = (("heat", lambda: ops.heat), ("stokes", lambda: ops.stokes),
-                   ("linearized", lambda: ops.linearized(lid)),
-                   ("linearized", lambda: ops.linearized(0.5 * lid)))
-        for label, make_saddle in saddles:
-            saddle = make_saddle()
-            fact, pattern = saddle.fact, saddle.pattern
+        linearized = ops._convection.pattern
+        lus = (("heat", ops.heat.pattern, lambda: ops.heat.fact),
+               ("stokes", ops.stokes.pattern, lambda: ops.stokes.fact),
+               ("linearized", linearized, lambda: linearized.factorize(
+                   ops.linearized(lid), "linearized")),
+               ("linearized", linearized, lambda: linearized.factorize(
+                   ops.linearized(0.5 * lid), "linearized")))
+        for label, pattern, make_lu in lus:
+            fact = make_lu()
             source = "held" if fact.order is fact.held else "fresh"
             secs = median_seconds({
                 "fresh": lambda: Factorization(fact.matrix, label),
@@ -80,7 +84,7 @@ def main():
                   f"{fact.matrix.nnz:>10} {fact.ordering:<8} {source:<6} "
                   f"{fact.lu_nnz:>11} {secs['fresh']:>8.3f} {secs['held']:>8.3f}",
                   flush=True)
-            del saddle, fact  # one linearized level alive at a time
+            del fact  # one linearized level alive at a time
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nslsq.cli import ExperimentConfig, run_experiment, _PARSERS  # noqa: E402
+from nslsq.newton import POLICIES, VARIANTS  # noqa: E402
 
 
 def print_table(records):
@@ -35,9 +36,8 @@ def main():
     ap.add_argument("--h", type=float, default=0.05, help="target mesh size")
     ap.add_argument("--T", type=float, default=2.0, help="final time")
     ap.add_argument("--dt", type=float, default=0.02, help="time step")
-    ap.add_argument("--policy", default="quartic",
-                    choices=["quartic", "cheap", "fixed1"])
-    ap.add_argument("--variant", default="E", choices=["E", "Etilde"])
+    ap.add_argument("--policy", default="quartic", choices=POLICIES)
+    ap.add_argument("--variant", default="E", choices=VARIANTS)
     ap.add_argument("--schedule", default=None,
                     help="decreasing viscosity list, e.g. '1/500, 1/1000'")
     ap.add_argument("--snapshots", default="", help="comma-separated times")

@@ -194,15 +194,19 @@ def build_mesh(config: ExperimentConfig) -> Mesh:
 
 def stream_function(space: Space, u: np.ndarray) -> np.ndarray:
     """Scalar P2 stream function: -Lap(psi) = d2 u1 - d1 u2 weakly, psi = 0
-    on the whole boundary; streamlines are its iso-contours."""
+    on the whole boundary; streamlines are its iso-contours.  ``u`` is one
+    velocity or a stack of them (one per row), which share one LU."""
     k = space.scalar_stiffness.tocoo()
     pattern = EliminatedPattern(k.row, k.col, space.n_scalar, space.boundary_nodes)
     fact = pattern.factorize(pattern.matrix(k.data), "stream")
-    b = vorticity_load(space, u)
-    b[space.boundary_nodes] = 0.0
-    psi = fact.solve(b)
-    psi[space.boundary_nodes] = 0.0
-    return psi
+    velocities = np.reshape(u, (-1, space.n_velocity))
+    psi = np.empty((len(velocities), space.n_scalar))
+    for n, v in enumerate(velocities):
+        b = vorticity_load(space, v)
+        b[space.boundary_nodes] = 0.0
+        psi[n] = fact.solve(b)
+    psi[:, space.boundary_nodes] = 0.0
+    return psi.reshape(np.shape(u)[:-1] + (space.n_scalar,))
 
 
 def write_vtk(space: Space, fields: dict[str, np.ndarray], path):
@@ -344,13 +348,13 @@ def _run_manufactured(config: ExperimentConfig, space: Space, grid: TimeGrid):
 
 
 def _write_snapshots(config, space, grid, result: NewtonResult, outdir: Path):
-    for t_req in config.snapshots:
-        level = int(round(t_req / grid.dt))
-        level = min(max(level, 0), grid.N)
-        t_snap = level * grid.dt
-        u = result.trajectory.values[level]
-        fields = {"velocity": u, "stream_function": stream_function(space, u)}
-        write_vtk(space, fields, outdir / f"snapshot_t{t_snap:.6g}.vtk")
+    if not config.snapshots:
+        return
+    levels = [min(max(round(t / grid.dt), 0), grid.N) for t in config.snapshots]
+    u = result.trajectory.values[levels]
+    for level, velocity, psi in zip(levels, u, stream_function(space, u)):
+        write_vtk(space, {"velocity": velocity, "stream_function": psi},
+                  outdir / f"snapshot_t{level * grid.dt:.6g}.vtk")
 
 
 def main(argv=None) -> int:

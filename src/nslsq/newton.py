@@ -186,10 +186,8 @@ def compute_direction(ops: Operators, y: FieldTrajectory,
     the momentum defects as loads, shared by both residual measures.
 
     The operator at level n+1 carries the convection linearization at
-    y^{n+1}, assembled per level on the linearized pattern of ``ops``,
-    whose LUs after its first take that one's ordering.  Every third level
-    is factorized; the levels in between are solved by GMRES
-    preconditioned with the last LU (``Operators.linearized``).
+    y^{n+1}; ``timestepping._direction_level`` decides which levels are
+    factorized and which are solved by GMRES on a held LU.
     """
     return sweep(ops, defects, y)
 
@@ -345,24 +343,16 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
 
 
 def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
-                    u0=None, ops: Operators | None = None):
-    """Assemble operators, boundary data, loads, and the Stokes-initialized
-    starting trajectory shared by both residual measures.
+                    u0=None, ops: Operators | None = None, warm_start=None):
+    """Assemble operators, boundary data, loads, and the starting
+    trajectory shared by both residual measures: a copy of ``warm_start``
+    if given, else the Stokes initial guess.
 
     ``g`` is the horizontal lid velocity (homogeneous walls when omitted),
     ``u0`` the initial velocity as a vector or a callable (the steady
     Stokes field of the lid data when omitted).  Non-finite data, and lid
-    data on a mesh without a lid, raise ``ValueError``.
+    data on a mesh without a lid, raise ``ValueError``, also on a warm start.
     """
-    ops, loads, u0_vec, values = _problem_data(space, grid, nu, g=g, f=f, u0=u0,
-                                               ops=ops)
-    return ops, loads, unsteady_stokes_initial_guess(ops, u0_vec, values, loads)
-
-
-def _problem_data(space: Space, grid: TimeGrid, nu: float, *, g, f, u0,
-                  ops: Operators | None):
-    """The checked data of ``prepare_problem`` before its initial-guess
-    sweep: operators, loads, initial velocity and Dirichlet values."""
     if g is not None and not (space.boundary_node_tags == int(Tag.LID)).any():
         raise ValueError("lid velocity g given, but the mesh has no lid boundary")
     values = (np.zeros(len(space.dirichlet_dofs)) if g is None
@@ -385,23 +375,20 @@ def _problem_data(space: Space, grid: TimeGrid, nu: float, *, g, f, u0,
     if u0_vec.shape != (space.n_velocity,) or not np.isfinite(u0_vec).all():
         raise ValueError(f"initial velocity u0 must be {space.n_velocity} finite "
                          f"values, got shape {u0_vec.shape}")
-    return ops, loads, u0_vec, values
+    if warm_start is not None:
+        return ops, loads, warm_start.copy()
+    return ops, loads, unsteady_stokes_initial_guess(ops, u0_vec, values, loads)
 
 
 def _solve(space: Space, grid: TimeGrid, nu: float, variant: str, *, g=None,
            f=None, u0=None, warm_start=None, ops: Operators | None = None,
            **loop) -> NewtonResult:
-    """Stokes initialization (or warm start) plus the outer loop; ``loop``
-    holds the keywords of ``newton_loop``.  A warm start skips the Stokes
-    sweep but not the checks of ``g`` and ``u0``."""
-    if warm_start is None:
-        ops, loads, y0 = prepare_problem(space, grid, nu, g=g, f=f, u0=u0, ops=ops)
-    else:
-        ops, loads, _, _ = _problem_data(space, grid, nu, g=g, f=f, u0=u0, ops=ops)
-        y0 = warm_start.copy()
+    """``prepare_problem`` plus the outer loop; ``loop`` holds the
+    keywords of ``newton_loop``."""
+    ops, loads, y0 = prepare_problem(space, grid, nu, g=g, f=f, u0=u0, ops=ops,
+                                     warm_start=warm_start)
     result = newton_loop(ops, y0, loads, variant=variant, **loop)
-    result.ops = ops
-    result.loads = loads
+    result.ops, result.loads = ops, loads
     return result
 
 

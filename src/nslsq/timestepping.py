@@ -9,9 +9,8 @@ ordering.  The heat-type ``M/dt + K`` and Stokes-type ``K`` operators
 share one pattern and are factorized once per run, for every time level
 and outer iterate.  The linearized Navier-Stokes operator of the
 direction sweep has a pattern of its own, shared by every viscosity.  It
-is assembled at every level and factorized on every ``LU_LAG``-th level
-only; the levels in between are solved by right-preconditioned GMRES on
-their own matrix, with the LU held from the last factorized level.
+is assembled at every level; ``_direction_level`` decides which levels
+it is factorized on.
 """
 
 from __future__ import annotations
@@ -109,52 +108,6 @@ class _Convection:
         return conv.reshape(-1)
 
 
-class LinearizedLevel:
-    """The linearized saddle system of one direction-sweep level, with
-    homogeneous data.
-
-    ``fact`` is the LU of this level's ``matrix`` (``age`` 0) or the LU
-    held from the level ``age`` steps back.  A held LU preconditions GMRES
-    on this level's matrix (``linalg.krylov_solve``); a solve GMRES does
-    not resolve factorizes the level after all, so the next levels hold
-    its LU.  ``counts`` is the run's ``Operators.factorizations``.
-    """
-
-    def __init__(self, pattern: SaddlePattern, matrix: sp.csc_matrix, counts: Counter,
-                 held: LinearizedLevel | None = None):
-        self.pattern = pattern
-        self.matrix = matrix
-        self.counts = counts
-        if held is None or held.age + 1 == LU_LAG:
-            self._factorize()
-        else:
-            self.fact, self.age = held.fact, held.age + 1
-
-    def _factorize(self):
-        self.fact, self.age = self.pattern.factorize(self.matrix, "linearized"), 0
-        self.counts["linearized"] += 1
-
-    def solve(self, load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve for (velocity, multiplier) with momentum load and zero
-        divergence rhs; constrained entries are zero."""
-        return self.pattern.solve(self._solve, load)
-
-    def _solve(self, b: np.ndarray) -> np.ndarray:
-        x = None
-        # a non-finite load skips GMRES and propagates through the held LU,
-        # as it does through a fresh one, to the outer divergence check
-        if self.age and np.isfinite(b).all():
-            x, iterations = krylov_solve(self.matrix, self.fact, b)
-            self.counts["krylov_iterations"] += iterations
-            if x is None:
-                self._factorize()
-        if x is None:
-            x = self.fact.solve(b)
-        if self.age:
-            self.counts["lagged"] += 1
-        return x
-
-
 class Operators:
     """Assembled matrices and factorizations shared by all schemes.
 
@@ -165,10 +118,10 @@ class Operators:
     takes the first one's ordering.
 
     ``factorizations`` counts, per run, the LUs by label (heat, stokes,
-    linearized), the direction-sweep levels solved by GMRES on a held LU
-    (``lagged``) and their GMRES iterations (``krylov_iterations``).
-    Every direction sweep adds N to ``linearized + lagged``.  Operators
-    derived by ``with_nu`` share the counter.
+    linearized) and the direction sweep's ``lagged`` levels and
+    ``krylov_iterations`` (``_direction_level``).  Every direction sweep
+    adds N to ``linearized + lagged``.  Operators derived by ``with_nu``
+    share the counter.
     """
 
     def __init__(self, space: Space, grid: TimeGrid, nu: float):
@@ -201,15 +154,48 @@ class Operators:
         other._a_values = (self.M / self.grid.dt).data + nu * self.K.data
         return other
 
-    def linearized(self, y_level: np.ndarray,
-                   held: LinearizedLevel | None = None) -> LinearizedLevel:
-        """Linearized operator at ``y_level``, homogeneous data, assembled
-        here for every level.  It is factorized afresh unless ``held``, the
-        previous level of a direction sweep, holds an LU younger than
-        ``LU_LAG`` levels, which it then reuses."""
+    def linearized(self, y_level: np.ndarray) -> sp.csc_matrix:
+        """Eliminated linearized operator at ``y_level``, a matrix of the
+        linearized pattern (``_convection.pattern``)."""
         pattern = self._convection.pattern
-        values = pattern.values(self._a_values, self._convection.values(y_level))
-        return LinearizedLevel(pattern, pattern.matrix(values), self.factorizations, held)
+        return pattern.matrix(pattern.values(self._a_values,
+                                             self._convection.values(y_level)))
+
+
+def _direction_level(ops: Operators, y_level: np.ndarray, load: np.ndarray,
+                     held: tuple | None) -> tuple[np.ndarray, tuple]:
+    """Velocity of one direction-sweep level, the system linearized at
+    ``y_level`` with momentum ``load`` and homogeneous data, and the
+    ``(LU, age)`` to pass as ``held`` to the next level (None on the first).
+
+    The sweep's LU cadence: a level is factorized when nothing is held or
+    the held LU would be ``LU_LAG`` levels old (levels 1, 1 + LU_LAG, ...),
+    and otherwise solved by GMRES on its own matrix, right-preconditioned
+    with the held LU (``linalg.krylov_solve``).  A solve GMRES does not
+    resolve factorizes its level after all and restarts the cadence.  A
+    non-finite load skips GMRES and propagates through the held LU, as
+    through a fresh one, to the outer divergence check.  A level counts
+    one ``linearized`` or ``lagged``, and GMRES its ``krylov_iterations``.
+    """
+    pattern = ops._convection.pattern
+    matrix = ops.linearized(y_level)
+    fact, age = held or (None, -1)
+    age = (age + 1) % LU_LAG  # 0: this level is factorized
+
+    def solve(b):
+        nonlocal fact, age
+        x = None
+        if age and np.isfinite(b).all():
+            x, iterations = krylov_solve(matrix, fact, b)
+            ops.factorizations["krylov_iterations"] += iterations
+            age = 0 if x is None else age
+        if not age:
+            fact = pattern.factorize(matrix, "linearized")
+        ops.factorizations["lagged" if age else "linearized"] += 1
+        return fact.solve(b) if x is None else x
+
+    level, _ = pattern.solve(solve, load)
+    return level, (fact, age)
 
 
 def sweep(ops: Operators, loads: np.ndarray, y: FieldTrajectory | None = None,
@@ -221,24 +207,22 @@ def sweep(ops: Operators, loads: np.ndarray, y: FieldTrajectory | None = None,
     ``A`` is the heat-type ``K``, with the time-constant Dirichlet data
     ``values`` on every level (homogeneous when omitted).  With ``y`` it
     is the Navier-Stokes operator linearized at ``y^{n+1}``, with
-    homogeneous data: the direction sweep.  Its levels are factorized
-    every ``LU_LAG`` levels, starting with the first, and the levels in
-    between are solved by GMRES preconditioned with the held LU
-    (``Operators.linearized``).  The held LU lives only for one sweep.
+    homogeneous data: the direction sweep, whose levels factorize or reuse
+    an LU as ``_direction_level`` decides.  The held LU lives only for one
+    sweep.
     """
     grid = ops.grid
     out = FieldTrajectory.zeros(grid, ops.space.n_velocity)
     if start is not None:
         out.values[0] = start
     level = out.values[0]
-    lin = None
+    held = None
     for n in range(grid.N):
         rhs = ops.M @ level / grid.dt + loads[n]
         if y is None:
             level, _ = ops.heat.solve(rhs, values)
         else:
-            lin = ops.linearized(y.values[n + 1], lin)
-            level, _ = lin.solve(rhs)
+            level, held = _direction_level(ops, y.values[n + 1], rhs, held)
         out.values[n + 1] = level
     return out
 

@@ -201,6 +201,37 @@ def test_report_records_heat_and_stokes_fill(tiny_run):
     assert fill["heat"] > 0 and fill["stokes"] > 0
 
 
+def test_snapshots_share_one_stream_lu(tmp_path, monkeypatch):
+    """A run with two snapshots factorizes the stream operator once, and
+    each snapshot file is byte for byte the one written with a stream
+    function of its own."""
+    from nslsq import linalg
+
+    labels, results = [], []
+    factorize, solve = linalg.EliminatedPattern.factorize, cli.damped_newton_solve
+
+    def record_label(self, matrix, label):
+        labels.append(label)
+        return factorize(self, matrix, label)
+
+    def keep_result(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(linalg.EliminatedPattern, "factorize", record_label)
+    monkeypatch.setattr(cli, "damped_newton_solve", keep_result)
+    cfg = parse_config(TINY + f"outdir = {tmp_path}\n")
+    run_experiment(cfg)
+    assert labels.count("stream") == 1
+    space = results[0].ops.space
+    for t in cfg.snapshots:
+        u = results[0].trajectory.values[round(t / cfg.dt)]
+        write_vtk(space, {"velocity": u, "stream_function": stream_function(space, u)},
+                  tmp_path / "alone.vtk")
+        written = (tmp_path / f"snapshot_t{t:.6g}.vtk").read_bytes()
+        assert written == (tmp_path / "alone.vtk").read_bytes()
+
+
 def test_determinism_bit_identical_history(tmp_path):
     outs = []
     for name in ("a", "b"):

@@ -289,17 +289,20 @@ def test_direction_corrector_coincides_with_corrector(setup):
 
 def test_lagged_direction_matches_fresh_lu_direction(setup, monkeypatch):
     """The direction sweep factorizes levels 1, 4 and 7 and solves the
-    levels in between by GMRES on the held LU; it matches a sweep with a
-    fresh LU on every level.  When GMRES is never accepted, every level
-    falls back to a fresh LU."""
+    levels in between by GMRES on the held LU (the cadence of
+    ``timestepping._direction_level``); it matches a sweep with a fresh LU
+    on every level.  A single rejected GMRES solve, on level 2, factorizes
+    that level and restarts the cadence there: the LUs are made on levels
+    1, 2, 5 and 8.  When GMRES is never accepted, every level falls back
+    to a fresh LU."""
     space, grid, ops, loads, y0 = setup
     y = newton_loop(ops, y0, loads, max_iter=1).trajectory  # GMRES iterates here
     defects = defect_loads(ops, y, loads)
+    pattern = ops._convection.pattern
     ref = np.zeros((grid.N + 1, space.n_velocity))
     for n in range(grid.N):
-        lin = ops.linearized(y.values[n + 1])
-        ref[n + 1], _ = lin.pattern.solve(Factorization(lin.matrix, "linearized").solve,
-                                          ops.M @ ref[n] / grid.dt + defects[n])
+        fresh = Factorization(ops.linearized(y.values[n + 1]), "linearized")
+        ref[n + 1], _ = pattern.solve(fresh.solve, ops.M @ ref[n] / grid.dt + defects[n])
     ref_norm = np.sqrt(newton.l2v_norm_sq(ops, ref[1:]))
 
     def compare_sweep():
@@ -313,6 +316,22 @@ def test_lagged_direction_matches_fresh_lu_direction(setup, monkeypatch):
     added, rel = compare_sweep()
     assert (added["linearized"], added["lagged"]) == (3, 5)
     assert added["krylov_iterations"] > 0
+    assert rel <= 1e-10
+
+    events = []
+    krylov_solve, factorize = timestepping.krylov_solve, pattern.factorize
+
+    def reject_first(matrix, fact, b):  # the sweep's first GMRES solve: level 2
+        events.append("gmres")
+        return (None, 60) if len(events) == 2 else krylov_solve(matrix, fact, b)
+
+    monkeypatch.setattr(timestepping, "krylov_solve", reject_first)
+    monkeypatch.setattr(pattern, "factorize",
+                        lambda m, label: events.append("lu") or factorize(m, label))
+    added, rel = compare_sweep()
+    # level 1: LU; 2: rejected GMRES, LU; 3, 4: GMRES; 5: LU; 6, 7: GMRES; 8: LU
+    assert events == ["lu", "gmres", "lu", "gmres", "gmres", "lu", "gmres", "gmres", "lu"]
+    assert (added["linearized"], added["lagged"]) == (4, 4)
     assert rel <= 1e-10
 
     monkeypatch.setattr(timestepping, "krylov_solve",
@@ -467,6 +486,7 @@ def test_factorization_reuse_across_run(setup):
     assert ops.factorizations["heat"] == 1  # prebuilt in fixture, reused here
     assert ops.factorizations["stokes"] == 1
     # N = 8: each direction sweep factorizes levels 1, 4 and 7
+    # (timestepping._direction_level)
     assert added["linearized"] == 3 * res.iterations
     assert added["lagged"] == 5 * res.iterations
 
@@ -481,6 +501,7 @@ def test_factorization_counts_fresh_run():
     assert counts["heat"] == 1
     assert counts["stokes"] == 1
     # N = 4: each direction sweep factorizes levels 1 and 4
+    # (timestepping._direction_level)
     assert counts["linearized"] == 2 * res.iterations
     assert counts["linearized"] + counts["lagged"] == grid.N * res.iterations
 
@@ -554,6 +575,7 @@ def test_continuation_warm_start_reduces_iterations():
     assert cont[0][1].ops.factorizations is counts
     assert counts["heat"] == counts["stokes"] == 1
     # N = 8: each direction sweep factorizes levels 1, 4 and 7
+    # (timestepping._direction_level)
     assert counts["linearized"] == 3 * sum(res.iterations for _, res in cont)
 
 

@@ -231,14 +231,17 @@ def test_eliminated_matrices_match_direct_assembly(label, square2, monkeypatch):
         constrained = space.boundary_nodes
         ref, _ = eliminate_dirichlet(space.scalar_stiffness, constrained)
     else:
-        saddle = ops.linearized(y) if label == "linearized" else getattr(ops, label)
-        fast = saddle.fact.matrix
+        if label == "linearized":
+            fast = ops.linearized(y)
+        else:
+            saddle = getattr(ops, label)
+            fast = saddle.fact.matrix
         s = sp.bmat([[a[label], ops.B.T], [ops.B, None]], format="csr")
         ref, coupling = eliminate_dirichlet(s, constrained)
     assert fast.has_canonical_format
     if label == "linearized":
         assert np.abs((fast - ref).tocoo().data).max(initial=0.0) < 1e-13
-        other = ops.linearized(rng.standard_normal(space.n_velocity)).fact.matrix
+        other = ops.linearized(rng.standard_normal(space.n_velocity))
         assert np.shares_memory(other.indices, fast.indices)
         assert np.shares_memory(other.indptr, fast.indptr)
     else:
@@ -257,6 +260,11 @@ def test_eliminated_matrices_match_direct_assembly(label, square2, monkeypatch):
     assert np.count_nonzero(touches) == len(constrained)
 
 
+def _linearized_lu(ops, y_level):
+    """The LU a direction sweep makes of its linearized level at ``y_level``."""
+    return ops._convection.pattern.factorize(ops.linearized(y_level), "linearized")
+
+
 def test_linearized_lu_fill_desk():
     """The solver's LU of one linearized level of the desk cavity at the
     steady Stokes lid field keeps COLAMD and at most 550k entries in
@@ -267,7 +275,7 @@ def test_linearized_lu_fill_desk():
     for dt in (0.02, 0.01):
         ops = Operators(space, TimeGrid(dt, 1), nu=1 / 500)
         lid = steady_stokes_initial(ops, lid_boundary_values(space, lid_profile))
-        fact = ops.linearized(lid).fact
+        fact = _linearized_lu(ops, lid)
         assert fact.ordering == "colamd"
         assert fact.lu_nnz <= 550_000
 
@@ -292,8 +300,8 @@ def test_later_linearized_lu_holds_first_ordering(mesh, request):
     space = request.getfixturevalue(mesh)
     ops = Operators(space, TimeGrid(1.0, 10), nu=0.01)
     rng = np.random.default_rng(23)
-    first = ops.linearized(rng.standard_normal(space.n_velocity)).fact
-    later = ops.linearized(rng.standard_normal(space.n_velocity)).fact
+    first = _linearized_lu(ops, rng.standard_normal(space.n_velocity))
+    later = _linearized_lu(ops, rng.standard_normal(space.n_velocity))
     assert later.order is first.order  # held, not computed again
     fresh = Factorization(later.matrix, "linearized")
     assert later.ordering == fresh.ordering == "colamd"
@@ -310,9 +318,9 @@ def test_with_nu_holds_linearized_ordering(disk_coarse):
     are not made again."""
     ops = Operators(disk_coarse, TimeGrid(1.0, 10), nu=0.01)
     rng = np.random.default_rng(24)
-    first = ops.linearized(rng.standard_normal(disk_coarse.n_velocity)).fact
-    later = ops.with_nu(0.002).linearized(
-        rng.standard_normal(disk_coarse.n_velocity)).fact
+    first = _linearized_lu(ops, rng.standard_normal(disk_coarse.n_velocity))
+    later = _linearized_lu(ops.with_nu(0.002),
+                           rng.standard_normal(disk_coarse.n_velocity))
     assert later.order is first.order
     assert later.lu_nnz == Factorization(later.matrix, "linearized").lu_nnz
     assert ops.factorizations["heat"] == ops.factorizations["stokes"] == 1
