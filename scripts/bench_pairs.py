@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Interleaved benchmark pairs of two checkouts of the repository.
+
+    python scripts/bench_pairs.py --parent OLD --change NEW \\
+        --workloads desk-cavity manufactured-levels --rounds 6 --seconds 20
+
+Each round runs ``perfbench/run.py --seed 0 --trace 0`` once in each
+checkout per workload, in the order parent, change in even rounds and
+change, parent in odd ones, so that the host's slow drifts fall on both
+sides alike.  Per workload it prints, for every end-to-end metric, each
+side's median over the rounds, the median of the per-round change/parent
+ratios with their range, and in how many rounds the change read lower.
+Every run whose result line is not ``correct`` is listed, and the script
+then exits 1.  A run of one side takes about ``--seconds`` plus the
+calibrations of ``run.py``.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seconds: float) -> dict:
+    """The result line (the last line of standard output) of one benchmark
+    run in ``checkout``; a run that prints none counts as incorrect."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"correct": False, "metrics": {}}
+
+
+def summarize(pairs: list[tuple[dict, dict]]) -> dict:
+    """Per metric, the sides' medians and the change/parent ratios of the
+    ``(parent, change)`` result lines of one workload, and the
+    ``(round, side)`` of every incorrect run.  A round with an incorrect
+    side adds no ratio."""
+    incorrect = [(i, side) for i, pair in enumerate(pairs)
+                 for side, res in zip(SIDES, pair) if not res.get("correct")]
+    bad_rounds = {i for i, _ in incorrect}
+    good = [pair for i, pair in enumerate(pairs) if i not in bad_rounds]
+    metrics = {}
+    names = [name for name in (good[0][0]["metrics"] if good else ())
+             if all(name in res["metrics"] for pair in good for res in pair)]
+    for name in names:
+        values = [[res["metrics"][name]["value"] for res in pair] for pair in good]
+        ratios = [c / p for p, c in values if p != 0]
+        metrics[name] = {
+            "parent": statistics.median(p for p, _ in values),
+            "change": statistics.median(c for _, c in values),
+            "ratio": statistics.median(ratios) if ratios else None,
+            "ratio_min": min(ratios, default=None),
+            "ratio_max": max(ratios, default=None),
+            "lower": sum(c < p for p, c in values),
+            "rounds": len(values),
+        }
+    return {"metrics": metrics, "incorrect": incorrect}
+
+
+def report(workload: str, summary: dict) -> str:
+    lines = [f"{workload}:",
+             f"  {'metric':<18} {'parent':>10} {'change':>10} {'ratio':>6} "
+             f"{'range':>13} {'change lower':>13}"]
+    for name, m in summary["metrics"].items():
+        if m["ratio"] is None:
+            ratio, spread = "-", "-"
+        else:
+            ratio = f"{m['ratio']:.3f}"
+            spread = f"{m['ratio_min']:.2f}-{m['ratio_max']:.2f}"
+        lines.append(f"  {name:<18} {m['parent']:>10.4g} {m['change']:>10.4g} "
+                     f"{ratio:>6} {spread:>13} {m['lower']:>7}/{m['rounds']}")
+    for i, side in summary["incorrect"]:
+        lines.append(f"  INCORRECT: round {i} {side}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", type=Path, required=True, help="checkout before the change")
+    ap.add_argument("--change", type=Path, required=True, help="checkout with the change")
+    ap.add_argument("--workloads", nargs="+", required=True)
+    ap.add_argument("--rounds", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True,
+                    help="--seconds of each perfbench run")
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    checkouts = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
+    status = 0
+    for workload in args.workloads:
+        pairs = []
+        for i in range(args.rounds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            res = {side: run_once(checkouts[side], workload, args.seconds)
+                   for side in order}
+            pairs.append((res["parent"], res["change"]))
+            print(f"{workload} round {i}: " + ", ".join(
+                f"{side} solve_s {res[side]['metrics'].get('solve_s', {}).get('value')}"
+                for side in order), flush=True)
+        summary = summarize(pairs)
+        print(report(workload, summary), flush=True)
+        status = 1 if summary["incorrect"] else status
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

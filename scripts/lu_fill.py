@@ -67,7 +67,7 @@ def main():
         space = spaces[h]
         ops = Operators(space, TimeGrid(dt, 1), nu)
         lid = steady_stokes_initial(ops, lid_boundary_values(space, lid_profile))
-        linearized = ops._convection.pattern
+        linearized = ops.linearized_pattern
         lus = (("heat", ops.heat.pattern, lambda: ops.heat.fact),
                ("stokes", ops.stokes.pattern, lambda: ops.stokes.fact),
                ("linearized", linearized, lambda: linearized.factorize(

@@ -16,7 +16,11 @@ column.
 Every solve is verified against the relative residual contract
 ``||Ax - b||_inf <= 1e-8 (1 + ||b||_inf)``; a single step of iterative
 refinement is attempted on marginal failures, anything past 1e-6 is a
-hard error.  Dirichlet values enter per solve, never through the
+hard error.  A solve takes one right-hand side or a block of them (one
+SuperLU call for all), and the contract holds per column: refinement
+solves only the failing columns, and any column past 1e-6 raises.  The
+Riesz lifts (``timestepping.lift``) solve blocks of time levels this
+way.  Dirichlet values enter per solve, never through the
 factorization, so one LU serves every boundary datum.  How often a run
 factorizes is counted by its owner (``timestepping.Operators``).
 """
@@ -63,8 +67,9 @@ class Ordering:
 
 class _OrderedLU:
     """SuperLU of a matrix with its columns (and, for a symmetric ordering,
-    its rows) permuted; ``solve`` takes and returns vectors in the order of
-    the unpermuted matrix, like the SuperLU of a fresh ``Factorization``."""
+    its rows) permuted; ``solve`` takes and returns vectors, or blocks of
+    columns, in the order of the unpermuted matrix, like the SuperLU of a
+    fresh ``Factorization``."""
 
     def __init__(self, lu, order: Ordering):
         self.lu = lu
@@ -172,20 +177,31 @@ class Factorization:
         return fact
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solution of ``matrix x = b`` for ``b`` of shape ``(n,)`` or, a
+        block of right-hand sides, ``(n, k)``: one SuperLU call solves
+        every column.  The residual contract holds per column; one
+        refinement step solves the columns that fail it, and a column
+        past ``RESIDUAL_HARD`` raises.  A column with non-finite entries
+        is not checked: divergence in the outer iteration propagates to
+        its detector."""
         b = np.asarray(b, dtype=np.float64)
-        if b.shape != (self.n,):
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise SolverError(f"rhs shape {b.shape} incompatible with n={self.n}")
         x = self._lu.solve(b)
-        if not np.isfinite(b).all():
-            return x  # divergence in the outer iteration propagates to its detector
-        nb = np.abs(b).max(initial=0.0)
-        res = np.abs(b - self.matrix @ x).max(initial=0.0)
-        if res > RESIDUAL_TOL * (1.0 + nb):
-            x = x + self._lu.solve(b - self.matrix @ x)
-            res = np.abs(b - self.matrix @ x).max(initial=0.0)
-            if res > RESIDUAL_HARD * (1.0 + nb):
+        bs, xs = b.reshape(self.n, -1), x.reshape(self.n, -1)  # views, a column each
+        nb = np.abs(bs).max(axis=0, initial=0.0)
+        cols = np.flatnonzero(np.isfinite(nb))  # NaN and inf propagate to the max
+        nb = nb[cols]
+        res = np.abs(bs[:, cols] - self.matrix @ xs[:, cols]).max(axis=0, initial=0.0)
+        fail = res > RESIDUAL_TOL * (1.0 + nb)
+        if fail.any():
+            cols, nb = cols[fail], nb[fail]
+            r = bs[:, cols] - self.matrix @ xs[:, cols]
+            xs[:, cols] += self._lu.solve(r)
+            res = np.abs(bs[:, cols] - self.matrix @ xs[:, cols]).max(axis=0)
+            if (res > RESIDUAL_HARD * (1.0 + nb)).any():
                 raise SolverError(
-                    f"solve residual {res:.3e} exceeds {RESIDUAL_HARD:.0e}*(1+||b||)")
+                    f"solve residual {res.max():.3e} exceeds {RESIDUAL_HARD:.0e}*(1+||b||)")
         return x
 
 
@@ -338,23 +354,29 @@ class SaddlePattern(EliminatedPattern):
         """(velocity, multiplier) of ``solve``, a solver of a matrix of this
         pattern, for the momentum ``load``, zero divergence and the
         Dirichlet ``values`` (carried into the free rows by the matrix's
-        ``coupling``); constrained entries are set exactly."""
+        ``coupling``); constrained entries are set exactly.
+
+        ``load`` is one load of shape ``(n_vel,)`` or a stack ``(k, n_vel)``
+        of them; a stack goes to ``solve`` as one ``(n, k)`` block, and
+        velocity and multiplier come back stacked the same way."""
         cvals = (np.zeros(len(self.constrained)) if values is None
                  else np.append(values, 0.0))
-        b = np.zeros(self.n)
-        b[: self.n_vel] = load
+        load = np.asarray(load)
+        b = np.zeros(load.shape[:-1] + (self.n,))
+        b[..., : self.n_vel] = load
         if cvals.any():
             b -= coupling @ cvals
-        b[self.constrained] = cvals
-        x = solve(b)
-        x[self.constrained] = cvals
-        return x[: self.n_vel], x[self.n_vel:]
+        b[..., self.constrained] = cvals
+        x = solve(b.T).T
+        x[..., self.constrained] = cvals
+        return x[..., : self.n_vel], x[..., self.n_vel:]
 
 
 class SaddleFactorization:
     """LU and Dirichlet coupling of one matrix of a ``SaddlePattern``,
-    given by its ``values``; each solve takes the momentum load and the
-    Dirichlet values (zero when omitted), as ``SaddlePattern.solve``."""
+    given by its ``values``; each solve takes one momentum load or a stack
+    of them and the Dirichlet values (zero when omitted), as
+    ``SaddlePattern.solve``."""
 
     def __init__(self, pattern: SaddlePattern, values: np.ndarray, label: str):
         self.pattern = pattern

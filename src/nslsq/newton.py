@@ -81,7 +81,7 @@ class CorrectorBundle:
 class NewtonResult:
     trajectory: FieldTrajectory
     records: list[IterationRecord]
-    outcome: str  # converged | diverged | max_iterations
+    outcome: str  # converged | diverged | max_iterations | line_search_failed
     ops: Operators | None = None
     loads: np.ndarray | None = None
 
@@ -282,9 +282,16 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
                 divergence_factor: float = DIVERGENCE_FACTOR,
                 on_iterate=None) -> NewtonResult:
     """Outer damped-Newton iteration on a prepared initial trajectory,
-    driving the residual measure ``variant`` (E or Etilde) below ``tol``."""
+    driving the residual measure ``variant`` (E or Etilde) below ``tol``.
+
+    When the quartic line search rejects its scalars (``b^2 > ac``, which
+    exact representations cannot give), the loop ends with the outcome
+    ``line_search_failed`` and the rows so far.
+    """
     if policy not in POLICIES:
         raise ValueError(f"unknown step policy '{policy}'")
+    if policy == "quartic" and not m >= 1.0:
+        raise ValueError(f"search interval must contain 1, got m={m}")
     if variant not in _MEASURES:
         raise ValueError(f"unknown residual measure '{variant}', "
                          f"expected one of {VARIANTS}")
@@ -324,7 +331,11 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
         b, c = inner(ops, r, r2), inner(ops, r2, r2)
         bundle = CorrectorBundle(direction, a, b, c)
         if policy == "quartic":
-            lam, _ = line_search_quartic(a, b, c, m)
+            try:
+                lam, _ = line_search_quartic(a, b, c, m)
+            except ValueError:
+                _record(records, k, sqrt2e, None, rel_inc, t0)
+                return NewtonResult(y, records, "line_search_failed")
         elif policy == "cheap":
             lam = cheap_step_rule(0.5 * a, np.sqrt(c), m)
         else:
@@ -350,8 +361,9 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
 
     ``g`` is the horizontal lid velocity (homogeneous walls when omitted),
     ``u0`` the initial velocity as a vector or a callable (the steady
-    Stokes field of the lid data when omitted).  Non-finite data, and lid
-    data on a mesh without a lid, raise ``ValueError``, also on a warm start.
+    Stokes field of the lid data when omitted, which a warm start does not
+    solve for).  Non-finite data, and lid data on a mesh without a lid,
+    raise ``ValueError``, also on a warm start.
     """
     if g is not None and not (space.boundary_node_tags == int(Tag.LID)).any():
         raise ValueError("lid velocity g given, but the mesh has no lid boundary")
@@ -366,6 +378,8 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
         times = grid.times()
         loads = np.stack([fem.load_vector(space, f, times[n + 1])
                           for n in range(grid.N)])
+    if u0 is None and warm_start is not None:
+        return ops, loads, warm_start.copy()  # it replaces the steady Stokes guess
     if u0 is None:
         u0_vec = steady_stokes_initial(ops, values)
     elif callable(u0):

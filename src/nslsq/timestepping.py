@@ -3,14 +3,14 @@
 Every scheme of the outer iteration steps one constrained system
 ``(M/dt + A) u^{n+1} + B^T lam = M u^n/dt + load`` forward in time
 (``sweep``), and every Riesz lift solves one constant Stokes-type system
-per interval (``lift``).  Every matrix here is a matrix of a
-``linalg.SaddlePattern``, and every LU after a pattern's first takes its
-ordering.  The heat-type ``M/dt + K`` and Stokes-type ``K`` operators
-share one pattern and are factorized once per run, for every time level
-and outer iterate.  The linearized Navier-Stokes operator of the
-direction sweep has a pattern of its own, shared by every viscosity.  It
-is assembled at every level; ``_direction_level`` decides which levels
-it is factorized on.
+per interval, in blocks of intervals (``lift``).  Every matrix here is a
+matrix of a ``linalg.SaddlePattern``, and every LU after a pattern's
+first takes its ordering.  The heat-type ``M/dt + K`` and Stokes-type
+``K`` operators share one pattern and are factorized once per run, for
+every time level and outer iterate.  The linearized Navier-Stokes
+operator of the direction sweep has a pattern of its own, shared by
+every viscosity.  It is assembled at every level; ``_direction_level``
+decides which levels it is factorized on.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .fem import Space
 from .linalg import SaddleFactorization, SaddlePattern, krylov_solve
 
 LU_LAG = 3  # a direction sweep factorizes every third level
+LIFT_BLOCK = 32  # a Riesz lift solves at most this many levels per LU solve
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,13 @@ class _Convection:
         self.space, self._M, self._B = space, M, B
 
     @cached_property
+    def _wphiphi(self) -> np.ndarray:
+        """Weighted ``phi_i phi_j`` at each quadrature point, (nq, 36)."""
+        r = self.space.rule5
+        return (r.w[:, None, None] * r.phi[:, :, None]
+                * r.phi[:, None, :]).reshape(len(r.w), -1)
+
+    @cached_property
     def pattern(self) -> SaddlePattern:
         space = self.space
         tri = space.tri_p2 + space.n_scalar * np.arange(2)[:, None, None]  # (c, t, i)
@@ -97,11 +105,15 @@ class _Convection:
                              self._B, space.dirichlet_dofs)
 
     def values(self, y_level: np.ndarray) -> np.ndarray:
-        space, r = self.space, self.space.rule5
-        gy = space.velocity_grad_at_quad(y_level, r)
-        wphiphi = np.einsum("q,qi,qj->qij", r.w, r.phi, r.phi)
-        conv = np.einsum("tqcd,qij->cdtij", gy * space.det[:, None, None, None],
-                         wphiphi, optimize=True)
+        """Entry values at ``y_level``: the reaction blocks
+        ``int(d_d y_c phi_j phi_i)`` of all four (c, d), one matmul over
+        the quadrature points, plus the convection block on (0, 0) and
+        (1, 1)."""
+        space = self.space
+        gy = space.velocity_grad_at_quad(y_level, space.rule5)  # (t, q, c, d)
+        weighted = np.empty((2, 2, *gy.shape[:2]))              # (c, d, t, q)
+        np.multiply(gy.transpose(2, 3, 0, 1), space.det[:, None], out=weighted)
+        conv = (weighted @ self._wphiphi).reshape(2, 2, len(space.det), 6, 6)
         ce = fem.convection_scalar_block(space, y_level)
         conv[0, 0] += ce
         conv[1, 1] += ce
@@ -154,10 +166,16 @@ class Operators:
         other._a_values = (self.M / self.grid.dt).data + nu * self.K.data
         return other
 
+    @property
+    def linearized_pattern(self) -> SaddlePattern:
+        """Saddle pattern of the linearized operator, built on first use
+        and shared by every viscosity."""
+        return self._convection.pattern
+
     def linearized(self, y_level: np.ndarray) -> sp.csc_matrix:
-        """Eliminated linearized operator at ``y_level``, a matrix of the
-        linearized pattern (``_convection.pattern``)."""
-        pattern = self._convection.pattern
+        """Eliminated linearized operator at ``y_level``, a matrix of
+        ``linearized_pattern``."""
+        pattern = self.linearized_pattern
         return pattern.matrix(pattern.values(self._a_values,
                                              self._convection.values(y_level)))
 
@@ -177,7 +195,7 @@ def _direction_level(ops: Operators, y_level: np.ndarray, load: np.ndarray,
     through a fresh one, to the outer divergence check.  A level counts
     one ``linearized`` or ``lagged``, and GMRES its ``krylov_iterations``.
     """
-    pattern = ops._convection.pattern
+    pattern = ops.linearized_pattern
     matrix = ops.linearized(y_level)
     fact, age = held or (None, -1)
     age = (age + 1) % LU_LAG  # 0: this level is factorized
@@ -229,10 +247,12 @@ def sweep(ops: Operators, loads: np.ndarray, y: FieldTrajectory | None = None,
 
 def lift(ops: Operators, loads: np.ndarray) -> np.ndarray:
     """Constrained Poisson lifts: row n is the velocity of the Stokes-type
-    solve with momentum load ``loads[n]`` and homogeneous data."""
-    out = np.zeros((ops.grid.N, ops.space.n_velocity))
-    for n in range(ops.grid.N):
-        out[n], _ = ops.stokes.solve(loads[n])
+    solve with momentum load ``loads[n]`` and homogeneous data.  The
+    levels are solved in blocks of at most ``LIFT_BLOCK``, one LU solve
+    per block, which bounds the block's saddle-sized temporaries."""
+    out = np.empty((ops.grid.N, ops.space.n_velocity))
+    for n in range(0, ops.grid.N, LIFT_BLOCK):
+        out[n:n + LIFT_BLOCK], _ = ops.stokes.solve(loads[n:n + LIFT_BLOCK])
     return out
 
 

@@ -317,6 +317,30 @@ def test_main_diverged_exit_code(tmp_path, monkeypatch, capsys):
     assert rc == 2
 
 
+def test_main_line_search_failure_writes_outputs(tmp_path, monkeypatch, capsys):
+    """A failed line search at k = 1 still writes the history and report,
+    with outcome ``line_search_failed``, and exits 3."""
+    from nslsq import newton
+
+    quartic = newton.line_search_quartic
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("Cauchy-Schwarz violated")
+        return quartic(*args)
+
+    monkeypatch.setattr(newton, "line_search_quartic", failing)
+    out = tmp_path / "ls"
+    cfg_path = tmp_path / "exp.ini"
+    cfg_path.write_text(TINY + f"outdir = {out}\n")
+    assert main(["run", str(cfg_path)]) == 3
+    assert "outcome: line_search_failed" in capsys.readouterr().out
+    assert len((out / "history.csv").read_text().splitlines()) == 3  # header, k = 0, 1
+    assert json.loads((out / "report.txt").read_text())["outcome"] == "line_search_failed"
+
+
 def test_history_csv_truncates_on_divergence_schema():
     from nslsq.cli import write_history_csv
     from nslsq.newton import IterationRecord

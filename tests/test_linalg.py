@@ -8,6 +8,7 @@ from nslsq.linalg import (
     KRYLOV_CYCLES,
     KRYLOV_RESTART,
     KRYLOV_RTOL,
+    RESIDUAL_HARD,
     RESIDUAL_TOL,
     Factorization,
     SolverError,
@@ -218,3 +219,99 @@ def test_krylov_far_lu_gives_up():
     assert x is None
     assert iterations <= KRYLOV_CYCLES * KRYLOV_RESTART
     assert len(fact._lu.rhs) == iterations + 1
+
+
+def _block_lus(space):
+    """An ``mmd-sym`` LU (heat), a held symmetric ``_OrderedLU`` (Stokes on
+    the heat ordering), a fresh and a held COLAMD LU (two linearized
+    levels) of one space."""
+    ops = Operators(space, TimeGrid(0.1, 1), nu=0.01)
+    rng = np.random.default_rng(30)
+    pattern = ops.linearized_pattern
+    fresh, held = (pattern.factorize(ops.linearized(rng.standard_normal(
+        space.n_velocity)), "linearized") for _ in range(2))
+    return {"mmd-sym": ops.heat.fact, "held mmd-sym": ops.stokes.fact,
+            "colamd": fresh, "held colamd": held}
+
+
+@pytest.mark.parametrize("kind", ["mmd-sym", "held mmd-sym", "colamd", "held colamd"])
+def test_block_solve_matches_single_solves(kind, square4):
+    fact = _block_lus(square4)[kind]
+    assert fact.ordering == kind.split()[-1]
+    assert (fact.order is fact.held) == kind.startswith("held")
+    b = np.random.default_rng(31).standard_normal((fact.n, 5))
+    x = fact.solve(b)
+    assert x.shape == b.shape
+    for j in range(5):
+        ref = fact.solve(b[:, j])
+        assert np.abs(x[:, j] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_saddle_block_solve_matches_single_solves(square4):
+    """A stack of momentum loads with Dirichlet values gives, row by row,
+    the velocity and multiplier of one solve per load."""
+    ops = Operators(square4, TimeGrid(0.1, 1), nu=0.01)
+    rng = np.random.default_rng(32)
+    loads = rng.standard_normal((4, square4.n_velocity))
+    values = rng.standard_normal(len(square4.dirichlet_dofs))
+    vel, lam = ops.heat.solve(loads, values)
+    assert vel.shape == loads.shape and lam.shape == (4, square4.n_pressure)
+    for n in range(4):
+        v, m = ops.heat.solve(loads[n], values)
+        assert np.abs(vel[n] - v).max() <= 1e-12 * np.abs(v).max()
+        assert np.abs(lam[n] - m).max() <= 1e-12 * np.abs(m).max()
+
+
+class _SpoilingLU(_RecordingLU):
+    """LU stand-in that adds ``error`` to the last column of the solution
+    of the first ``calls`` solves (every solve when None)."""
+
+    def __init__(self, lu, error, calls=None):
+        super().__init__(lu)
+        self.error, self.calls = error, calls
+
+    def solve(self, b):
+        x = super().solve(b)
+        if self.calls is None or len(self.rhs) <= self.calls:
+            x.reshape(len(x), -1)[:, -1] += self.error
+        return x
+
+
+def _spoiled(error, calls=None):
+    a = _unsymmetric(60, 33)
+    fact = Factorization(a)
+    fact._lu = _SpoilingLU(fact._lu, error, calls)
+    return a, fact
+
+
+def test_block_refinement_solves_only_failing_columns():
+    a, fact = _spoiled(1e-4, calls=1)
+    b = np.random.default_rng(34).standard_normal((60, 4))
+    x = fact.solve(b)
+    assert [r.shape for r in fact._lu.rhs] == [(60, 4), (60, 1)]
+    assert np.array_equal(x[:, :3], spla.splu(a).solve(b)[:, :3])  # not refined
+    nb = np.abs(b).max(axis=0)
+    assert (np.abs(b - a @ x).max(axis=0) <= RESIDUAL_TOL * (1 + nb)).all()
+
+
+def test_block_column_past_hard_limit_raises():
+    _, fact = _spoiled(1.0)
+    b = np.random.default_rng(35).standard_normal((60, 3))
+    with pytest.raises(SolverError, match=f"exceeds {RESIDUAL_HARD:.0e}"):
+        fact.solve(b)
+
+
+def test_block_non_finite_column_is_not_checked():
+    """A non-finite column comes back without an error; the finite columns
+    keep the contract, and refinement solves only the one that misses it."""
+    a, fact = _spoiled(1e-4, calls=1)
+    b = np.random.default_rng(36).standard_normal((60, 3))
+    b[5, 0] = np.nan
+    x = fact.solve(b)
+    assert [r.shape for r in fact._lu.rhs] == [(60, 3), (60, 1)]
+    assert not np.isfinite(x[:, 0]).all()
+    nb = np.abs(b[:, 1:]).max(axis=0)
+    assert (np.abs(b[:, 1:] - a @ x[:, 1:]).max(axis=0) <= RESIDUAL_TOL * (1 + nb)).all()
+    _, fact = _spoiled(1.0)
+    with pytest.raises(SolverError, match="exceeds"):
+        fact.solve(b)

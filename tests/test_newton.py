@@ -298,7 +298,7 @@ def test_lagged_direction_matches_fresh_lu_direction(setup, monkeypatch):
     space, grid, ops, loads, y0 = setup
     y = newton_loop(ops, y0, loads, max_iter=1).trajectory  # GMRES iterates here
     defects = defect_loads(ops, y, loads)
-    pattern = ops._convection.pattern
+    pattern = ops.linearized_pattern
     ref = np.zeros((grid.N + 1, space.n_velocity))
     for n in range(grid.N):
         fresh = Factorization(ops.linearized(y.values[n + 1]), "linearized")
@@ -594,6 +594,39 @@ def test_warm_start_skips_stokes_initial_guess(square2, monkeypatch):
     with pytest.raises(ValueError, match="u0"):
         damped_newton_solve(square2, grid, 0.1, u0=np.zeros(3),
                             warm_start=cont[-1][1].trajectory)
+
+
+def test_warm_start_skips_steady_stokes_initial(square2, monkeypatch):
+    """Without ``u0`` only the first continuation stage solves for the
+    steady Stokes field: a warm start replaces the guess built on it."""
+    calls = []
+    steady = newton.steady_stokes_initial
+    monkeypatch.setattr(newton, "steady_stokes_initial",
+                        lambda *args: calls.append(1) or steady(*args))
+    continuation_in_nu(square2, TimeGrid(0.5, 4), [0.2, 0.1], f=mf.forcing(0.1))
+    assert len(calls) == 1
+
+
+def test_line_search_failure_ends_the_loop(setup, monkeypatch):
+    """A line search that rejects its scalars at k = 1 ends the loop with
+    the outcome ``line_search_failed`` and the rows of k = 0 and 1."""
+    space, grid, ops, loads, y0 = setup
+    quartic = newton.line_search_quartic
+    calls = []
+
+    def failing(a, b, c, m):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("Cauchy-Schwarz violated")
+        return quartic(a, b, c, m)
+
+    monkeypatch.setattr(newton, "line_search_quartic", failing)
+    res = newton_loop(ops, y0, loads)
+    assert res.outcome == "line_search_failed" and not res.converged
+    assert [r.k for r in res.records] == [0, 1]
+    assert res.records[0].lam is not None and res.records[1].lam is None
+    with pytest.raises(ValueError, match="contain 1"):
+        newton_loop(ops, y0, loads, m=0.5)
 
 
 # ------------------------------------------------------------ residual variant

@@ -15,9 +15,11 @@ from nslsq.fem import (
 from nslsq.linalg import Factorization, saddle_factorization
 from nslsq.mesh import Tag, generate_semidisk, generate_unit_square
 from nslsq.timestepping import (
+    LIFT_BLOCK,
     Operators,
     TimeGrid,
     divergence_sup,
+    lift,
     steady_stokes_initial,
     unsteady_stokes_initial_guess,
 )
@@ -262,7 +264,7 @@ def test_eliminated_matrices_match_direct_assembly(label, square2, monkeypatch):
 
 def _linearized_lu(ops, y_level):
     """The LU a direction sweep makes of its linearized level at ``y_level``."""
-    return ops._convection.pattern.factorize(ops.linearized(y_level), "linearized")
+    return ops.linearized_pattern.factorize(ops.linearized(y_level), "linearized")
 
 
 def test_linearized_lu_fill_desk():
@@ -335,3 +337,22 @@ def test_stokes_lu_holds_heat_ordering(disk_coarse):
     fresh = Factorization(stokes.matrix, "stokes")
     assert stokes.ordering == fresh.ordering == "mmd-sym"
     assert stokes.lu_nnz == fresh.lu_nnz
+
+
+def test_lift_blocks_match_single_solves(square4, monkeypatch):
+    """A lift of N = 70 levels is several block solves on the Stokes LU, of
+    at most ``LIFT_BLOCK`` levels each, and each row matches one
+    ``ops.stokes.solve`` of its load."""
+    ops = Operators(square4, TimeGrid(1.0, 70), nu=0.01)
+    loads = np.random.default_rng(40).standard_normal((70, square4.n_velocity))
+    blocks = []
+    solve = ops.stokes.fact.solve
+    monkeypatch.setattr(ops.stokes.fact, "solve",
+                        lambda b: blocks.append(b.shape[1]) or solve(b))
+    lifted = lift(ops, loads)
+    assert len(blocks) > 1
+    assert blocks == [min(LIFT_BLOCK, 70 - n) for n in range(0, 70, LIFT_BLOCK)]
+    monkeypatch.undo()
+    for n in range(70):
+        ref, _ = ops.stokes.solve(loads[n])
+        assert np.abs(lifted[n] - ref).max() <= 1e-12 * np.abs(ref).max()
