@@ -27,7 +27,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from nslsq.cli import lid_profile, write_history_csv  # noqa: E402
+from nslsq.cli import lid_profile, peak_rss_mb, write_history_csv  # noqa: E402
 from nslsq.fem import build_space  # noqa: E402
 from nslsq.mesh import generate_semidisk  # noqa: E402
 from nslsq.newton import POLICIES, damped_newton_solve  # noqa: E402
@@ -98,6 +98,12 @@ def main():
         else:
             print(f"all {rows} sqrt(2E) rows match the reference to 2 "
                   "significant figures")
+
+    counts = res.ops.factorizations
+    print(f"LUs: {counts['linearized']} linearized, {counts['heat']} heat, "
+          f"{counts['stokes']} stokes; lagged levels: {counts['lagged']}, "
+          f"Krylov iterations: {counts['krylov_iterations']}; "
+          f"peak RSS: {peak_rss_mb():.0f} MB")
 
 
 if __name__ == "__main__":

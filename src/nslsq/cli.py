@@ -12,6 +12,7 @@ import argparse
 import configparser
 import json
 import math
+import resource
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -160,7 +161,9 @@ class RunReport:
     """The JSON of ``report.txt``.  ``solver_counts`` is the run's
     ``Operators.factorizations``: LUs by label, lagged direction levels
     and their GMRES iterations.  ``lu_nnz`` is the fill of the run's heat
-    and Stokes LUs."""
+    and Stokes LUs.  ``peak_rss_mb`` is the process's peak resident set
+    size in MB when the report is made (``peak_rss_mb()``), after the
+    solve and the snapshots."""
 
     config: dict
     records: list
@@ -175,6 +178,13 @@ class RunReport:
     errors: list[float] | None = None
     solver_counts: dict = field(default_factory=dict)
     lu_nnz: dict = field(default_factory=dict)
+    peak_rss_mb: float | None = None
+
+
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB: ``ru_maxrss``
+    of ``getrusage(RUSAGE_SELF)``, which Linux reports in kB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def build_mesh(config: ExperimentConfig) -> Mesh:
@@ -322,6 +332,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         solver_counts=dict(result.ops.factorizations),
         lu_nnz={"heat": result.ops.heat.fact.lu_nnz,
                 "stokes": result.ops.stokes.fact.lu_nnz},
+        peak_rss_mb=peak_rss_mb(),
     )
     (outdir / "report.txt").write_text(json.dumps(asdict(report), indent=2) + "\n")
     return report

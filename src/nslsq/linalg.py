@@ -270,11 +270,16 @@ class EliminatedPattern:
     """Sparsity pattern of square matrices whose constrained dofs are
     eliminated symmetrically, in CSC.
 
-    Built once from the ``(rows, cols)`` of every entry a matrix of the
-    pattern may hold (an entry may repeat); a matrix is then given by its
-    entry ``values`` in that order.  Entries on a constrained row or column
-    are dropped, not stored as zeros, which COLAMD and SuperLU would fill
-    like nonzeros, and each constrained dof gets a unit diagonal.
+    Built once from the distinct ``(rows, cols)`` pairs a matrix of the
+    pattern may hold; a matrix is then given by its entry ``values``, one
+    per pair, or, with ``entries``, one per entry, entry ``k`` being on
+    pair ``entries[k]`` (pairs that repeat, as in element-by-element
+    assembly, are named once each).  Entries on a constrained row or
+    column are dropped, not stored as zeros, which COLAMD and SuperLU
+    would fill like nonzeros, and each constrained dof gets a unit
+    diagonal.  The CSC layout comes from SciPy's COO to CSC conversion of
+    the numbered pairs, which sorts within each column only, and a pair
+    that repeats raises ``ValueError``.
     ``matrix(values)`` sums each slot's values in entry order with one
     ``bincount``, and every matrix shares ``indices``/``indptr``.
     ``coupling(values)`` maps constrained values to their load on the free
@@ -283,7 +288,7 @@ class EliminatedPattern:
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int,
-                 constrained: np.ndarray):
+                 constrained: np.ndarray, entries: np.ndarray | None = None):
         self.n = n
         self.constrained = np.asarray(constrained, dtype=np.intp)
         nc = len(self.constrained)
@@ -291,20 +296,30 @@ class EliminatedPattern:
         free[self.constrained] = False
         free_row, free_col = free[rows], free[cols]
         keep = free_row & free_col
-        keys, slots = np.unique(
-            np.concatenate([cols[keep].astype(np.int64) * n + rows[keep],
-                            self.constrained * (n + 1)]),
-            return_inverse=True)
-        self.indices = (keys % n).astype(np.int32)
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
-        self._slots = np.full(len(rows), len(keys))  # dropped: one slot past the end
-        self._slots[keep] = slots[: len(slots) - nc]
-        self._diagonal = slots[len(slots) - nc:]
-        self._coupled = np.flatnonzero(free_row & ~free_col)
+        nk = np.count_nonzero(keep)
+        # the kept pairs and the unit diagonal in CSC, each storing its number
+        numbered = sp.csc_matrix((np.arange(nk + nc, dtype=np.int32), (
+            np.concatenate([rows[keep], self.constrained], dtype=rows.dtype),
+            np.concatenate([cols[keep], self.constrained], dtype=cols.dtype))),
+            shape=(n, n))
+        if numbered.nnz != nk + nc:
+            raise ValueError("a pair of the pattern repeats")
+        self.indices = numbered.indices.astype(np.int32, copy=False)
+        self.indptr = numbered.indptr.astype(np.int32, copy=False)
+        slots = np.empty(nk + nc, dtype=np.intp)
+        slots[numbered.data] = np.arange(nk + nc)
+        self._slots = np.full(len(rows), nk + nc)  # dropped: one slot past the end
+        self._slots[keep] = slots[:nk]
+        self._diagonal = slots[nk:].copy()
+        del slots  # a pattern's build peaks at the gather below
+        coupled = free_row & ~free_col
+        if entries is not None:
+            self._slots, coupled = self._slots[entries], coupled[entries]
+        self._coupled = np.flatnonzero(coupled)
+        pairs = self._coupled if entries is None else entries[self._coupled]
         position = np.empty(n, dtype=np.intp)
         position[self.constrained] = np.arange(nc)
-        self._coupled_at = rows[self._coupled], position[cols[self._coupled]]
+        self._coupled_at = rows[pairs], position[cols[pairs]]
         self.order: Ordering | None = None
 
     def matrix(self, values: np.ndarray) -> sp.csc_matrix:
@@ -329,22 +344,27 @@ class SaddlePattern(EliminatedPattern):
     the velocity Dirichlet dofs constrained and the first pressure dof
     pinned to zero (removing the constant-pressure nullspace).
 
-    ``a_rows``/``a_cols`` are the entries of the velocity block ``A``, and
-    ``values(*a_values)`` is the value vector of a matrix: the divergence
-    values, then those of ``A``.  ``solve`` is the layout of every saddle
-    solve: the momentum load goes into the velocity rows and the Dirichlet
-    values (zero when omitted) onto the constrained rows, and the solution
-    splits into ``(velocity, multiplier)``.
+    ``a_rows``/``a_cols`` are the entries of the velocity block ``A``, or
+    its pairs with ``a_entries`` the pair of each entry (as ``entries`` of
+    an ``EliminatedPattern``), and ``values(*a_values)`` is the value
+    vector of a matrix: the divergence values, then those of ``A``.
+    ``solve`` is the layout of every saddle solve: the momentum load goes
+    into the velocity rows and the Dirichlet values (zero when omitted)
+    onto the constrained rows, and the solution splits into
+    ``(velocity, multiplier)``.
     """
 
     def __init__(self, a_rows: np.ndarray, a_cols: np.ndarray, B: sp.spmatrix,
-                 dirichlet_dofs: np.ndarray):
+                 dirichlet_dofs: np.ndarray, a_entries: np.ndarray | None = None):
         self.n_vel = n_vel = B.shape[1]
         b = B.tocoo()
         self._b_values = np.concatenate([b.data, b.data])
+        nb = len(self._b_values)
         super().__init__(np.concatenate([b.col, n_vel + b.row, a_rows]),
                          np.concatenate([n_vel + b.row, b.col, a_cols]),
-                         n_vel + B.shape[0], np.append(dirichlet_dofs, n_vel))
+                         n_vel + B.shape[0], np.append(dirichlet_dofs, n_vel),
+                         None if a_entries is None else np.concatenate(
+                             [np.arange(nb, dtype=a_entries.dtype), nb + a_entries]))
 
     def values(self, *a_values: np.ndarray) -> np.ndarray:
         return np.concatenate([self._b_values, *a_values])

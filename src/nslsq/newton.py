@@ -362,9 +362,15 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
     ``g`` is the horizontal lid velocity (homogeneous walls when omitted),
     ``u0`` the initial velocity as a vector or a callable (the steady
     Stokes field of the lid data when omitted, which a warm start does not
-    solve for).  Non-finite data, and lid data on a mesh without a lid,
-    raise ``ValueError``, also on a warm start.
+    solve for).  Non-finite data and lid data on a mesh without a lid
+    raise ``ValueError``, also on a warm start, and so does a
+    ``warm_start`` that is not ``N + 1`` finite velocity levels.
     """
+    if warm_start is not None:
+        shape = np.shape(warm_start.values)
+        if shape != (grid.N + 1, space.n_velocity) or not np.isfinite(warm_start.values).all():
+            raise ValueError(f"warm_start must be {grid.N + 1} x {space.n_velocity} "
+                             f"finite values, got shape {shape}")
     if g is not None and not (space.boundary_node_tags == int(Tag.LID)).any():
         raise ValueError("lid velocity g given, but the mesh has no lid boundary")
     values = (np.zeros(len(space.dirichlet_dofs)) if g is None

@@ -81,6 +81,9 @@ class _Convection:
     constant part ``M/dt + nu K`` first and these after them, so each
     stored entry sums its constant part first.  The pattern is built on
     the first linearized level, so operator set-up does not pay for it.
+    Its pairs are the distinct scalar pairs of the elements in each of the
+    four blocks, and every entry names its pair, so the build sorts the
+    36 pairs of each triangle, not the entries of all four blocks.
     """
 
     def __init__(self, space: Space, M: sp.spmatrix, B: sp.spmatrix):
@@ -95,14 +98,24 @@ class _Convection:
 
     @cached_property
     def pattern(self) -> SaddlePattern:
-        space = self.space
-        tri = space.tri_p2 + space.n_scalar * np.arange(2)[:, None, None]  # (c, t, i)
-        shape = (2, 2, *space.tri_p2.shape, 6)
-        rows = np.broadcast_to(tri[:, None, :, :, None], shape).ravel()
-        cols = np.broadcast_to(tri[None, :, :, None, :], shape).ravel()
-        a = self._M.tocoo()  # K and M/dt + nu K share the entries of M
-        return SaddlePattern(np.concatenate([a.row, rows]), np.concatenate([a.col, cols]),
-                             self._B, space.dirichlet_dofs)
+        ns, tri = self.space.n_scalar, self.space.tri_p2
+        # the scalar pairs (tri[t, i], tri[t, j]) of the elements, each once
+        pairs, pair_of = np.unique((tri[:, None, :] * ns + tri[:, :, None]).ravel(),
+                                   return_inverse=True)
+        npairs = len(pairs)
+        block = ns * np.arange(2, dtype=np.int32)[:, None]
+        rows = np.broadcast_to(block[:, None] + (pairs % ns).astype(np.int32), (2, 2, npairs))
+        cols = np.broadcast_to(block + (pairs // ns).astype(np.int32), (2, 2, npairs))
+        # K and M/dt + nu K share the entries of M, the pairs of blocks (0, 0), (1, 1);
+        # entry (c, d, t, i, j) is pair ``pair_of[t, i, j]`` of block 2c + d
+        a = self._M.tocoo()
+        at = np.searchsorted(pairs, a.col.astype(np.int64) % ns * ns + a.row % ns)
+        entries = np.concatenate([
+            at.astype(np.int32) + 3 * npairs * (a.row // ns),
+            (npairs * np.arange(4, dtype=np.int32)[:, None] + pair_of.astype(np.int32)).ravel()])
+        del a, at, pair_of  # the build peaks in SaddlePattern
+        return SaddlePattern(rows.ravel(), cols.ravel(), self._B, self.space.dirichlet_dofs,
+                             entries)
 
     def values(self, y_level: np.ndarray) -> np.ndarray:
         """Entry values at ``y_level``: the reaction blocks
@@ -181,10 +194,12 @@ class Operators:
 
 
 def _direction_level(ops: Operators, y_level: np.ndarray, load: np.ndarray,
-                     held: tuple | None) -> tuple[np.ndarray, tuple]:
+                     held: list) -> np.ndarray:
     """Velocity of one direction-sweep level, the system linearized at
-    ``y_level`` with momentum ``load`` and homogeneous data, and the
-    ``(LU, age)`` to pass as ``held`` to the next level (None on the first).
+    ``y_level`` with momentum ``load`` and homogeneous data.  ``held`` is
+    the sweep's store for the ``(LU, age)`` that passes from level to
+    level, empty before the first: the level takes it out while it runs
+    and puts its own back.
 
     The sweep's LU cadence: a level is factorized when nothing is held or
     the held LU would be ``LU_LAG`` levels old (levels 1, 1 + LU_LAG, ...),
@@ -194,10 +209,15 @@ def _direction_level(ops: Operators, y_level: np.ndarray, load: np.ndarray,
     non-finite load skips GMRES and propagates through the held LU, as
     through a fresh one, to the outer divergence check.  A level counts
     one ``linearized`` or ``lagged``, and GMRES its ``krylov_iterations``.
+
+    One linearized LU is alive at a time: the held LU is released before
+    a level is factorized, on the cadence and after a rejected GMRES
+    solve alike.  This holds because nothing but this function refers to
+    the held LU while it runs.
     """
     pattern = ops.linearized_pattern
     matrix = ops.linearized(y_level)
-    fact, age = held or (None, -1)
+    fact, age = held.pop() if held else (None, -1)
     age = (age + 1) % LU_LAG  # 0: this level is factorized
 
     def solve(b):
@@ -208,12 +228,14 @@ def _direction_level(ops: Operators, y_level: np.ndarray, load: np.ndarray,
             ops.factorizations["krylov_iterations"] += iterations
             age = 0 if x is None else age
         if not age:
+            fact = None  # release the held LU before SuperLU makes the next
             fact = pattern.factorize(matrix, "linearized")
         ops.factorizations["lagged" if age else "linearized"] += 1
         return fact.solve(b) if x is None else x
 
     level, _ = pattern.solve(solve, load)
-    return level, (fact, age)
+    held.append((fact, age))
+    return level
 
 
 def sweep(ops: Operators, loads: np.ndarray, y: FieldTrajectory | None = None,
@@ -227,20 +249,22 @@ def sweep(ops: Operators, loads: np.ndarray, y: FieldTrajectory | None = None,
     is the Navier-Stokes operator linearized at ``y^{n+1}``, with
     homogeneous data: the direction sweep, whose levels factorize or reuse
     an LU as ``_direction_level`` decides.  The held LU lives only for one
-    sweep.
+    sweep, and at most one linearized LU is alive at a time: between
+    levels the sweep keeps it in a store that each level empties while it
+    runs, so no reference of the sweep's keeps it alive.
     """
     grid = ops.grid
     out = FieldTrajectory.zeros(grid, ops.space.n_velocity)
     if start is not None:
         out.values[0] = start
     level = out.values[0]
-    held = None
+    held = []
     for n in range(grid.N):
         rhs = ops.M @ level / grid.dt + loads[n]
         if y is None:
             level, _ = ops.heat.solve(rhs, values)
         else:
-            level, held = _direction_level(ops, y.values[n + 1], rhs, held)
+            level = _direction_level(ops, y.values[n + 1], rhs, held)
         out.values[n + 1] = level
     return out
 

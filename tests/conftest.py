@@ -80,3 +80,44 @@ def eliminate_dirichlet(matrix, constrained: np.ndarray):
         (coo.data[cpl], (coo.row[cpl], pos[coo.col[cpl]])),
         shape=(n, len(constrained))).tocsr()
     return eliminated, coupling
+
+
+def linearized_pattern_reference(space: Space, M, B) -> dict:
+    """The arrays of the linearized saddle pattern, built the direct way:
+    every entry of the divergence blocks, of ``M`` and of the four
+    convection blocks in (c, d, triangle, i, j) order, deduplicated by one
+    ``np.unique`` over all of their keys.
+
+    Returns ``indices``, ``indptr``, ``_slots``, ``_diagonal``,
+    ``_coupled`` and ``_coupled_at`` as ``linalg.EliminatedPattern``
+    names them.
+    """
+    n_vel = space.n_velocity
+    n = n_vel + B.shape[0]
+    b, a = B.tocoo(), M.tocoo()
+    tri = space.tri_p2 + space.n_scalar * np.arange(2)[:, None, None]
+    shape = (2, 2, *space.tri_p2.shape, 6)
+    rows = np.concatenate([b.col, n_vel + b.row, a.row,
+                           np.broadcast_to(tri[:, None, :, :, None], shape).ravel()])
+    cols = np.concatenate([n_vel + b.row, b.col, a.col,
+                           np.broadcast_to(tri[None, :, :, None, :], shape).ravel()])
+    constrained = np.append(space.dirichlet_dofs, n_vel)
+    nc = len(constrained)
+    free = np.ones(n, dtype=bool)
+    free[constrained] = False
+    keep = free[rows] & free[cols]
+    keys, slots = np.unique(
+        np.concatenate([cols[keep].astype(np.int64) * n + rows[keep],
+                        constrained * (n + 1)]),
+        return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    all_slots = np.full(len(rows), len(keys))
+    all_slots[keep] = slots[: len(slots) - nc]
+    coupled = np.flatnonzero(free[rows] & ~free[cols])
+    position = np.empty(n, dtype=np.intp)
+    position[constrained] = np.arange(nc)
+    return {"indices": (keys % n).astype(np.int32), "indptr": indptr,
+            "_slots": all_slots, "_diagonal": slots[len(slots) - nc:],
+            "_coupled": coupled,
+            "_coupled_at": (rows[coupled], position[cols[coupled]])}

@@ -193,6 +193,15 @@ def test_report_counts_match_mesh(tiny_run):
     assert counts["linearized"] + counts["lagged"] == 4 * report.records[-1]["k"]
 
 
+def test_report_records_peak_rss(tiny_run):
+    """``report.txt`` carries the run's peak RSS in MB: positive, and no
+    more than the process's peak afterwards."""
+    _, report, out = tiny_run
+    peak = json.loads((out / "report.txt").read_text())["peak_rss_mb"]
+    assert peak == report.peak_rss_mb
+    assert 0 < peak <= cli.peak_rss_mb()
+
+
 def test_report_records_heat_and_stokes_fill(tiny_run):
     _, report, out = tiny_run
     fill = json.loads((out / "report.txt").read_text())["lu_nnz"]

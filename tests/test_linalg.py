@@ -10,6 +10,7 @@ from nslsq.linalg import (
     KRYLOV_RTOL,
     RESIDUAL_HARD,
     RESIDUAL_TOL,
+    EliminatedPattern,
     Factorization,
     SolverError,
     krylov_solve,
@@ -44,6 +45,18 @@ def test_singular_matrix_reports():
 def test_non_square_rejected():
     with pytest.raises(SolverError, match="square"):
         Factorization(sp.csc_matrix(np.ones((2, 3))))
+
+
+def test_pattern_rejects_repeated_pair():
+    """A pattern's pairs are distinct; entries that share a pair name it
+    through ``entries``."""
+    rows, cols = np.array([0, 1, 0]), np.array([0, 1, 0])
+    with pytest.raises(ValueError, match="repeats"):
+        EliminatedPattern(rows, cols, 3, np.array([2]))
+    pattern = EliminatedPattern(rows[:2], cols[:2], 3, np.array([2]),
+                                entries=np.array([0, 1, 0]))
+    m = pattern.matrix(np.array([1.0, 2.0, 3.0])).toarray()
+    assert np.array_equal(m, np.diag([4.0, 2.0, 1.0]))
 
 
 def test_rhs_shape_mismatch():

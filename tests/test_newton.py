@@ -520,6 +520,16 @@ def test_prepare_problem_rejects_non_finite_data(disk_coarse, square2):
     for u0 in (np.full(n, np.nan), lambda x: np.nan * x, np.zeros(3), np.zeros((2, n))):
         with pytest.raises(ValueError, match="u0"):
             prepare_problem(square2, grid, 0.1, u0=u0)
+    # a warm start of N = 3 levels for N = 4, and one with a NaN level
+    grid = TimeGrid(0.1, 4)
+    short = FieldTrajectory.zeros(TimeGrid(0.1, 3), n)
+    nan_level = FieldTrajectory.zeros(grid, n)
+    nan_level.values[2] = np.nan
+    for warm in (short, nan_level):
+        with pytest.raises(ValueError, match="warm_start"):
+            prepare_problem(square2, grid, 0.1, warm_start=warm)
+        with pytest.raises(ValueError, match="warm_start"):
+            damped_newton_solve(square2, grid, 0.1, warm_start=warm)
 
 
 def test_divergence_constraint_on_all_levels(setup):

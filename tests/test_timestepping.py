@@ -356,3 +356,58 @@ def test_lift_blocks_match_single_solves(square4, monkeypatch):
     for n in range(70):
         ref, _ = ops.stokes.solve(loads[n])
         assert np.abs(lifted[n] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("gmres", ["cadence", "rejected"])
+def test_direction_sweep_holds_one_linearized_lu(gmres, square4, monkeypatch):
+    """When a direction sweep factorizes a level, no earlier linearized LU
+    of the sweep is alive: on the cadence (levels 1, 4, 7 of N = 8, the
+    others solved by GMRES on the held LU) and when every GMRES solve is
+    rejected, so every level falls back to an LU of its own."""
+    import weakref
+
+    from nslsq import linalg, timestepping
+
+    grid = TimeGrid(1.0, 8)
+    ops = Operators(square4, grid, nu=0.01)
+    rng = np.random.default_rng(41)
+    # one field on every level: the held LU solves the lagged levels exactly
+    y = timestepping.FieldTrajectory(
+        grid, np.tile(rng.standard_normal(square4.n_velocity), (grid.N + 1, 1)))
+    loads = rng.standard_normal((grid.N, square4.n_velocity))
+    made, alive_at_factorize = [], []
+    factorize = linalg.EliminatedPattern.factorize
+
+    def tracked(self, matrix, label):
+        if label == "linearized":
+            alive_at_factorize.append(sum(ref() is not None for ref in made))
+        fact = factorize(self, matrix, label)
+        if label == "linearized":
+            made.append(weakref.ref(fact))
+        return fact
+
+    monkeypatch.setattr(linalg.EliminatedPattern, "factorize", tracked)
+    if gmres == "rejected":
+        monkeypatch.setattr(timestepping, "krylov_solve", lambda matrix, fact, b: (None, 0))
+    timestepping.sweep(ops, loads, y)
+    expected = 3 if gmres == "cadence" else grid.N
+    assert ops.factorizations["linearized"] == len(made) == expected
+    assert ops.factorizations["lagged"] == grid.N - expected
+    assert alive_at_factorize == [0] * expected
+
+
+def test_linearized_pattern_matches_direct_construction(square2, disk_coarse):
+    """The linearized pattern, built from the distinct element pairs, has
+    the arrays of the direct construction, which deduplicates every
+    entry of all four blocks with one ``np.unique``."""
+    from conftest import jittered_semidisk, linearized_pattern_reference
+
+    for space in (square2, disk_coarse, build_space(jittered_semidisk(0.1, 3))):
+        ops = Operators(space, TimeGrid(1.0, 2), nu=0.01)
+        pattern = ops.linearized_pattern
+        for name, ref in linearized_pattern_reference(space, ops.M, ops.B).items():
+            got = getattr(pattern, name)
+            if name == "_coupled_at":
+                assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+            else:
+                assert np.array_equal(got, ref), name
