@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, Tag, unique_edges
+from .mesh import Mesh, Tag, node_tags
 
 
 def rule_deg4() -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +101,7 @@ class Space:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.edges, self.tri_edges = unique_edges(mesh.triangles)
+        self.edges, self.tri_edges = mesh.edges, mesh.tri_edges
         nv = mesh.n_vertices
         self.n_scalar = nv + len(self.edges)
         self.n_velocity = 2 * self.n_scalar
@@ -123,20 +123,11 @@ class Space:
         self.jinv[:, 1, 0] = -j21 / self.det
         self.jinv[:, 1, 1] = j11 / self.det
 
-        self._boundary_nodes_and_tags()
-
-    def _boundary_nodes_and_tags(self):
-        nv = self.mesh.n_vertices
-        edge_index = {(int(i), int(j)): k for k, (i, j) in enumerate(self.edges)}
-        tag_of: dict[int, int] = {}
-        for (i, j), tag in zip(self.mesh.boundary_edges, self.mesh.boundary_tags):
-            mid = nv + edge_index[(int(i), int(j))]
-            for node in (int(i), int(j), mid):
-                # LID < WALL, and the corner vertices belong to the lid
-                tag_of[node] = min(tag_of.get(node, int(tag)), int(tag))
-        nodes = np.array(sorted(tag_of), dtype=np.int64)
+        # each boundary edge's two vertices and midpoint, by the corner rule
+        mid = nv + mesh.edge_index(mesh.boundary_edges)
+        nodes, self.boundary_node_tags = node_tags(
+            np.column_stack([mesh.boundary_edges, mid]), mesh.boundary_tags)
         self.boundary_nodes = nodes
-        self.boundary_node_tags = np.array([tag_of[int(n)] for n in nodes], dtype=np.int64)
         self.dirichlet_dofs = np.concatenate([nodes, nodes + self.n_scalar])
 
     @cached_property
@@ -240,27 +231,6 @@ def convection_scalar_block(space: Space, a: np.ndarray) -> np.ndarray:
     aq = space.velocity_at_quad(a, r) * (space.det[:, None] * r.w)[:, :, None]
     adotg = np.einsum("tqd,tqjd->tqj", aq, r.g)   # weighted (a.grad)phi_j
     return r.phi.T @ adotg
-
-
-def assemble_convection(space: Space, a: np.ndarray) -> sp.csr_matrix:
-    """Matrix C(a) of the form int((a.grad)u . w); linear in a."""
-    c = space._scatter_p2p2(convection_scalar_block(space, a))
-    return sp.block_diag((c, c), format="csr")
-
-
-def assemble_linearized_convection(space: Space, y: np.ndarray) -> sp.csr_matrix:
-    """L(y) = C(y) + D(y) with D(y) the reaction part int((u.grad)y . w)."""
-    r = space.rule5
-    c = space._scatter_p2p2(convection_scalar_block(space, y))
-    gy = space.velocity_grad_at_quad(y, r)   # (nt, nq, 2, 2)
-    blocks = [[None, None], [None, None]]
-    for ci in range(2):
-        for d in range(2):
-            elem = np.einsum("t,q,qi,qj,tq->tij",
-                             space.det, r.w, r.phi, r.phi, gy[:, :, ci, d])
-            blocks[ci][d] = space._scatter_p2p2(elem)
-    dmat = sp.bmat(blocks, format="csr")
-    return sp.block_diag((c, c), format="csr") + dmat
 
 
 def convection_vector(space: Space, a: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -406,11 +406,3 @@ class SaddleFactorization:
     def solve(self, load: np.ndarray, values: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
         return self.pattern.solve(self.fact.solve, load, values, self.coupling)
-
-
-def saddle_factorization(A: sp.spmatrix, B: sp.spmatrix, dirichlet_dofs: np.ndarray,
-                         label: str) -> SaddleFactorization:
-    """LU of [[A, B^T], [B, 0]] on a saddle pattern of its own."""
-    a = A.tocoo()
-    pattern = SaddlePattern(a.row, a.col, B, dirichlet_dofs)
-    return SaddleFactorization(pattern, pattern.values(a.data), label)

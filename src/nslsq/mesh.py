@@ -19,9 +19,11 @@ R_DISK = 0.5  # semi-disk radius
 class Tag(IntEnum):
     """Boundary tags.  LID carries the driven velocity, WALL is no-slip.
 
-    Numeric values double as vertex markers in the Triangle file format;
-    an edge inherits the tag of its larger endpoint marker, so WALL > LID
-    makes corner vertices (tagged LID) not leak onto wall edges.
+    A boundary node, a vertex or an edge midpoint (numbered by the edge
+    table ``Mesh.edges``), takes the smallest tag among its boundary
+    edges (``node_tags``), so corners shared with a wall are LID.  Tags
+    double as Triangle vertex markers; a read edge takes its larger
+    endpoint marker, so WALL > LID keeps the corners off the wall edges.
     """
 
     LID = 1
@@ -44,6 +46,8 @@ class Mesh:
     triangles : (nt, 3) int array, counterclockwise
     boundary_edges : (nb, 2) int array, canonicalized (i < j, lexicographic)
     boundary_tags : (nb,) int array of Tag values
+    edges, tri_edges : the edge table of ``unique_edges``, built once; it
+        numbers the P2 edge-midpoint dofs
     """
 
     vertices: np.ndarray
@@ -58,10 +62,9 @@ class Mesh:
         self.boundary_tags = np.ascontiguousarray(self.boundary_tags, dtype=np.int64)
         self._canonicalize()
         self._validate()
-        self.vertices.setflags(write=False)
-        self.triangles.setflags(write=False)
-        self.boundary_edges.setflags(write=False)
-        self.boundary_tags.setflags(write=False)
+        for a in (self.vertices, self.triangles, self.boundary_edges,
+                  self.boundary_tags, self.edges, self.tri_edges):
+            a.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
@@ -73,11 +76,13 @@ class Mesh:
 
     def areas(self) -> np.ndarray:
         """Signed triangle areas (positive for the stored orientation)."""
-        p = self.vertices
-        t = self.triangles
-        d1 = p[t[:, 1]] - p[t[:, 0]]
-        d2 = p[t[:, 2]] - p[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return _signed_areas(self.vertices, self.triangles)
+
+    def edge_index(self, pairs: np.ndarray) -> np.ndarray:
+        """Table index of each edge of the mesh given as a sorted vertex pair."""
+        keys = self.edges @ [self.n_vertices, 1]
+        order = np.argsort(keys)
+        return order[np.searchsorted(keys, pairs @ [self.n_vertices, 1], sorter=order)]
 
     def _canonicalize(self):
         if len(self.boundary_edges):
@@ -96,30 +101,24 @@ class Mesh:
             self.boundary_edges.min() < 0 or self.boundary_edges.max() >= nv
         ):
             raise MeshError("boundary edge vertex index out of range")
+        unused = np.flatnonzero(np.bincount(self.triangles.ravel(), minlength=nv) == 0)
+        if len(unused):
+            raise MeshError(f"vertex {unused[0]} belongs to no triangle")
         areas = self.areas()
         bad = np.nonzero(areas <= 0.0)[0]
         if len(bad):
             raise MeshError(f"triangle {bad[0]} has non-positive area {areas[bad[0]]}")
+        self.edges, self.tri_edges = unique_edges(self.triangles)
         # Boundary edges are exactly the edges owned by a single triangle.
-        found = boundary_edges_brute_force(self.triangles)
-        stored = {tuple(e) for e in self.boundary_edges}
-        if stored != found:
-            missing = found - stored
-            extra = stored - found
+        found = _boundary_of(self.edges, self.tri_edges) @ [nv, 1]
+        stored = self.boundary_edges.reshape(-1, 2) @ [nv, 1]
+        missing = np.setdiff1d(found, stored)[:3].tolist()
+        extra = np.setdiff1d(stored, found)[:3].tolist()
+        if missing or extra:
             raise MeshError(
-                f"boundary edge set mismatch: missing={sorted(missing)[:3]} "
-                f"extra={sorted(extra)[:3]}"
+                f"boundary edge set mismatch: missing={[divmod(k, nv) for k in missing]} "
+                f"extra={[divmod(k, nv) for k in extra]}"
             )
-
-
-def boundary_edges_brute_force(triangles: np.ndarray) -> set[tuple[int, int]]:
-    """Edges appearing in exactly one triangle, as sorted vertex pairs."""
-    count: dict[tuple[int, int], int] = {}
-    for a, b, c in np.asarray(triangles):
-        for i, j in ((a, b), (b, c), (c, a)):
-            key = (int(min(i, j)), int(max(i, j)))
-            count[key] = count.get(key, 0) + 1
-    return {e for e, n in count.items() if n == 1}
 
 
 def unique_edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,28 +128,42 @@ def unique_edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first-appearance order (deterministic); tri_edges is (nt, 3) with the
     edge index of (v0,v1), (v1,v2), (v2,v0) per triangle.
     """
-    triangles = np.asarray(triangles)
-    index: dict[tuple[int, int], int] = {}
-    tri_edges = np.empty((len(triangles), 3), dtype=np.int64)
-    for t, (a, b, c) in enumerate(triangles):
-        for k, (i, j) in enumerate(((a, b), (b, c), (c, a))):
-            key = (int(min(i, j)), int(max(i, j)))
-            e = index.get(key)
-            if e is None:
-                e = len(index)
-                index[key] = e
-            tri_edges[t, k] = e
-    edges = np.array(list(index.keys()), dtype=np.int64).reshape(-1, 2)
-    return edges, tri_edges
+    t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    pairs = np.sort(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    n = int(t.max(initial=-1)) + 1
+    _, first, inverse = np.unique(pairs @ [n, 1], return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the sorted keys, reordered to first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return pairs[first[order]], rank[inverse].reshape(-1, 3)
+
+
+def _boundary_of(edges: np.ndarray, tri_edges: np.ndarray) -> np.ndarray:
+    """The edges that exactly one triangle uses, in lexicographic order."""
+    b = edges[np.bincount(tri_edges.ravel(), minlength=len(edges)) == 1]
+    return b[np.lexsort((b[:, 1], b[:, 0]))]
+
+
+def node_tags(edge_nodes: np.ndarray, tags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The corner rule: each node in the rows (one per boundary edge) of
+    ``edge_nodes`` takes the smallest tag among its edges.  Returns the
+    nodes in ascending order and their tags."""
+    nodes, at = np.unique(edge_nodes, return_inverse=True)
+    smallest = np.full(len(nodes), np.iinfo(np.int64).max)
+    np.minimum.at(smallest, at.ravel(), np.repeat(tags, edge_nodes.shape[1]))
+    return nodes, smallest
+
+
+def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    d1 = vertices[triangles[:, 1]] - vertices[triangles[:, 0]]
+    d2 = vertices[triangles[:, 2]] - vertices[triangles[:, 0]]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def _oriented(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Flip triangles with negative signed area to counterclockwise."""
-    p = vertices
     t = np.array(triangles, dtype=np.int64)
-    d1 = p[t[:, 1]] - p[t[:, 0]]
-    d2 = p[t[:, 2]] - p[t[:, 0]]
-    neg = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) < 0
+    neg = _signed_areas(vertices, t) < 0
     t[neg] = t[neg][:, [0, 2, 1]]
     return t
 
@@ -163,29 +176,17 @@ def generate_unit_square(n: int) -> Mesh:
     if n < 1:
         raise MeshError(f"n must be >= 1, got {n}")
     xs = np.linspace(0.0, 1.0, n + 1)
-    grid = np.array([(x, y) for y in xs for x in xs])
-    centers = np.array(
-        [((xs[i] + xs[i + 1]) / 2, (xs[j] + xs[j + 1]) / 2) for j in range(n) for i in range(n)]
-    )
-    vertices = np.vstack([grid, centers])
-    ngrid = (n + 1) ** 2
-
-    def g(i, j):
-        return j * (n + 1) + i
-
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            m = ngrid + j * n + i
-            c00, c10 = g(i, j), g(i + 1, j)
-            c11, c01 = g(i + 1, j + 1), g(i, j + 1)
-            triangles += [(c00, c10, m), (c10, c11, m), (c11, c01, m), (c01, c00, m)]
-    edges = []
-    for i in range(n):
-        edges += [(g(i, 0), g(i + 1, 0)), (g(i, n), g(i + 1, n))]
-        edges += [(g(0, i), g(0, i + 1)), (g(n, i), g(n, i + 1))]
-    edges = np.array(edges)
-    return Mesh(vertices, np.array(triangles), edges, np.full(len(edges), Tag.WALL))
+    centers = (xs[:-1] + xs[1:]) / 2
+    # the (n+1)^2 grid vertices, then the n^2 cell centers, x running fastest
+    vertices = np.vstack([np.stack(np.meshgrid(x, x), axis=-1).reshape(-1, 2)
+                          for x in (xs, centers)])
+    g = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)  # grid vertex (x_i, y_j) is g[j, i]
+    c00, c10, c11, c01 = g[:-1, :-1], g[:-1, 1:], g[1:, 1:], g[1:, :-1]
+    m = (n + 1) ** 2 + np.arange(n * n).reshape(n, n)
+    triangles = np.stack([c00, c10, m, c10, c11, m, c11, c01, m, c01, c00, m],
+                         axis=-1).reshape(-1, 3)
+    edges = _boundary_of(*unique_edges(triangles))
+    return Mesh(vertices, triangles, edges, np.full(len(edges), Tag.WALL))
 
 
 def generate_semidisk(h_target: float) -> Mesh:
@@ -216,31 +217,15 @@ def generate_semidisk(h_target: float) -> Mesh:
             vertices.append((x, y))
     vertices = np.array(vertices)
 
-    def ring(i, j):
-        return 1 + (i - 1) * (na + 1) + j
+    ring = 1 + np.arange(nr * (na + 1)).reshape(nr, na + 1)  # vertex (i, j) is ring[i - 1, j]
+    fan = np.column_stack([np.zeros(na, dtype=np.int64), ring[0, :-1], ring[0, 1:]])
+    a, b, c, d = ring[:-1, :-1], ring[1:, :-1], ring[1:, 1:], ring[:-1, 1:]
+    quads = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+    triangles = _oriented(vertices, np.vstack([fan, quads]))
 
-    triangles = []
-    for j in range(na):
-        triangles.append((0, ring(1, j), ring(1, j + 1)))
-    for i in range(1, nr):
-        for j in range(na):
-            a, b = ring(i, j), ring(i + 1, j)
-            c, d = ring(i + 1, j + 1), ring(i, j + 1)
-            triangles.append((a, b, c))
-            triangles.append((a, c, d))
-    triangles = _oriented(vertices, np.array(triangles))
-
-    edges, tags = [], []
-    for side in (0, na):
-        chain = [0] + [ring(i, side) for i in range(1, nr + 1)]
-        for a, b in zip(chain[:-1], chain[1:]):
-            edges.append((a, b))
-            tags.append(Tag.LID)
-    for j in range(na):
-        edges.append((ring(nr, j), ring(nr, j + 1)))
-        tags.append(Tag.WALL)
-
-    mesh = Mesh(vertices, triangles, np.array(edges), np.array(tags))
+    edges = _boundary_of(*unique_edges(triangles))
+    on_diameter = (vertices[edges, 1] == 0.0).all(axis=1)
+    mesh = Mesh(vertices, triangles, edges, np.where(on_diameter, Tag.LID, Tag.WALL))
     lengths = edge_lengths(mesh)
     if lengths.max() > 1.5 * h_target:
         raise MeshError(
@@ -250,12 +235,12 @@ def generate_semidisk(h_target: float) -> Mesh:
 
 
 def edge_lengths(mesh: Mesh) -> np.ndarray:
-    edges, _ = unique_edges(mesh.triangles)
-    d = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
+    """Length of each edge of the mesh's table."""
+    d = mesh.vertices[mesh.edges[:, 0]] - mesh.vertices[mesh.edges[:, 1]]
     return np.hypot(d[:, 0], d[:, 1])
 
 
-def _records(text: str, what: str):
+def _records(text: str):
     """Yield (line_number, fields) for non-comment, non-blank lines."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -273,7 +258,7 @@ def read_triangle_format(
     Clockwise triangles are reordered.  Raises ParseError with the
     offending line number.
     """
-    records = _records(node_text, "node")
+    records = _records(node_text)
     try:
         lineno, header = next(records)
     except StopIteration:
@@ -282,6 +267,8 @@ def read_triangle_format(
         nv, dim, nattr, nmark = (int(x) for x in header)
     except ValueError:
         raise ParseError(f".node line {lineno}: bad header {header!r}") from None
+    if nv < 0:
+        raise ParseError(f".node line {lineno}: negative vertex count {nv}")
     if dim != 2 or nattr != 0:
         raise ParseError(f".node line {lineno}: only 2D attribute-free files supported")
     if nmark not in (0, 1):
@@ -289,7 +276,7 @@ def read_triangle_format(
 
     vertices = np.zeros((nv, 2))
     markers = np.zeros(nv, dtype=np.int64)
-    base = None
+    base = 0  # with no vertices, every .ele index is out of range
     for k in range(nv):
         try:
             lineno, fields = next(records)
@@ -303,7 +290,7 @@ def read_triangle_format(
             mark = int(fields[3]) if nmark else 0
         except ValueError:
             raise ParseError(f".node line {lineno}: malformed record") from None
-        if base is None:
+        if k == 0:
             if idx not in (0, 1):
                 raise ParseError(f".node line {lineno}: first index must be 0 or 1")
             base = idx
@@ -312,7 +299,7 @@ def read_triangle_format(
         vertices[k] = (x, y)
         markers[k] = mark
 
-    records = _records(ele_text, "ele")
+    records = _records(ele_text)
     try:
         lineno, header = next(records)
     except StopIteration:
@@ -321,6 +308,8 @@ def read_triangle_format(
         nt, per_tri, nattr = (int(x) for x in header)
     except ValueError:
         raise ParseError(f".ele line {lineno}: bad header {header!r}") from None
+    if nt < 0:
+        raise ParseError(f".ele line {lineno}: negative triangle count {nt}")
     if per_tri != 3 or nattr != 0:
         raise ParseError(f".ele line {lineno}: only 3-node attribute-free triangles supported")
 
@@ -342,27 +331,26 @@ def read_triangle_format(
         triangles[k] = tri
 
     triangles = _oriented(vertices, triangles)
-    edges = sorted(boundary_edges_brute_force(triangles))
+    edges = _boundary_of(*unique_edges(triangles))
     tags = []
-    for i, j in edges:
+    for i, j in edges.tolist():
         mark = int(max(markers[i], markers[j]))
         if mark not in boundary_tag_map:
             raise ParseError(f"boundary edge ({i},{j}) has unmapped marker {mark}")
         tags.append(boundary_tag_map[mark])
-    return Mesh(vertices, triangles, np.array(edges).reshape(-1, 2), np.array(tags))
+    return Mesh(vertices, triangles, edges, np.array(tags))
 
 
 def write_triangle_format(mesh: Mesh) -> tuple[str, str]:
     """Triangle ``.node``/``.ele`` texts; round-trips bit-stable.
 
-    Vertex markers: 0 interior, else the smallest incident boundary-edge
-    tag (so corner vertices shared by LID and WALL edges are marked LID,
-    matching the generators' corner policy).
+    Vertex markers: 0 interior, else the boundary vertex's tag by the
+    corner rule of ``node_tags`` (corners shared by LID and WALL edges
+    are marked LID, matching the generators' corner policy).
     """
     markers = np.zeros(mesh.n_vertices, dtype=np.int64)
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        for v in (i, j):
-            markers[v] = int(tag) if markers[v] == 0 else min(markers[v], int(tag))
+    nodes, tags = node_tags(mesh.boundary_edges, mesh.boundary_tags)
+    markers[nodes] = tags
     lines = [f"{mesh.n_vertices} 2 0 1"]
     for k, (x, y) in enumerate(mesh.vertices):
         lines.append(f"{k + 1} {float(x)!r} {float(y)!r} {markers[k]}")

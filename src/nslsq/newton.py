@@ -384,20 +384,18 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
         times = grid.times()
         loads = np.stack([fem.load_vector(space, f, times[n + 1])
                           for n in range(grid.N)])
-    if u0 is None and warm_start is not None:
-        return ops, loads, warm_start.copy()  # it replaces the steady Stokes guess
-    if u0 is None:
-        u0_vec = steady_stokes_initial(ops, values)
+    if u0 is None and warm_start is None:
+        u0 = steady_stokes_initial(ops, values)
     elif callable(u0):
-        u0_vec = fem.interpolate_velocity(space, u0)
-    else:
-        u0_vec = np.asarray(u0, dtype=np.float64)
-    if u0_vec.shape != (space.n_velocity,) or not np.isfinite(u0_vec).all():
-        raise ValueError(f"initial velocity u0 must be {space.n_velocity} finite "
-                         f"values, got shape {u0_vec.shape}")
-    if warm_start is not None:
-        return ops, loads, warm_start.copy()
-    return ops, loads, unsteady_stokes_initial_guess(ops, u0_vec, values, loads)
+        u0 = fem.interpolate_velocity(space, u0)
+    if u0 is not None:  # a warm start without u0 has none to check
+        u0 = np.asarray(u0, dtype=np.float64)
+        if u0.shape != (space.n_velocity,) or not np.isfinite(u0).all():
+            raise ValueError(f"initial velocity u0 must be {space.n_velocity} finite "
+                             f"values, got shape {u0.shape}")
+    y0 = (warm_start.copy() if warm_start is not None  # it replaces the Stokes guess
+          else unsteady_stokes_initial_guess(ops, u0, values, loads))
+    return ops, loads, y0
 
 
 def _solve(space: Space, grid: TimeGrid, nu: float, variant: str, *, g=None,

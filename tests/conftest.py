@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nslsq.fem import Space, build_space
+from nslsq.fem import Space, build_space, convection_scalar_block
+from nslsq.linalg import SaddleFactorization, SaddlePattern
 from nslsq.mesh import Mesh, generate_semidisk, generate_unit_square
 
 
@@ -121,3 +122,83 @@ def linearized_pattern_reference(space: Space, M, B) -> dict:
             "_slots": all_slots, "_diagonal": slots[len(slots) - nc:],
             "_coupled": coupled,
             "_coupled_at": (rows[coupled], position[cols[coupled]])}
+
+
+def boundary_edges_brute_force(triangles: np.ndarray) -> set[tuple[int, int]]:
+    """Edges appearing in exactly one triangle, as sorted vertex pairs."""
+    count: dict[tuple[int, int], int] = {}
+    for a, b, c in np.asarray(triangles):
+        for i, j in ((a, b), (b, c), (c, a)):
+            key = (int(min(i, j)), int(max(i, j)))
+            count[key] = count.get(key, 0) + 1
+    return {e for e, n in count.items() if n == 1}
+
+
+def unique_edges_reference(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``mesh.unique_edges`` by a dict over the sorted vertex pairs, each
+    edge numbered at its first appearance."""
+    index: dict[tuple[int, int], int] = {}
+    tri_edges = np.empty((len(triangles), 3), dtype=np.int64)
+    for t, (a, b, c) in enumerate(np.asarray(triangles)):
+        for k, (i, j) in enumerate(((a, b), (b, c), (c, a))):
+            key = (int(min(i, j)), int(max(i, j)))
+            e = index.get(key)
+            if e is None:
+                e = len(index)
+                index[key] = e
+            tri_edges[t, k] = e
+    edges = np.array(list(index.keys()), dtype=np.int64).reshape(-1, 2)
+    return edges, tri_edges
+
+
+def space_layout_reference(mesh: Mesh) -> dict:
+    """The dof layout of ``fem.Space`` built the direct way: the dict edge
+    numbering and a dict of boundary node tags, where each boundary
+    edge's vertices and midpoint take the smallest tag of their edges.
+
+    Returns ``edges``, ``tri_edges``, ``tri_p2``, ``boundary_nodes``,
+    ``boundary_node_tags`` and ``dirichlet_dofs`` as ``Space`` names them.
+    """
+    nv = mesh.n_vertices
+    edges, tri_edges = unique_edges_reference(mesh.triangles)
+    edge_index = {(int(i), int(j)): k for k, (i, j) in enumerate(edges)}
+    tag_of: dict[int, int] = {}
+    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        mid = nv + edge_index[(int(i), int(j))]
+        for node in (int(i), int(j), mid):
+            tag_of[node] = min(tag_of.get(node, int(tag)), int(tag))
+    nodes = np.array(sorted(tag_of), dtype=np.int64)
+    return {"edges": edges, "tri_edges": tri_edges,
+            "tri_p2": np.hstack([mesh.triangles, nv + tri_edges]),
+            "boundary_nodes": nodes,
+            "boundary_node_tags": np.array([tag_of[int(n)] for n in nodes], dtype=np.int64),
+            "dirichlet_dofs": np.concatenate([nodes, nodes + nv + len(edges)])}
+
+
+def assemble_convection(space: Space, a: np.ndarray) -> sp.csr_matrix:
+    """Matrix C(a) of the form int((a.grad)u . w); linear in a."""
+    c = space._scatter_p2p2(convection_scalar_block(space, a))
+    return sp.block_diag((c, c), format="csr")
+
+
+def assemble_linearized_convection(space: Space, y: np.ndarray) -> sp.csr_matrix:
+    """L(y) = C(y) + D(y) with D(y) the reaction part int((u.grad)y . w)."""
+    r = space.rule5
+    c = space._scatter_p2p2(convection_scalar_block(space, y))
+    gy = space.velocity_grad_at_quad(y, r)   # (nt, nq, 2, 2)
+    blocks = [[None, None], [None, None]]
+    for ci in range(2):
+        for d in range(2):
+            elem = np.einsum("t,q,qi,qj,tq->tij",
+                             space.det, r.w, r.phi, r.phi, gy[:, :, ci, d])
+            blocks[ci][d] = space._scatter_p2p2(elem)
+    dmat = sp.bmat(blocks, format="csr")
+    return sp.block_diag((c, c), format="csr") + dmat
+
+
+def saddle_factorization(A: sp.spmatrix, B: sp.spmatrix, dirichlet_dofs: np.ndarray,
+                         label: str) -> SaddleFactorization:
+    """LU of [[A, B^T], [B, 0]] on a saddle pattern of its own."""
+    a = A.tocoo()
+    pattern = SaddlePattern(a.row, a.col, B, dirichlet_dofs)
+    return SaddleFactorization(pattern, pattern.values(a.data), label)

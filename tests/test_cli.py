@@ -312,6 +312,24 @@ def test_main_error_exit_code(tmp_path, capsys):
         assert "error" in capsys.readouterr().err
 
 
+def test_main_run_rejects_mesh_with_unused_vertex(tmp_path, capsys):
+    """A Triangle mesh with a vertex that no triangle uses stops at the
+    mesh, not at a singular LU of the solve."""
+    from nslsq.mesh import generate_unit_square, write_triangle_format
+
+    node, ele = write_triangle_format(generate_unit_square(2))
+    lines = node.splitlines()
+    nv = int(lines[0].split()[0])
+    lines[0] = lines[0].replace(str(nv), str(nv + 1), 1)
+    (tmp_path / "sq.node").write_text("\n".join(lines + [f"{nv + 1} 2.0 2.0 0"]) + "\n")
+    (tmp_path / "sq.ele").write_text(ele)
+    cfg_path = tmp_path / "sq.ini"
+    cfg_path.write_text(f"[experiment]\ngeometry = {tmp_path / 'sq'}\nT = 0.2\n"
+                        f"dt = 0.1\nnu = 0.1\noutdir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: vertex {nv} belongs to no triangle\n"
+
+
 def test_main_diverged_exit_code(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(TINY + f"outdir = {tmp_path / 'd'}\n")

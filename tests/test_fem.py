@@ -3,9 +3,7 @@ import pytest
 
 from nslsq import fem
 from nslsq.fem import (
-    assemble_convection,
     assemble_divergence,
-    assemble_linearized_convection,
     assemble_mass,
     assemble_stiffness,
     build_space,
@@ -14,9 +12,22 @@ from nslsq.fem import (
     rule_deg4,
     rule_deg5,
 )
-from nslsq.mesh import Tag
+from nslsq.mesh import (
+    Tag,
+    generate_semidisk,
+    generate_unit_square,
+    read_triangle_format,
+    write_triangle_format,
+)
 
-from conftest import constant_field, jittered_semidisk, linear_field
+from conftest import (
+    assemble_convection,
+    assemble_linearized_convection,
+    constant_field,
+    jittered_semidisk,
+    linear_field,
+    space_layout_reference,
+)
 
 # P2 element mass matrix of a triangle with area A, local order
 # [v0, v1, v2, e01, e12, e20], integrated exactly (frozen CAS result).
@@ -253,3 +264,42 @@ def test_dirichlet_nodes_are_exactly_boundary_support(square2):
     interior = np.setdiff1d(np.arange(square2.n_scalar), nodes)
     xy_in = square2.p2_coords[interior]
     assert ((xy_in > 1e-14) & (xy_in < 1 - 1e-14)).all()
+
+
+def _read_zero_based_clockwise(mesh):
+    """``mesh`` through the Triangle reader, written with zero-based
+    indices and every other triangle clockwise."""
+    node, ele = write_triangle_format(mesh)
+    rows = [line.split() for line in node.splitlines()[1:]]
+    node = "\n".join([node.splitlines()[0]] + [
+        " ".join([str(int(r[0]) - 1)] + r[1:]) for r in rows]) + "\n"
+    tris = [[int(f) - 1 for f in line.split()] for line in ele.splitlines()[1:]]
+    ele = "\n".join([ele.splitlines()[0]] + [
+        f"{k} {a} {c} {b}" if k % 2 else f"{k} {a} {b} {c}"
+        for k, a, b, c in tris]) + "\n"
+    return read_triangle_format(node, ele, {1: Tag.LID, 2: Tag.WALL})
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda n=n: generate_unit_square(n) for n in (1, 2, 3, 8)],
+    lambda: generate_semidisk(0.2),
+    lambda: generate_semidisk(0.05),
+    lambda: jittered_semidisk(0.1, 3),
+    lambda: _read_zero_based_clockwise(generate_semidisk(0.2)),
+], ids=["square1", "square2", "square3", "square8", "disk0.2", "disk0.05",
+        "jittered", "read"])
+def test_space_layout_matches_dict_construction(make):
+    """The dof layout, and the writer's vertex markers, equal those of the
+    dict-based edge numbering and corner rule."""
+    mesh = make()
+    space = build_space(mesh)
+    ref = space_layout_reference(mesh)
+    for name, want in ref.items():
+        got = getattr(space, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    vertex = ref["boundary_nodes"] < mesh.n_vertices
+    markers = np.zeros(mesh.n_vertices, dtype=np.int64)
+    markers[ref["boundary_nodes"][vertex]] = ref["boundary_node_tags"][vertex]
+    node, _ = write_triangle_format(mesh)
+    written = [int(line.split()[3]) for line in node.splitlines()[1:]]
+    assert np.array_equal(written, markers)

@@ -14,11 +14,10 @@ from nslsq.linalg import (
     Factorization,
     SolverError,
     krylov_solve,
-    saddle_factorization,
 )
 from nslsq.timestepping import Operators, TimeGrid
 
-from conftest import jittered_semidisk
+from conftest import jittered_semidisk, saddle_factorization
 
 
 def test_one_by_one():

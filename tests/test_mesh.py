@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nslsq.mesh import (
     Mesh,
     MeshError,
     ParseError,
     Tag,
-    boundary_edges_brute_force,
     edge_lengths,
     generate_semidisk,
     generate_unit_square,
     read_triangle_format,
+    unique_edges,
     write_triangle_format,
 )
+
+from conftest import boundary_edges_brute_force, unique_edges_reference
 
 TWO_TRI_NODE = """\
 4 2 0 1
@@ -146,8 +150,6 @@ def test_mesh_validation_rejects_bad_boundary():
 
 @pytest.mark.parametrize("make", [lambda: generate_unit_square(3), lambda: generate_semidisk(0.12)])
 def test_every_edge_shared_by_at_most_two_triangles(make):
-    from nslsq.mesh import unique_edges
-
     mesh = make()
     edges, tri_edges = unique_edges(mesh.triangles)
     counts = np.bincount(tri_edges.ravel(), minlength=len(edges))
@@ -163,3 +165,64 @@ def test_comments_and_zero_based_indices():
     mesh = read_triangle_format(node, ele, {0: Tag.WALL})
     assert mesh.n_triangles == 1
     assert len(mesh.boundary_edges) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 12)] * 3), max_size=40))
+def test_unique_edges_numbers_edges_at_first_appearance(triangles):
+    triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
+    edges, tri_edges = unique_edges(triangles)
+    ref_edges, ref_tri_edges = unique_edges_reference(triangles)
+    assert edges.dtype == tri_edges.dtype == np.int64
+    assert np.array_equal(edges, ref_edges)
+    assert np.array_equal(tri_edges, ref_tri_edges)
+
+
+def test_mesh_keeps_its_edge_table():
+    mesh = generate_semidisk(0.12)
+    edges, tri_edges = unique_edges(mesh.triangles)
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.tri_edges, tri_edges)
+    assert not mesh.edges.flags.writeable and not mesh.tri_edges.flags.writeable
+    assert np.array_equal(mesh.edge_index(edges[::-1]), np.arange(len(edges))[::-1])
+
+
+def test_mesh_validation_rejects_unused_vertex():
+    mesh = generate_unit_square(1)
+    vertices = np.vstack([mesh.vertices, [[2.0, 2.0]]])
+    with pytest.raises(MeshError, match="vertex 5 belongs to no triangle"):
+        Mesh(vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
+
+
+def test_mesh_validation_names_missing_and_extra_edges():
+    mesh = generate_unit_square(1)
+    edges = np.vstack([mesh.boundary_edges[1:], [[0, 4]]])
+    with pytest.raises(MeshError, match=r"missing=\[\(0, 1\)\] extra=\[\(0, 4\)\]"):
+        Mesh(mesh.vertices, mesh.triangles, edges, mesh.boundary_tags)
+
+
+def test_read_reports_triangles_over_an_empty_vertex_list():
+    with pytest.raises(ParseError, match=r"\.ele line 2: vertex index out of range"):
+        read_triangle_format("0 2 0 1\n", TWO_TRI_ELE, {2: Tag.WALL})
+
+
+def test_read_reports_negative_counts():
+    node = TWO_TRI_NODE.replace("4 2 0 1", "-4 2 0 1")
+    with pytest.raises(ParseError, match=r"\.node line 1: negative vertex count -4"):
+        read_triangle_format(node, TWO_TRI_ELE, {2: Tag.WALL})
+    ele = TWO_TRI_ELE.replace("2 3 0", "-2 3 0")
+    with pytest.raises(ParseError, match=r"\.ele line 1: negative triangle count -2"):
+        read_triangle_format(TWO_TRI_NODE, ele, {2: Tag.WALL})
+
+
+@pytest.mark.parametrize("name, make, digest", [
+    ("square3", lambda: generate_unit_square(3), "1c6c42ecc5401eb7"),
+    ("disk0.2", lambda: generate_semidisk(0.2), "2579011ec36828ea"),
+])
+def test_write_triangle_format_text_is_frozen(name, make, digest):
+    """The texts of two meshes, frozen as written by the dict-based marker
+    loop that ``node_tags`` replaced."""
+    import hashlib
+
+    node, ele = write_triangle_format(make())
+    assert hashlib.sha256((node + ele).encode()).hexdigest()[:16] == digest

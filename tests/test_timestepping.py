@@ -12,7 +12,7 @@ from nslsq.fem import (
     lid_boundary_values,
     load_vector,
 )
-from nslsq.linalg import Factorization, saddle_factorization
+from nslsq.linalg import Factorization
 from nslsq.mesh import Tag, generate_semidisk, generate_unit_square
 from nslsq.timestepping import (
     LIFT_BLOCK,
@@ -23,6 +23,8 @@ from nslsq.timestepping import (
     steady_stokes_initial,
     unsteady_stokes_initial_guess,
 )
+
+from conftest import saddle_factorization
 
 LID_G = lambda x: (1 - np.exp(100 * (x - 0.5))) * (1 - np.exp(-100 * (x + 0.5)))
 
@@ -208,10 +210,9 @@ def test_eliminated_matrices_match_direct_assembly(label, square2, monkeypatch):
     pattern share its ``indices``/``indptr``."""
     import scipy.sparse as sp
 
-    from conftest import eliminate_dirichlet
+    from conftest import assemble_linearized_convection, eliminate_dirichlet
     from nslsq import linalg
     from nslsq.cli import stream_function
-    from nslsq.fem import assemble_linearized_convection
 
     space = square2
     grid = TimeGrid(1.0, 10)
