@@ -161,7 +161,10 @@ class RunReport:
     """The JSON of ``report.txt``.  ``solver_counts`` is the run's
     ``Operators.factorizations``: LUs by label, lagged direction levels
     and their GMRES iterations.  ``lu_nnz`` is the fill of the run's heat
-    and Stokes LUs.  ``peak_rss_mb`` is the process's peak resident set
+    and Stokes LUs, and ``linearized_lu`` the ``ordering`` and ``lu_nnz``
+    of the LU whose ordering the linearized pattern holds
+    (``Operators.linearized_lu``; None when no direction sweep ran).
+    ``peak_rss_mb`` is the process's peak resident set
     size in MB when the report is made (``peak_rss_mb()``), after the
     solve and the snapshots."""
 
@@ -178,6 +181,7 @@ class RunReport:
     errors: list[float] | None = None
     solver_counts: dict = field(default_factory=dict)
     lu_nnz: dict = field(default_factory=dict)
+    linearized_lu: dict | None = None
     peak_rss_mb: float | None = None
 
 
@@ -332,6 +336,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         solver_counts=dict(result.ops.factorizations),
         lu_nnz={"heat": result.ops.heat.fact.lu_nnz,
                 "stokes": result.ops.stokes.fact.lu_nnz},
+        linearized_lu=result.ops.linearized_lu,
         peak_rss_mb=peak_rss_mb(),
     )
     (outdir / "report.txt").write_text(json.dumps(asdict(report), indent=2) + "\n")

@@ -8,10 +8,19 @@ the sparsity pattern, so every LU after a pattern's first takes its
 ordering.  A pattern's first LU (``Factorization``) orders a matrix equal
 to its transpose (heat, Stokes, stream) by minimum degree on ``A + A^T``
 with diagonal pivots, and any other (the linearized operator) by COLAMD
-with partial pivoting, which fills it less.  ``DIAG_PIVOT_THRESH`` is
-small, so the symmetric ordering survives pivoting, but not zero: at
-zero a tiny nonzero diagonal is taken as the pivot however large its
-column.
+with partial pivoting, which on the semi-disk fills it less.
+``DIAG_PIVOT_THRESH`` is small, so the symmetric ordering survives
+pivoting, but not zero: at zero a tiny nonzero diagonal is taken as the
+pivot however large its column.
+
+The fill rule: on the unit square COLAMD fills the linearized operator
+more than twice as much as minimum degree on ``A + A^T`` does.  A
+pattern given the fill of a reference LU (the linearized pattern: the
+run's heat LU, the symmetric LU of a sub-pattern on the same dofs) whose
+first LU was COLAMD and holds more than ``FILL_RATIO`` times that fill
+makes its second LU afresh on the symmetric path, once, and holds
+whichever ordering gave the smaller LU.  No LU is added: the trial is an
+LU the pattern's owner asked for.
 
 Every solve is verified against the relative residual contract
 ``||Ax - b||_inf <= 1e-8 (1 + ||b||_inf)``; a single step of iterative
@@ -40,6 +49,7 @@ KRYLOV_RTOL = 1e-13
 KRYLOV_RESTART = 20
 KRYLOV_CYCLES = 3
 DIAG_PIVOT_THRESH = 1e-6  # symmetric path: off-diagonal pivot only below this
+FILL_RATIO = 2  # a COLAMD LU past this times its pattern's reference fill tries MMD
 
 
 class SolverError(RuntimeError):
@@ -94,6 +104,11 @@ class Factorization:
     saddle matrix that is singular in exact arithmetic (a rank-deficient
     multiplier block) then factorizes through a roundoff-sized COLAMD
     pivot, or is reported singular, as before the symmetric ordering.
+    ``Factorization.symmetric(matrix, label)`` takes the symmetric path
+    whatever the matrix's values.  The fill rule uses it: a pattern whose
+    first, COLAMD LU fills more than ``FILL_RATIO`` times its reference
+    makes its second LU this way and keeps the smaller
+    (``EliminatedPattern.factorize``).
 
     ``Factorization.reusing(order, matrix, label)`` factorizes ``matrix``
     on the ``order`` of an earlier LU of the same sparsity pattern (which
@@ -102,8 +117,8 @@ class Factorization:
     matrix in SuperLU's natural order and permutes every solve around it.
     If that LU meets an exactly zero pivot, the matrix is factorized
     afresh.  The held ordering reaches ``__init__`` through the ``held``
-    attribute, so that every LU is made by the one
-    ``__init__(matrix, label)``.
+    attribute, and the symmetric path through ``symmetric_path``, so
+    that every LU is made by the one ``__init__(matrix, label)``.
 
     ``ordering`` (``"mmd-sym"`` or ``"colamd"``, also for a held ordering)
     and ``lu_nnz`` record which LU was made, and ``order`` is its
@@ -114,6 +129,7 @@ class Factorization:
     """
 
     held: Ordering | None = None  # set by ``reusing`` before ``__init__`` runs
+    symmetric_path = False  # set by ``symmetric`` likewise
 
     def __init__(self, matrix: sp.spmatrix, label: str = "unlabeled"):
         self.matrix = matrix.tocsc()
@@ -146,7 +162,7 @@ class Factorization:
 
     def _factorize_fresh(self, label: str):
         self.ordering = "colamd"
-        if abs(self.matrix - self.matrix.T).max() == 0:
+        if self.symmetric_path or abs(self.matrix - self.matrix.T).max() == 0:
             try:
                 self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
                                      diag_pivot_thresh=DIAG_PIVOT_THRESH,
@@ -171,8 +187,17 @@ class Factorization:
     def reusing(cls, order: Ordering | None, matrix: sp.spmatrix,
                 label: str = "unlabeled") -> "Factorization":
         """LU of ``matrix`` on a held ``order`` (a fresh LU when None)."""
+        return cls._made(matrix, label, held=order)
+
+    @classmethod
+    def symmetric(cls, matrix: sp.spmatrix, label: str = "unlabeled") -> "Factorization":
+        """Fresh LU of ``matrix`` on the symmetric path, whatever its values."""
+        return cls._made(matrix, label, symmetric_path=True)
+
+    @classmethod
+    def _made(cls, matrix: sp.spmatrix, label: str, **attrs) -> "Factorization":
         fact = cls.__new__(cls)
-        fact.held = order
+        fact.__dict__.update(attrs)
         fact.__init__(matrix, label)
         return fact
 
@@ -284,11 +309,17 @@ class EliminatedPattern:
     ``bincount``, and every matrix shares ``indices``/``indptr``.
     ``coupling(values)`` maps constrained values to their load on the free
     rows.  Every LU made on the pattern (``factorize``) after its first
-    takes the first one's ordering.
+    takes the ordering the pattern holds: the first LU's, or, by the fill
+    rule, that of the second when the first was COLAMD, filled more than
+    ``FILL_RATIO`` times ``reference_nnz`` and the second's symmetric LU
+    filled less.  ``order`` and ``lu_nnz`` are the ordering the pattern
+    holds and the fill of the LU that made it (None before the first LU);
+    the trial spends ``reference_nnz``, so it runs at most once.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int,
-                 constrained: np.ndarray, entries: np.ndarray | None = None):
+                 constrained: np.ndarray, entries: np.ndarray | None = None,
+                 reference_nnz: int | None = None):
         self.n = n
         self.constrained = np.asarray(constrained, dtype=np.intp)
         nc = len(self.constrained)
@@ -321,6 +352,8 @@ class EliminatedPattern:
         position[self.constrained] = np.arange(nc)
         self._coupled_at = rows[pairs], position[cols[pairs]]
         self.order: Ordering | None = None
+        self.lu_nnz: int | None = None
+        self.reference_nnz = reference_nnz
 
     def matrix(self, values: np.ndarray) -> sp.csc_matrix:
         data = np.bincount(self._slots, weights=values,
@@ -333,9 +366,19 @@ class EliminatedPattern:
                              shape=(self.n, len(self.constrained))).tocsr()
 
     def factorize(self, matrix: sp.csc_matrix, label: str) -> Factorization:
-        """LU of a matrix of this pattern, on the held ordering after the first."""
-        fact = Factorization.reusing(self.order, matrix, label)
-        self.order = fact.order
+        """LU of a matrix of this pattern, on the held ordering after the
+        first, or the fill rule's fresh symmetric trial."""
+        if (self.reference_nnz is not None and self.order is not None
+                and self.order.name == "colamd"
+                and self.lu_nnz > FILL_RATIO * self.reference_nnz):
+            self.reference_nnz = None  # the trial runs once
+            fact = Factorization.symmetric(matrix, label)
+            keep = fact.lu_nnz < self.lu_nnz
+        else:
+            fact = Factorization.reusing(self.order, matrix, label)
+            keep = fact.order is not self.order  # a fresh LU
+        if keep:
+            self.order, self.lu_nnz = fact.order, fact.lu_nnz
         return fact
 
 
@@ -355,7 +398,8 @@ class SaddlePattern(EliminatedPattern):
     """
 
     def __init__(self, a_rows: np.ndarray, a_cols: np.ndarray, B: sp.spmatrix,
-                 dirichlet_dofs: np.ndarray, a_entries: np.ndarray | None = None):
+                 dirichlet_dofs: np.ndarray, a_entries: np.ndarray | None = None,
+                 reference_nnz: int | None = None):
         self.n_vel = n_vel = B.shape[1]
         b = B.tocoo()
         self._b_values = np.concatenate([b.data, b.data])
@@ -364,7 +408,8 @@ class SaddlePattern(EliminatedPattern):
                          np.concatenate([n_vel + b.row, b.col, a_cols]),
                          n_vel + B.shape[0], np.append(dirichlet_dofs, n_vel),
                          None if a_entries is None else np.concatenate(
-                             [np.arange(nb, dtype=a_entries.dtype), nb + a_entries]))
+                             [np.arange(nb, dtype=a_entries.dtype), nb + a_entries]),
+                         reference_nnz)
 
     def values(self, *a_values: np.ndarray) -> np.ndarray:
         return np.concatenate([self._b_values, *a_values])

@@ -47,7 +47,8 @@ class Mesh:
     boundary_edges : (nb, 2) int array, canonicalized (i < j, lexicographic)
     boundary_tags : (nb,) int array of Tag values
     edges, tri_edges : the edge table of ``unique_edges``, built once; it
-        numbers the P2 edge-midpoint dofs
+        numbers the P2 edge-midpoint dofs, and no edge of it may be used by
+        more than two triangles
     """
 
     vertices: np.ndarray
@@ -109,6 +110,11 @@ class Mesh:
         if len(bad):
             raise MeshError(f"triangle {bad[0]} has non-positive area {areas[bad[0]]}")
         self.edges, self.tri_edges = unique_edges(self.triangles)
+        uses = np.bincount(self.tri_edges.ravel(), minlength=len(self.edges))
+        if uses.max(initial=0) > 2:
+            k = int(np.argmax(uses))
+            raise MeshError(f"edge {tuple(self.edges[k].tolist())} is shared by "
+                            f"{uses[k]} triangles (non-manifold)")
         # Boundary edges are exactly the edges owned by a single triangle.
         found = _boundary_of(self.edges, self.tri_edges) @ [nv, 1]
         stored = self.boundary_edges.reshape(-1, 2) @ [nv, 1]
@@ -248,6 +254,13 @@ def _records(text: str):
             yield lineno, line.split()
 
 
+def _no_records_past(records, name: str, declared: str):
+    """Raise on the first record left after the ``declared`` ones."""
+    lineno, _ = next(records, (None, None))
+    if lineno is not None:
+        raise ParseError(f"{name} line {lineno}: record past the declared {declared}")
+
+
 def read_triangle_format(
     node_text: str, ele_text: str, boundary_tag_map: dict[int, Tag]
 ) -> Mesh:
@@ -256,7 +269,7 @@ def read_triangle_format(
     Vertex boundary markers are mapped to tags through boundary_tag_map;
     a boundary edge gets the tag of the larger of its endpoint markers.
     Clockwise triangles are reordered.  Raises ParseError with the
-    offending line number.
+    offending line number, also for a record past a header's count.
     """
     records = _records(node_text)
     try:
@@ -298,6 +311,7 @@ def read_triangle_format(
             raise ParseError(f".node line {lineno}: non-consecutive index {idx}")
         vertices[k] = (x, y)
         markers[k] = mark
+    _no_records_past(records, ".node", f"{nv} vertex records")
 
     records = _records(ele_text)
     try:
@@ -329,6 +343,7 @@ def read_triangle_format(
         if min(tri) < 0 or max(tri) >= nv:
             raise ParseError(f".ele line {lineno}: vertex index out of range")
         triangles[k] = tri
+    _no_records_past(records, ".ele", f"{nt} triangle records")
 
     triangles = _oriented(vertices, triangles)
     edges = _boundary_of(*unique_edges(triangles))

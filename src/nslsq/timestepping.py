@@ -84,10 +84,13 @@ class _Convection:
     Its pairs are the distinct scalar pairs of the elements in each of the
     four blocks, and every entry names its pair, so the build sorts the
     36 pairs of each triangle, not the entries of all four blocks.
+    ``reference_nnz`` is the pattern's reference fill for the fill rule
+    (``linalg.EliminatedPattern``).
     """
 
-    def __init__(self, space: Space, M: sp.spmatrix, B: sp.spmatrix):
+    def __init__(self, space: Space, M: sp.spmatrix, B: sp.spmatrix, reference_nnz: int):
         self.space, self._M, self._B = space, M, B
+        self.reference_nnz = reference_nnz
 
     @cached_property
     def _wphiphi(self) -> np.ndarray:
@@ -115,7 +118,7 @@ class _Convection:
             (npairs * np.arange(4, dtype=np.int32)[:, None] + pair_of.astype(np.int32)).ravel()])
         del a, at, pair_of  # the build peaks in SaddlePattern
         return SaddlePattern(rows.ravel(), cols.ravel(), self._B, self.space.dirichlet_dofs,
-                             entries)
+                             entries, self.reference_nnz)
 
     def values(self, y_level: np.ndarray) -> np.ndarray:
         """Entry values at ``y_level``: the reaction blocks
@@ -140,7 +143,11 @@ class Operators:
     saddle pattern, so the Stokes LU takes the heat LU's ordering.  The
     linearized operator has a pattern of its own, shared by every
     viscosity (``with_nu``), so every linearized LU after a run's first
-    takes the first one's ordering.
+    takes the ordering the pattern holds.  The heat LU's fill is that
+    pattern's reference: a first linearized COLAMD LU that fills more
+    than ``linalg.FILL_RATIO`` times as much makes the second LU try the
+    symmetric ordering, and the smaller is held (``linalg`` fill rule).
+    ``linearized_lu`` reports the held ordering and its fill.
 
     ``factorizations`` counts, per run, the LUs by label (heat, stokes,
     linearized) and the direction sweep's ``lagged`` levels and
@@ -167,7 +174,7 @@ class Operators:
         self.stokes = SaddleFactorization(pattern, pattern.values(self.K.data), "stokes")
         self.factorizations = Counter(heat=1, stokes=1, linearized=0, lagged=0,
                                       krylov_iterations=0)
-        self._convection = _Convection(space, self.M, self.B)
+        self._convection = _Convection(space, self.M, self.B, self.heat.fact.lu_nnz)
         self._a_values = m_dt + nu * self.K.data  # M/dt + nu K on the entries of M
 
     def with_nu(self, nu: float) -> "Operators":
@@ -184,6 +191,16 @@ class Operators:
         """Saddle pattern of the linearized operator, built on first use
         and shared by every viscosity."""
         return self._convection.pattern
+
+    @property
+    def linearized_lu(self) -> dict | None:
+        """``ordering`` and ``lu_nnz`` of the LU whose ordering the
+        linearized pattern holds; None before the run's first linearized
+        LU."""
+        pattern = self._convection.__dict__.get("pattern")  # None until first built
+        if pattern is None or pattern.order is None:
+            return None
+        return {"ordering": pattern.order.name, "lu_nnz": pattern.lu_nnz}
 
     def linearized(self, y_level: np.ndarray) -> sp.csc_matrix:
         """Eliminated linearized operator at ``y_level``, a matrix of

@@ -14,6 +14,7 @@ from nslsq.cli import (
     stream_function,
     write_vtk,
 )
+from nslsq.linalg import FILL_RATIO
 from conftest import eliminate_dirichlet, linear_field
 
 MINIMAL = """\
@@ -208,6 +209,17 @@ def test_report_records_heat_and_stokes_fill(tiny_run):
     assert fill == report.lu_nnz
     assert fill.keys() == {"heat", "stokes"}
     assert fill["heat"] > 0 and fill["stokes"] > 0
+
+
+def test_report_records_held_linearized_lu(tiny_run):
+    """``report.txt`` names the ordering the linearized pattern holds and
+    the fill of the LU that made it: on the semi-disk the first LU's
+    COLAMD, which the fill rule keeps."""
+    _, report, out = tiny_run
+    held = json.loads((out / "report.txt").read_text())["linearized_lu"]
+    assert held == report.linearized_lu
+    assert held["ordering"] == "colamd"
+    assert 0 < held["lu_nnz"] <= FILL_RATIO * report.lu_nnz["heat"]
 
 
 def test_snapshots_share_one_stream_lu(tmp_path, monkeypatch):

@@ -236,7 +236,8 @@ def test_krylov_far_lu_gives_up():
 def _block_lus(space):
     """An ``mmd-sym`` LU (heat), a held symmetric ``_OrderedLU`` (Stokes on
     the heat ordering), a fresh and a held COLAMD LU (two linearized
-    levels) of one space."""
+    levels) of one space, a semi-disk: on the unit square the second
+    linearized LU is the fill rule's fresh symmetric trial."""
     ops = Operators(space, TimeGrid(0.1, 1), nu=0.01)
     rng = np.random.default_rng(30)
     pattern = ops.linearized_pattern
@@ -247,8 +248,8 @@ def _block_lus(space):
 
 
 @pytest.mark.parametrize("kind", ["mmd-sym", "held mmd-sym", "colamd", "held colamd"])
-def test_block_solve_matches_single_solves(kind, square4):
-    fact = _block_lus(square4)[kind]
+def test_block_solve_matches_single_solves(kind, disk_coarse):
+    fact = _block_lus(disk_coarse)[kind]
     assert fact.ordering == kind.split()[-1]
     assert (fact.order is fact.held) == kind.startswith("held")
     b = np.random.default_rng(31).standard_normal((fact.n, 5))

@@ -201,6 +201,29 @@ def test_mesh_validation_names_missing_and_extra_edges():
         Mesh(mesh.vertices, mesh.triangles, edges, mesh.boundary_tags)
 
 
+def test_mesh_validation_rejects_non_manifold_edge():
+    """A fan of three positive-area triangles on one edge is rejected, by
+    the edge that three triangles use."""
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, 3.0]])
+    triangles = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+    edges = np.array([[0, 2], [1, 2], [0, 3], [1, 3], [0, 4], [1, 4]])
+    with pytest.raises(MeshError, match=r"edge \(0, 1\) is shared by 3 triangles"):
+        Mesh(vertices, triangles, edges, np.full(len(edges), Tag.WALL))
+
+
+def test_read_reports_records_past_the_declared_counts():
+    node = TWO_TRI_NODE + "5 0.5 0.5 2\n"
+    with pytest.raises(ParseError, match=r"\.node line 6: record past the declared 4 vertex"):
+        read_triangle_format(node, TWO_TRI_ELE, {2: Tag.WALL})
+    ele = TWO_TRI_ELE + "3 2 3 4\n"
+    with pytest.raises(ParseError, match=r"\.ele line 4: record past the declared 2 triangle"):
+        read_triangle_format(TWO_TRI_NODE, ele, {2: Tag.WALL})
+    # comments and blank lines after the last record are not records
+    mesh = read_triangle_format(TWO_TRI_NODE + "\n# end\n", TWO_TRI_ELE + "# end\n",
+                                {2: Tag.WALL})
+    assert mesh.n_vertices == 4 and mesh.n_triangles == 2
+
+
 def test_read_reports_triangles_over_an_empty_vertex_list():
     with pytest.raises(ParseError, match=r"\.ele line 2: vertex index out of range"):
         read_triangle_format("0 2 0 1\n", TWO_TRI_ELE, {2: Tag.WALL})

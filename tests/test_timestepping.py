@@ -12,7 +12,7 @@ from nslsq.fem import (
     lid_boundary_values,
     load_vector,
 )
-from nslsq.linalg import Factorization
+from nslsq.linalg import FILL_RATIO, Factorization
 from nslsq.mesh import Tag, generate_semidisk, generate_unit_square
 from nslsq.timestepping import (
     LIFT_BLOCK,
@@ -297,21 +297,104 @@ def test_heat_and_stokes_lu_fill_desk():
 
 @pytest.mark.parametrize("mesh", ["square4", "disk_coarse"])
 def test_later_linearized_lu_holds_first_ordering(mesh, request):
-    """A later linearized LU of one template is made on the first LU's
-    COLAMD ordering, and matches a fresh COLAMD LU of its own matrix in
-    fill and in its solution."""
+    """A later linearized LU is made on the ordering its pattern holds, and
+    matches a fresh LU of that ordering of its own matrix in fill and in
+    its solution.  On the semi-disk that is the first LU's COLAMD
+    ordering; on the square, whose COLAMD LU overfills, the fill rule's
+    second LU is a fresh symmetric one, and the third holds its ordering."""
     space = request.getfixturevalue(mesh)
     ops = Operators(space, TimeGrid(1.0, 10), nu=0.01)
     rng = np.random.default_rng(23)
     first = _linearized_lu(ops, rng.standard_normal(space.n_velocity))
+    if mesh == "square4":
+        first = _linearized_lu(ops, rng.standard_normal(space.n_velocity))
     later = _linearized_lu(ops, rng.standard_normal(space.n_velocity))
     assert later.order is first.order  # held, not computed again
-    fresh = Factorization(later.matrix, "linearized")
-    assert later.ordering == fresh.ordering == "colamd"
+    fresh = (Factorization.symmetric if mesh == "square4" else Factorization)(
+        later.matrix, "linearized")
+    assert later.ordering == fresh.ordering == {"square4": "mmd-sym",
+                                                "disk_coarse": "colamd"}[mesh]
     assert later.lu_nnz == fresh.lu_nnz
     b = rng.standard_normal(later.n)
     ref = fresh.solve(b)
     assert np.abs(later.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_overfilled_colamd_pattern_tries_symmetric_once(square4):
+    """The fill rule on the unit square: the first linearized LU is COLAMD
+    and fills more than ``FILL_RATIO`` times the heat LU, so the second
+    is a fresh symmetric LU with fewer entries, which the pattern holds
+    from then on; the third and fourth take its ``Ordering``."""
+    ops = Operators(square4, TimeGrid(1.0, 10), nu=0.01)
+    assert ops.linearized_lu is None
+    rng = np.random.default_rng(25)
+    first, trial, *later = (_linearized_lu(ops, rng.standard_normal(square4.n_velocity))
+                            for _ in range(4))
+    assert first.ordering == "colamd" and first.held is None
+    assert first.lu_nnz > FILL_RATIO * ops.heat.fact.lu_nnz
+    assert trial.ordering == "mmd-sym" and trial.held is None  # fresh
+    assert trial.lu_nnz < first.lu_nnz
+    assert all(lu.order is trial.order for lu in later)
+    pattern = ops.linearized_pattern
+    assert pattern.order is trial.order and pattern.reference_nnz is None  # spent
+    assert ops.linearized_lu == {"ordering": "mmd-sym", "lu_nnz": trial.lu_nnz}
+
+
+def test_semidisk_linearized_lu_holds_colamd_without_trial(disk_coarse, monkeypatch):
+    """On the semi-disk COLAMD fills the linearized operator about as much
+    as the heat LU, so the fill rule never runs its trial and every later
+    linearized LU holds the first LU's COLAMD ordering."""
+    ops = Operators(disk_coarse, TimeGrid(1.0, 10), nu=0.01)
+
+    def no_trial(matrix, label="unlabeled"):
+        raise AssertionError("the fill rule ran its trial")
+
+    monkeypatch.setattr(Factorization, "symmetric", no_trial)
+    rng = np.random.default_rng(26)
+    first, *later = (_linearized_lu(ops, rng.standard_normal(disk_coarse.n_velocity))
+                     for _ in range(3))
+    assert first.ordering == "colamd"
+    assert first.lu_nnz <= FILL_RATIO * ops.heat.fact.lu_nnz
+    assert all(lu.order is first.order for lu in later)
+    assert ops.linearized_pattern.reference_nnz == ops.heat.fact.lu_nnz  # not spent
+    assert ops.linearized_lu == {"ordering": "colamd", "lu_nnz": first.lu_nnz}
+
+
+def test_convection_dominated_symmetric_sweep_meets_contract(monkeypatch):
+    """A direction sweep on the unit square at ``nu = 1e-3`` (cell Peclet
+    number in the hundreds), linearized at the manufactured field: the
+    LUs after the first are symmetric-ordered, every LU solve meets the
+    residual contract without refinement, and GMRES accepts every lagged
+    level."""
+    from nslsq import linalg, timestepping
+
+    space = build_space(generate_unit_square(8))
+    grid = TimeGrid(0.1, 10)
+    ops = Operators(space, grid, nu=1e-3)
+    y = timestepping.FieldTrajectory(grid, np.array(
+        [interpolate_velocity(space, mf.exact_velocity, t) for t in grid.times()]))
+    loads = np.random.default_rng(27).standard_normal((grid.N, space.n_velocity))
+    orderings, first_pass = [], []
+    factorize, solve = linalg.EliminatedPattern.factorize, Factorization.solve
+
+    def recorded(self, matrix, label):
+        fact = factorize(self, matrix, label)
+        orderings.append(fact.ordering)
+        return fact
+
+    def checked(self, b):
+        r = b - self.matrix @ self._lu.solve(b)
+        first_pass.append(np.abs(r).max() <= linalg.RESIDUAL_TOL * (1 + np.abs(b).max()))
+        return solve(self, b)
+
+    monkeypatch.setattr(linalg.EliminatedPattern, "factorize", recorded)
+    monkeypatch.setattr(Factorization, "solve", checked)
+    direction = timestepping.sweep(ops, loads, y)
+    assert np.isfinite(direction.values).all()
+    assert orderings == ["colamd"] + ["mmd-sym"] * 3  # levels 1, 4, 7, 10
+    assert first_pass and all(first_pass)
+    assert ops.factorizations["linearized"] == 4
+    assert ops.factorizations["lagged"] == grid.N - 4
 
 
 def test_with_nu_holds_linearized_ordering(disk_coarse):
