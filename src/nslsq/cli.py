@@ -1,6 +1,6 @@
 """Batch front-end: configs, experiment driver, snapshots, CLI.
 
-Configs are INI text with one [experiment] section.  Each run writes
+Configs are INI text; only the [experiment] section is read.  Each run writes
 ``history.csv`` (k, rel_increment, sqrt2E, lambda), ``report.txt`` (JSON),
 the mesh in Triangle format, and legacy-VTK snapshots carrying the
 velocity and its stream function on the P2 subtriangulation.
@@ -183,6 +183,7 @@ class RunReport:
     lu_nnz: dict = field(default_factory=dict)
     linearized_lu: dict | None = None
     peak_rss_mb: float | None = None
+    error: str | None = None  # ``NewtonResult.error``
 
 
 def peak_rss_mb() -> float:
@@ -338,6 +339,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 "stokes": result.ops.stokes.fact.lu_nnz},
         linearized_lu=result.ops.linearized_lu,
         peak_rss_mb=peak_rss_mb(),
+        error=result.error,
     )
     (outdir / "report.txt").write_text(json.dumps(asdict(report), indent=2) + "\n")
     return report
@@ -416,16 +418,22 @@ def main(argv=None) -> int:
         # ConfigError, MeshError, and ParseError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(f"{'k':>3} {'rel increment':>15} {'sqrt(2E)':>12} {'lambda':>8}")
+    for r in report.records:
+        ri = "-" if r["rel_increment"] is None else f"{r['rel_increment']:.3e}"
+        lam = "-" if r["lambda"] is None else f"{r['lambda']:.4f}"
+        print(f"{r['k']:>3} {ri:>15} {r['sqrt2E']:>12.3e} {lam:>8}")
     print(f"outcome: {report.outcome}  final sqrt(2E): {report.final_sqrt2E:.3e}  "
           f"iterations: {report.records[-1]['k']}  wall: {report.wall_time:.1f}s")
+    if report.error is not None:
+        print(f"solver error: {report.error}")
+    counts = report.solver_counts
+    print(f"LUs: {counts.get('linearized', 0)} linearized, {counts.get('heat', 0)} heat, "
+          f"{counts.get('stokes', 0)} stokes; lagged levels: {counts.get('lagged', 0)}, "
+          f"Krylov iterations: {counts.get('krylov_iterations', 0)}; "
+          f"peak RSS: {report.peak_rss_mb:.0f} MB")
     if report.convergence_rate is not None:
         print(f"measured convergence rate: {report.convergence_rate:.2f} "
               f"(errors: {report.errors})")
     print(f"outputs in {config.outdir}")
-    if report.outcome == "diverged":
-        return 2
-    return 0 if report.converged else 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return {"converged": 0, "diverged": 2}.get(report.outcome, 3)

@@ -81,9 +81,10 @@ class CorrectorBundle:
 class NewtonResult:
     trajectory: FieldTrajectory
     records: list[IterationRecord]
-    outcome: str  # converged | diverged | max_iterations | line_search_failed
+    outcome: str  # converged | diverged | max_iterations | line_search_failed | solver_failed
     ops: Operators | None = None
     loads: np.ndarray | None = None
+    error: str | None = None  # the SolverError that ended the loop, if one did
 
     @property
     def converged(self) -> bool:
@@ -286,7 +287,9 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
 
     When the quartic line search rejects its scalars (``b^2 > ac``, which
     exact representations cannot give), the loop ends with the outcome
-    ``line_search_failed`` and the rows so far.
+    ``line_search_failed`` and the rows so far.  A ``SolverError`` in the
+    direction or remainder solves ends it as ``solver_failed``, or as
+    ``diverged`` past ten times the first ``sqrt(2E)``, keeping its message.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown step policy '{policy}'")
@@ -300,6 +303,7 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
     records: list[IterationRecord] = []
     rel_inc: float | None = None
     sqrt2e0 = None
+    error = None
     k = 0
     while True:
         t0 = time.perf_counter()
@@ -320,13 +324,12 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
             try:
                 direction = compute_direction(ops, y, defects)
                 r2 = represent(ops, _self_convection_loads(ops, direction))
-            except SolverError:
-                if not sqrt2e > 10.0 * sqrt2e0:
-                    raise
-                outcome = "diverged"
+            except SolverError as exc:
+                outcome = "diverged" if sqrt2e > 10.0 * sqrt2e0 else "solver_failed"
+                error = str(exc)
         if outcome is not None:
             _record(records, k, sqrt2e, None, rel_inc, t0)
-            return NewtonResult(y, records, outcome)
+            return NewtonResult(y, records, outcome, error=error)
 
         b, c = inner(ops, r, r2), inner(ops, r2, r2)
         bundle = CorrectorBundle(direction, a, b, c)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from nslsq import newton
 from nslsq.fem import Space, build_space, convection_scalar_block
-from nslsq.linalg import SaddleFactorization, SaddlePattern
+from nslsq.linalg import SaddleFactorization, SaddlePattern, SolverError
 from nslsq.mesh import Mesh, generate_semidisk, generate_unit_square
 
 
@@ -25,6 +26,28 @@ def square4() -> Space:
 @pytest.fixture(scope="session")
 def disk_coarse() -> Space:
     return build_space(generate_semidisk(0.12))
+
+
+# The injected failures at k = 1 of the outer loop: the patched ``newton``
+# name, the error it raises on its second call, and the outcome that ends the loop.
+LOOP_FAILURES = (
+    ("line_search_quartic", ValueError("Cauchy-Schwarz violated"), "line_search_failed"),
+    ("compute_direction", SolverError("injected singular level"), "solver_failed"),
+)
+
+
+def fail_second_call(monkeypatch, name: str, error: Exception):
+    """Patch ``newton.<name>`` to raise ``error`` on its second call."""
+    original = getattr(newton, name)
+    calls = []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error
+        return original(*args)
+
+    monkeypatch.setattr(newton, name, failing)
 
 
 def constant_field(space: Space, cx: float, cy: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from nslsq.cli import (
     write_vtk,
 )
 from nslsq.linalg import FILL_RATIO
-from conftest import eliminate_dirichlet, linear_field
+from conftest import LOOP_FAILURES, eliminate_dirichlet, fail_second_call, linear_field
 
 MINIMAL = """\
 [experiment]
@@ -347,9 +347,11 @@ def test_main_diverged_exit_code(tmp_path, monkeypatch, capsys):
     cfg_path.write_text(TINY + f"outdir = {tmp_path / 'd'}\n")
 
     def fake_run(config):
-        return cli.RunReport(config={}, records=[{"k": 3}], final_sqrt2E=1e9,
+        record = {"k": 3, "sqrt2E": 1e9, "lambda": None, "rel_increment": 0.5}
+        return cli.RunReport(config={}, records=[record], final_sqrt2E=1e9,
                              outcome="diverged", converged=False, wall_time=0.1,
-                             n_triangles=1, n_vertices=3, n_velocity_dofs=2)
+                             n_triangles=1, n_vertices=3, n_velocity_dofs=2,
+                             peak_rss_mb=1.0)
 
     monkeypatch.setattr(cli, "run_experiment", fake_run)
     rc = main(["run", str(cfg_path)])
@@ -358,26 +360,21 @@ def test_main_diverged_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_main_line_search_failure_writes_outputs(tmp_path, monkeypatch, capsys):
     """A failed line search at k = 1 still writes the history and report,
-    with outcome ``line_search_failed``, and exits 3."""
-    from nslsq import newton
-
-    quartic = newton.line_search_quartic
-    calls = []
-
-    def failing(*args):
-        calls.append(1)
-        if len(calls) == 2:
-            raise ValueError("Cauchy-Schwarz violated")
-        return quartic(*args)
-
-    monkeypatch.setattr(newton, "line_search_quartic", failing)
-    out = tmp_path / "ls"
-    cfg_path = tmp_path / "exp.ini"
-    cfg_path.write_text(TINY + f"outdir = {out}\n")
-    assert main(["run", str(cfg_path)]) == 3
-    assert "outcome: line_search_failed" in capsys.readouterr().out
-    assert len((out / "history.csv").read_text().splitlines()) == 3  # header, k = 0, 1
-    assert json.loads((out / "report.txt").read_text())["outcome"] == "line_search_failed"
+    with outcome ``line_search_failed``, and exits 3; so does a direction
+    solve that raises ``SolverError`` at k = 1, as ``solver_failed`` with
+    the error's message in ``report.txt``."""
+    for name, error, outcome in LOOP_FAILURES:
+        fail_second_call(monkeypatch, name, error)
+        out = tmp_path / outcome
+        cfg_path = tmp_path / "exp.ini"
+        cfg_path.write_text(TINY + f"outdir = {out}\n")
+        assert main(["run", str(cfg_path)]) == 3
+        assert f"outcome: {outcome}" in capsys.readouterr().out
+        assert len((out / "history.csv").read_text().splitlines()) == 3  # header, k = 0, 1
+        report = json.loads((out / "report.txt").read_text())
+        assert report["outcome"] == outcome
+        assert report["error"] == (None if outcome == "line_search_failed" else str(error))
+        monkeypatch.undo()
 
 
 def test_history_csv_truncates_on_divergence_schema():

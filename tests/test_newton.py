@@ -25,6 +25,7 @@ from nslsq.newton import (
     riesz_lift,
 )
 from nslsq.timestepping import FieldTrajectory, Operators, TimeGrid, sweep
+from conftest import LOOP_FAILURES, fail_second_call
 
 NU = 0.1
 
@@ -619,22 +620,20 @@ def test_warm_start_skips_steady_stokes_initial(square2, monkeypatch):
 
 def test_line_search_failure_ends_the_loop(setup, monkeypatch):
     """A line search that rejects its scalars at k = 1 ends the loop with
-    the outcome ``line_search_failed`` and the rows of k = 0 and 1."""
+    the outcome ``line_search_failed`` and the rows of k = 0 and 1, and so
+    does a direction solve that raises ``SolverError`` there, as
+    ``solver_failed`` with the error's message."""
     space, grid, ops, loads, y0 = setup
-    quartic = newton.line_search_quartic
-    calls = []
-
-    def failing(a, b, c, m):
-        calls.append(1)
-        if len(calls) == 2:
-            raise ValueError("Cauchy-Schwarz violated")
-        return quartic(a, b, c, m)
-
-    monkeypatch.setattr(newton, "line_search_quartic", failing)
-    res = newton_loop(ops, y0, loads)
-    assert res.outcome == "line_search_failed" and not res.converged
-    assert [r.k for r in res.records] == [0, 1]
-    assert res.records[0].lam is not None and res.records[1].lam is None
+    full = newton_loop(ops, y0, loads)
+    for name, error, outcome in LOOP_FAILURES:
+        with monkeypatch.context() as patch:
+            fail_second_call(patch, name, error)
+            res = newton_loop(ops, y0, loads)
+        assert res.outcome == outcome and not res.converged
+        assert [r.k for r in res.records] == [0, 1]
+        assert [r.sqrt2E for r in res.records] == [r.sqrt2E for r in full.records[:2]]
+        assert res.records[0].lam is not None and res.records[1].lam is None
+        assert res.error == (None if outcome == "line_search_failed" else str(error))
     with pytest.raises(ValueError, match="contain 1"):
         newton_loop(ops, y0, loads, m=0.5)
 

@@ -5,6 +5,7 @@ long run.  Importing runs no script: each keeps its work under
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,60 @@ def test_bench_pairs_summary():
     rss = summary["metrics"]["peak_rss_mb"]
     assert rss["ratio"] == 1.0 and rss["ratio_max"] == pytest.approx(1.1)
     assert "INCORRECT: round 3 change" in bench_pairs.report("w", summary)
+
+
+CONFIGS = sorted((SCRIPTS[0].parent.parent / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_config_parses(path):
+    """Every shipped config is a valid ``nslsq run`` config, and every
+    ``[reference]`` row is a finite positive sqrt(2E)."""
+    from nslsq import cli
+
+    text = path.read_text()
+    cli.parse_config(text)
+    if "[reference]" in text:
+        rows = _load(SCRIPTS[0].parent / "full_scale.py").reference_rows(text)
+        assert rows and all(math.isfinite(r) and r > 0 for r in rows)
+
+
+def test_full_scale_mismatches():
+    """Rows are compared at two significant figures; a row that one side
+    lacks is a mismatch, NaN on that side."""
+    mismatches = _load(SCRIPTS[0].parent / "full_scale.py").mismatches
+    ref = [2.690e-2, 1.077e-2, 3.653e-3]
+    assert mismatches([2.651e-2, 1.0549e-2, 3.7e-3], ref) == []
+    assert mismatches([2.649e-2, 1.077e-2, 3.6e-3], ref) == [
+        (0, 2.649e-2, 2.690e-2), (2, 3.6e-3, 3.653e-3)]
+    (k, got, want), = mismatches(ref[:2], ref)
+    assert (k, want) == (2, 3.653e-3) and math.isnan(got)
+    (k, got, want), = mismatches(ref + [1e-9], ref)
+    assert (k, got) == (3, 1e-9) and math.isnan(want)
+
+
+def test_full_scale_checks_its_own_history(tmp_path, capsys):
+    """A config whose reference is its own history matches on every row;
+    with one row perturbed, the wrapper names that row, and the exit code
+    stays that of the run."""
+    full_scale = _load(SCRIPTS[0].parent / "full_scale.py")
+    out = tmp_path / "run"
+    experiment = ("[experiment]\ngeometry = semidisk\nh = 0.2\nT = 0.4\ndt = 0.1\n"
+                  f"nu = 1/100\noutdir = {out}\n")
+    config = tmp_path / "small.ini"
+    config.write_text(experiment + "[reference]\nsqrt2E = 1.0\n")
+    assert full_scale.main([str(config)]) == 0
+    rows = [row.split(",")[2] for row in (out / "history.csv").read_text().splitlines()[1:]]
+    assert len(rows) > 2
+    assert f"{len(rows)} of {len(rows)} rows differ" in capsys.readouterr().out
+
+    config.write_text(experiment + "[reference]\nsqrt2E = " + ", ".join(rows) + "\n")
+    assert full_scale.main([str(config)]) == 0
+    assert f"all {len(rows)} rows match" in capsys.readouterr().out
+
+    rows[1] = f"{2 * float(rows[1]):.3e}"
+    config.write_text(experiment + "[reference]\nsqrt2E = " + ", ".join(rows) + "\n")
+    assert full_scale.main([str(config)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"1 of {len(rows)} rows differ" in lines[-2]
+    assert lines[-1].startswith("  k=1: got ") and lines[-1].endswith(f"reference {rows[1]}")
