@@ -236,14 +236,12 @@ def write_vtk(space: Space, fields: dict[str, np.ndarray], path):
              "DATASET UNSTRUCTURED_GRID"]
     n = space.n_scalar
     lines.append(f"POINTS {n} double")
-    for x, y in space.p2_coords:
-        lines.append(f"{float(x)!r} {float(y)!r} 0.0")
+    lines.extend(f"{x!r} {y!r} 0.0" for x, y in space.p2_coords.tolist())
     t = space.tri_p2
     sub = np.vstack([t[:, [0, 3, 5]], t[:, [1, 4, 3]], t[:, [2, 5, 4]],
                      t[:, [3, 4, 5]]])
     lines.append(f"CELLS {len(sub)} {4 * len(sub)}")
-    for a, b, c in sub:
-        lines.append(f"3 {a} {b} {c}")
+    lines.extend(f"3 {a} {b} {c}" for a, b, c in sub.tolist())
     lines.append(f"CELL_TYPES {len(sub)}")
     lines.extend(["5"] * len(sub))
     if fields:
@@ -252,8 +250,8 @@ def write_vtk(space: Space, fields: dict[str, np.ndarray], path):
         values = np.asarray(values, dtype=np.float64)
         if values.shape == (space.n_velocity,):
             lines.append(f"VECTORS {name} double")
-            for vx, vy in zip(values[:n], values[n:]):
-                lines.append(f"{float(vx)!r} {float(vy)!r} 0.0")
+            lines.extend(f"{vx!r} {vy!r} 0.0"
+                         for vx, vy in zip(values[:n].tolist(), values[n:].tolist()))
             continue
         if values.shape == (space.n_pressure,):
             mid = 0.5 * (values[space.edges[:, 0]] + values[space.edges[:, 1]])
@@ -262,7 +260,7 @@ def write_vtk(space: Space, fields: dict[str, np.ndarray], path):
             raise ValueError(f"field '{name}' has unsupported shape {values.shape}")
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(repr(float(v)) for v in values)
+        lines.extend(map(repr, values.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -229,7 +229,8 @@ def convection_scalar_block(space: Space, a: np.ndarray) -> np.ndarray:
     velocity components."""
     r = space.rule5
     aq = space.velocity_at_quad(a, r) * (space.det[:, None] * r.w)[:, :, None]
-    adotg = np.einsum("tqd,tqjd->tqj", aq, r.g)   # weighted (a.grad)phi_j
+    # weighted (a.grad)phi_j, (nt, nq, 6)
+    adotg = aq[:, :, None, 0] * r.g[..., 0] + aq[:, :, None, 1] * r.g[..., 1]
     return r.phi.T @ adotg
 
 

@@ -144,6 +144,47 @@ def test_write_vtk_velocity_exact_nodal_values(square2, tmp_path):
     assert np.abs(marker[square2.mesh.n_vertices:] - expected).max() < 1e-12
 
 
+def _vtk_text_per_value(space, fields) -> str:
+    """The VTK text of ``write_vtk`` with every number formatted on its
+    own: ``repr(float(x))`` of each numpy scalar."""
+    n, t = space.n_scalar, space.tri_p2
+    sub = np.vstack([t[:, [0, 3, 5]], t[:, [1, 4, 3]], t[:, [2, 5, 4]], t[:, [3, 4, 5]]])
+    lines = ["# vtk DataFile Version 3.0", "nslsq fields", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double"]
+    lines += [f"{float(x)!r} {float(y)!r} 0.0" for x, y in space.p2_coords]
+    lines.append(f"CELLS {len(sub)} {4 * len(sub)}")
+    lines += [f"3 {a} {b} {c}" for a, b, c in sub]
+    lines += [f"CELL_TYPES {len(sub)}"] + ["5"] * len(sub) + [f"POINT_DATA {n}"]
+    for name, values in fields.items():
+        if len(values) == space.n_velocity:
+            lines.append(f"VECTORS {name} double")
+            lines += [f"{float(vx)!r} {float(vy)!r} 0.0"
+                      for vx, vy in zip(values[:n], values[n:])]
+            continue
+        if len(values) == space.n_pressure:
+            mid = 0.5 * (values[space.edges[:, 0]] + values[space.edges[:, 1]])
+            values = np.concatenate([values, mid])
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines += [repr(float(v)) for v in values]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_vtk_bytes_match_per_value_formatting(square2, tmp_path):
+    """``write_vtk`` writes the bytes of formatting every coordinate, cell
+    index and value as its own Python number: a velocity, a P2 scalar and
+    a P1 field with values of every magnitude."""
+    rng = np.random.default_rng(22)
+
+    def values(size):
+        return rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+
+    fields = {"velocity": values(square2.n_velocity), "psi": values(square2.n_scalar),
+              "pressure": values(square2.n_pressure)}
+    path = tmp_path / "fields.vtk"
+    write_vtk(square2, fields, path)
+    assert path.read_bytes() == _vtk_text_per_value(square2, fields).encode()
+
+
 TINY = """\
 [experiment]
 geometry = semidisk

@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 
 from nslsq.fem import assemble_divergence, assemble_stiffness, build_space
 from nslsq.linalg import (
+    DIAG_PIVOT_THRESH,
     KRYLOV_CYCLES,
     KRYLOV_RESTART,
     KRYLOV_RTOL,
@@ -12,6 +13,7 @@ from nslsq.linalg import (
     RESIDUAL_TOL,
     EliminatedPattern,
     Factorization,
+    Ordering,
     SolverError,
     krylov_solve,
 )
@@ -273,6 +275,75 @@ def test_saddle_block_solve_matches_single_solves(square4):
         v, m = ops.heat.solve(loads[n], values)
         assert np.abs(vel[n] - v).max() <= 1e-12 * np.abs(v).max()
         assert np.abs(lam[n] - m).max() <= 1e-12 * np.abs(m).max()
+
+
+def _held_symmetric_lus(space):
+    """The held symmetric LUs of one space: the Stokes LU on the heat
+    ordering and, on the unit square, the third linearized LU, on the
+    ordering of the fill rule's symmetric trial."""
+    ops = Operators(space, TimeGrid(0.1, 1), nu=0.01)
+    rng = np.random.default_rng(37)
+    pattern = ops.linearized_pattern
+    first, trial, third = (pattern.factorize(ops.linearized(rng.standard_normal(
+        space.n_velocity)), "linearized") for _ in range(3))
+    assert first.ordering == "colamd" and trial.held is None
+    assert third.order is trial.order is pattern.order
+    return {"stokes": ops.stokes.fact, "linearized": third}
+
+
+def _ordered_by_indexing(fact):
+    """The symmetrically ordered matrix of a held LU, by row and column
+    indexing and a sort of every column."""
+    q = fact.order.columns
+    ordered = fact.matrix[q][:, q]
+    ordered.sort_indices()
+    return ordered
+
+
+@pytest.mark.parametrize("label", ["stokes", "linearized"])
+def test_symmetric_layout_gathers_the_ordered_matrix(label, square4):
+    """The layout a pattern attaches to its held symmetric ordering gathers
+    the matrix SuperLU is given: ``matrix[q][:, q]`` with sorted columns,
+    bit for bit, from the data of each matrix of the pattern."""
+    fact = _held_symmetric_lus(square4)[label]
+    assert fact.ordering == "mmd-sym" and fact.order is fact.held
+    gather, indices, indptr = fact.order.layout
+    assert gather.dtype == indices.dtype == indptr.dtype == np.int32
+    ref = _ordered_by_indexing(fact)
+    assert np.array_equal(fact.matrix.data[gather], ref.data)
+    assert np.array_equal(indices, ref.indices) and np.array_equal(indptr, ref.indptr)
+
+
+@pytest.mark.parametrize("label", ["stokes", "linearized"])
+def test_held_symmetric_lu_solves_as_indexed_superlu(label, square4):
+    """A held symmetric LU, on its pattern's layout or on one laid out from
+    its own matrix, solves a block exactly as a SuperLU of the ordered
+    matrix made by row and column indexing."""
+    fact = _held_symmetric_lus(square4)[label]
+    q = fact.order.columns
+    indexed = spla.splu(_ordered_by_indexing(fact), permc_spec="NATURAL",
+                        diag_pivot_thresh=DIAG_PIVOT_THRESH)
+    own = Factorization.reusing(Ordering("mmd-sym", q), fact.matrix, label)
+    b = np.random.default_rng(38).standard_normal((fact.n, 5))
+    ref = np.empty_like(b)
+    ref[q] = indexed.solve(b[q])
+    for lu in (fact, own):
+        assert lu.lu_nnz == indexed.nnz
+        assert np.array_equal(lu._lu.solve(b), ref)
+
+
+def test_colamd_held_pattern_attaches_no_layout(disk_coarse):
+    """On the semi-disk the linearized pattern holds the first LU's COLAMD
+    ordering, and no layout: a held COLAMD LU gathers its columns alone.
+    The heat pattern's symmetric ordering carries one."""
+    ops = Operators(disk_coarse, TimeGrid(0.1, 1), nu=0.01)
+    rng = np.random.default_rng(39)
+    pattern = ops.linearized_pattern
+    first, later = (pattern.factorize(ops.linearized(rng.standard_normal(
+        disk_coarse.n_velocity)), "linearized") for _ in range(2))
+    assert later.order is first.order is pattern.order
+    assert pattern.order.name == "colamd" and pattern.order.layout is None
+    assert ops.heat.fact.order.layout is not None
 
 
 class _SpoilingLU(_RecordingLU):
