@@ -16,7 +16,10 @@ pattern holds (``held``) or was the fill rule's fresh symmetric trial
 U), and the ordering the pattern holds after it (``kept``).  It then
 times a fresh LU of the same matrix (on the symmetric path for a trial)
 and one on the ordering the pattern holds, three of each, interleaved,
-and prints the median of each side by side.  The LUs are the heat-type
+and prints the median of each side by side in milliseconds, to 0.1 ms
+(the unit square's LUs take a few ms).  A held LU on a symmetric
+ordering is timed as a pattern's first held LU: it lays out its own
+matrix (``linalg.symmetric_layout``).  The LUs are the heat-type
 operator (the first LU of its pattern), the Stokes-type operator (on the
 heat LU's ordering; one LU per run each), then two linearized levels
 (``Operators.linearized``), the first two a direction sweep factorizes:
@@ -53,14 +56,15 @@ CASES = (
 )
 
 
-def median_seconds(makers: dict, repeats: int = 3) -> dict:
-    """Median time of each LU maker, over ``repeats`` interleaved rounds."""
+def median_ms(makers: dict, repeats: int = 3) -> dict:
+    """Median time of each LU maker in milliseconds, over ``repeats``
+    interleaved rounds."""
     times = {name: [] for name in makers}
     for _ in range(repeats):
         for name, make in makers.items():
             t0 = time.perf_counter()
             make()
-            times[name].append(time.perf_counter() - t0)
+            times[name].append(1e3 * (time.perf_counter() - t0))
     return {name: statistics.median(t) for name, t in times.items()}
 
 
@@ -76,7 +80,7 @@ def linearized_fields(ops: Operators, geometry: str) -> tuple:
 def main():
     print(f"{'case':<11} {'dt':>6} {'nu':>9} {'label':<11} {'nnz(A)':>10} "
           f"{'ordering':<8} {'source':<6} {'nnz(L+U)':>11} {'kept':<8} "
-          f"{'fresh s':>8} {'held s':>8}")
+          f"{'fresh ms':>8} {'held ms':>8}")
     spaces = {}
     for name, geometry, size, dt, nu in CASES:
         if (geometry, size) not in spaces:
@@ -98,13 +102,13 @@ def main():
             source = ("held" if fact.order is fact.held
                       else "trial" if fact.symmetric_path else "fresh")
             fresh = Factorization.symmetric if fact.symmetric_path else Factorization
-            secs = median_seconds({
+            ms = median_ms({
                 "fresh": lambda: fresh(fact.matrix, label),
                 "held": lambda: Factorization.reusing(pattern.order, fact.matrix, label)})
             print(f"{name:<11} {dt:>6} {f'1/{round(1 / nu)}':>9} {label:<11} "
                   f"{fact.matrix.nnz:>10} {fact.ordering:<8} {source:<6} "
                   f"{fact.lu_nnz:>11} {pattern.order.name:<8} "
-                  f"{secs['fresh']:>8.3f} {secs['held']:>8.3f}", flush=True)
+                  f"{ms['fresh']:>8.1f} {ms['held']:>8.1f}", flush=True)
             del fact  # one linearized level alive at a time
 
 

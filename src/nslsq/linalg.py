@@ -8,22 +8,29 @@ the sparsity pattern, so every LU after a pattern's first takes its
 ordering.  A pattern's first LU (``Factorization``) orders a matrix equal
 to its transpose (heat, Stokes, stream) by minimum degree on ``A + A^T``
 with diagonal pivots, and any other (the linearized operator) by COLAMD
-with partial pivoting, which on the semi-disk fills it less.
+with partial pivoting, which on the semi-disk fills it less.  Whether a
+matrix equals its transpose is decided on one transposed copy
+(``exactly_symmetric``), as ``abs(A - A.T).max() == 0`` decides it.
 ``DIAG_PIVOT_THRESH`` is small, so the symmetric ordering survives
 pivoting, but not zero: at zero a tiny nonzero diagonal is taken as the
 pivot however large its column.
 
-A held symmetric ordering permutes rows and columns alike.  The pattern
-that holds one lays out its ordered CSC once (``symmetric_layout``:
-``gather``, the position in ``data`` of each ordered entry, with the
-ordered ``indices`` and ``indptr``, columns sorted) and attaches it to
-the ``Ordering``; every held symmetric LU then orders its matrix by one
-gather, and SuperLU receives the array that row and column indexing and
-SciPy's sort of every column would give it.  The layout costs 8 bytes
-per stored entry of the pattern (about 2.5 MB for the heat and Stokes
-pattern at ``h = 0.025``).  A held COLAMD ordering permutes columns
-only, and SciPy's column gather already returns sorted columns, so it
-has no layout.
+A held symmetric ordering permutes rows and columns alike.  A held
+symmetric LU orders its matrix by one gather of its ordered CSC
+(``symmetric_layout``: ``gather``, the position in ``data`` of each
+ordered entry, with the ordered ``indices`` and ``indptr``, columns
+sorted), and SuperLU receives the array that row and column indexing and
+SciPy's sort of every column would give it.  The layout rule: a
+pattern's first held LU lays out its own matrix and drops the layout;
+its second lays out the pattern once and attaches the layout to the
+``Ordering``, where every later held LU finds it.  A layout costs 8
+bytes per stored entry (about 2.5 MB for the heat and Stokes pattern at
+``h = 0.025``), so only a pattern that reuses its ordering keeps one:
+the heat and Stokes pattern, whose one held LU is the Stokes LU, keeps
+none, nor does the stream pattern, which makes one LU, while the unit
+square's linearized pattern keeps one for all its held LUs after the
+first.  A held COLAMD ordering permutes columns only, and SciPy's column
+gather already returns sorted columns, so it has no layout.
 
 The fill rule: on the unit square COLAMD fills the linearized operator
 more than twice as much as minimum degree on ``A + A^T`` does.  A
@@ -78,8 +85,9 @@ class Ordering:
     ordering permutes the rows the same way, so the diagonal stays on the
     diagonal for SuperLU's diagonal pivots.  ``layout`` is the ordered
     CSC of the pattern that holds a symmetric ordering
-    (``symmetric_layout``), attached by that ``EliminatedPattern``; None
-    for COLAMD and for an ordering no pattern holds.
+    (``symmetric_layout``), attached by that ``EliminatedPattern`` at its
+    second held LU; None before it, for COLAMD and for an ordering no
+    pattern holds.
     """
 
     name: str
@@ -104,6 +112,19 @@ def symmetric_layout(matrix: sp.csc_matrix, columns: np.ndarray
     return ordered.data, ordered.indices, ordered.indptr
 
 
+def exactly_symmetric(matrix: sp.csc_matrix) -> bool:
+    """Whether ``abs(A - A.T).max() == 0``, from one transposed copy: a
+    canonical ``matrix`` whose transpose stores the same entries is
+    symmetric when their data are equal, entry by entry; when the two
+    structures differ (explicit zeros facing no entry) the expression
+    itself decides."""
+    transposed = matrix.T.tocsc()
+    if (matrix.has_canonical_format and np.array_equal(matrix.indptr, transposed.indptr)
+            and np.array_equal(matrix.indices, transposed.indices)):
+        return np.array_equal(matrix.data, transposed.data)
+    return abs(matrix - transposed).max() == 0
+
+
 class _OrderedLU:
     """SuperLU of a matrix with its columns (and, for a symmetric ordering,
     its rows) permuted; ``solve`` takes and returns vectors, or blocks of
@@ -124,10 +145,12 @@ class _OrderedLU:
 class Factorization:
     """Reusable sparse LU of a square matrix (SuperLU).
 
-    An exactly symmetric matrix is ordered by minimum degree on
-    ``A + A^T`` and pivots on the diagonal unless the diagonal entry is
-    below ``DIAG_PIVOT_THRESH`` times its column's largest entry (an exact
-    zero, as in a pressure block, always pivots off the diagonal).  Any
+    An exactly symmetric matrix (``exactly_symmetric``: equal to its
+    transpose, tested on one transposed copy) is ordered by minimum
+    degree on ``A + A^T`` and pivots on the diagonal unless the diagonal
+    entry is below ``DIAG_PIVOT_THRESH`` times its column's largest entry
+    (an exact zero, as in a pressure block, always pivots off the
+    diagonal).  Any
     other matrix is ordered by COLAMD with partial pivoting, and so is a
     symmetric one whose symmetric LU meets an exactly zero pivot: a
     saddle matrix that is singular in exact arithmetic (a rank-deficient
@@ -146,8 +169,9 @@ class Factorization:
     matrix in SuperLU's natural order and permutes every solve around it.
     A symmetric ``order`` orders the matrix by the gather of its
     ``layout``, so ``matrix`` must then be a matrix of the pattern that
-    attached it; an ordering without a layout is laid out from ``matrix``
-    for this LU.
+    attached it; an ordering without a layout (a pattern's first held LU)
+    is laid out from ``matrix`` for this LU, and the layout is dropped
+    with it.
     If that LU meets an exactly zero pivot, the matrix is factorized
     afresh.  The held ordering reaches ``__init__`` through the ``held``
     attribute, and the symmetric path through ``symmetric_path``, so
@@ -198,7 +222,7 @@ class Factorization:
 
     def _factorize_fresh(self, label: str):
         self.ordering = "colamd"
-        if self.symmetric_path or abs(self.matrix - self.matrix.T).max() == 0:
+        if self.symmetric_path or exactly_symmetric(self.matrix):
             try:
                 self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
                                      diag_pivot_thresh=DIAG_PIVOT_THRESH,
@@ -350,10 +374,17 @@ class EliminatedPattern:
     ``FILL_RATIO`` times ``reference_nnz`` and the second's symmetric LU
     filled less.  ``order`` and ``lu_nnz`` are the ordering the pattern
     holds and the fill of the LU that made it (None before the first LU);
-    the trial spends ``reference_nnz``, so it runs at most once.  A
-    symmetric ordering, when the pattern adopts it, gets the pattern's
-    ordered ``layout`` (``symmetric_layout``, 8 bytes per stored entry),
-    so every held LU after it orders its matrix by one gather.
+    the trial spends ``reference_nnz``, so it runs at most once.
+    ``held_lus`` counts the LUs made on ``order`` since it was adopted.
+    The first held LU on a symmetric ordering lays out its own matrix and
+    drops the layout; the second attaches the pattern's ordered
+    ``layout`` (``symmetric_layout``, 8 bytes per stored entry) to the
+    ordering, so it and every held LU after it order their matrix by one
+    gather, and a pattern that reuses its ordering once keeps no layout.
+
+    The build drops the CSC numbering, the slot of each kept pair and the
+    row and column masks before it gathers the slot of each entry, where
+    it peaks.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int,
@@ -378,20 +409,23 @@ class EliminatedPattern:
         self.indptr = numbered.indptr.astype(np.int32, copy=False)
         slots = np.empty(nk + nc, dtype=np.intp)
         slots[numbered.data] = np.arange(nk + nc)
+        del numbered
         self._slots = np.full(len(rows), nk + nc)  # dropped: one slot past the end
         self._slots[keep] = slots[:nk]
         self._diagonal = slots[nk:].copy()
-        del slots  # a pattern's build peaks at the gather below
         coupled = free_row & ~free_col
+        del slots, keep, free_row, free_col  # the build peaks at the gather below
         if entries is not None:
             self._slots, coupled = self._slots[entries], coupled[entries]
         self._coupled = np.flatnonzero(coupled)
+        del coupled
         pairs = self._coupled if entries is None else entries[self._coupled]
         position = np.empty(n, dtype=np.intp)
         position[self.constrained] = np.arange(nc)
         self._coupled_at = rows[pairs], position[cols[pairs]]
         self.order: Ordering | None = None
         self.lu_nnz: int | None = None
+        self.held_lus = 0  # LUs made on ``order`` since the pattern adopted it
         self.reference_nnz = reference_nnz
 
     def matrix(self, values: np.ndarray) -> sp.csc_matrix:
@@ -414,12 +448,14 @@ class EliminatedPattern:
             fact = Factorization.symmetric(matrix, label)
             keep = fact.lu_nnz < self.lu_nnz
         else:
+            if self.held_lus == 1 and self.order.symmetric:  # the second held LU
+                self.order.layout = symmetric_layout(matrix, self.order.columns)
             fact = Factorization.reusing(self.order, matrix, label)
             keep = fact.order is not self.order  # a fresh LU
-        if keep:
-            self.order, self.lu_nnz = fact.order, fact.lu_nnz
-            if fact.order.symmetric:
-                fact.order.layout = symmetric_layout(fact.matrix, fact.order.columns)
+        if fact.order is self.order:
+            self.held_lus += 1
+        elif keep:
+            self.order, self.lu_nnz, self.held_lus = fact.order, fact.lu_nnz, 0
         return fact
 
 

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from nslsq import linalg
+from nslsq.cli import stream_function
 from nslsq.fem import assemble_divergence, assemble_stiffness, build_space
 from nslsq.linalg import (
     DIAG_PIVOT_THRESH,
@@ -15,7 +19,9 @@ from nslsq.linalg import (
     Factorization,
     Ordering,
     SolverError,
+    exactly_symmetric,
     krylov_solve,
+    symmetric_layout,
 )
 from nslsq.timestepping import Operators, TimeGrid
 
@@ -302,12 +308,12 @@ def _ordered_by_indexing(fact):
 
 @pytest.mark.parametrize("label", ["stokes", "linearized"])
 def test_symmetric_layout_gathers_the_ordered_matrix(label, square4):
-    """The layout a pattern attaches to its held symmetric ordering gathers
-    the matrix SuperLU is given: ``matrix[q][:, q]`` with sorted columns,
-    bit for bit, from the data of each matrix of the pattern."""
+    """The layout of a held symmetric ordering (``symmetric_layout``)
+    gathers the matrix SuperLU is given: ``matrix[q][:, q]`` with sorted
+    columns, bit for bit, from the data of each matrix of the pattern."""
     fact = _held_symmetric_lus(square4)[label]
     assert fact.ordering == "mmd-sym" and fact.order is fact.held
-    gather, indices, indptr = fact.order.layout
+    gather, indices, indptr = symmetric_layout(fact.matrix, fact.order.columns)
     assert gather.dtype == indices.dtype == indptr.dtype == np.int32
     ref = _ordered_by_indexing(fact)
     assert np.array_equal(fact.matrix.data[gather], ref.data)
@@ -334,16 +340,164 @@ def test_held_symmetric_lu_solves_as_indexed_superlu(label, square4):
 
 def test_colamd_held_pattern_attaches_no_layout(disk_coarse):
     """On the semi-disk the linearized pattern holds the first LU's COLAMD
-    ordering, and no layout: a held COLAMD LU gathers its columns alone.
-    The heat pattern's symmetric ordering carries one."""
+    ordering, and no layout, also from its second held LU on: a held
+    COLAMD LU gathers its columns alone."""
     ops = Operators(disk_coarse, TimeGrid(0.1, 1), nu=0.01)
     rng = np.random.default_rng(39)
     pattern = ops.linearized_pattern
-    first, later = (pattern.factorize(ops.linearized(rng.standard_normal(
-        disk_coarse.n_velocity)), "linearized") for _ in range(2))
-    assert later.order is first.order is pattern.order
-    assert pattern.order.name == "colamd" and pattern.order.layout is None
-    assert ops.heat.fact.order.layout is not None
+    first, *later = (pattern.factorize(ops.linearized(rng.standard_normal(
+        disk_coarse.n_velocity)), "linearized") for _ in range(3))
+    assert all(lu.order is first.order is pattern.order for lu in later)
+    assert pattern.order.name == "colamd" and pattern.held_lus == 2
+    assert pattern.order.layout is None
+
+
+def _counting_layouts(monkeypatch) -> list:
+    """Record the columns of every ``symmetric_layout`` call."""
+    calls = []
+
+    def counted(matrix, columns):
+        calls.append(columns)
+        return symmetric_layout(matrix, columns)
+
+    monkeypatch.setattr(linalg, "symmetric_layout", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mesh", ["square4", "disk_coarse"])
+def test_heat_pattern_keeps_no_layout_after_the_stokes_lu(mesh, request, monkeypatch):
+    """The Stokes LU, the heat and Stokes pattern's one held LU, lays out
+    its own matrix once and the pattern keeps no layout."""
+    space = request.getfixturevalue(mesh)
+    calls = _counting_layouts(monkeypatch)
+    ops = Operators(space, TimeGrid(0.1, 1), nu=0.01)
+    pattern = ops.heat.pattern
+    assert ops.stokes.fact.order is ops.heat.fact.order is pattern.order
+    assert pattern.order.symmetric and pattern.held_lus == 1
+    assert pattern.order.layout is None
+    assert len(calls) == 1 and calls[0] is pattern.order.columns
+
+
+def test_linearized_pattern_keeps_a_layout_from_its_second_held_lu(square4, monkeypatch):
+    """On the unit square the linearized pattern holds the trial's
+    symmetric ordering; its first held LU lays out its own matrix and
+    drops the layout, its second attaches one, and every later held LU
+    gathers by that layout without laying out again."""
+    ops = Operators(square4, TimeGrid(0.1, 1), nu=0.01)
+    rng = np.random.default_rng(41)
+    pattern = ops.linearized_pattern
+
+    def factorize():
+        return pattern.factorize(ops.linearized(rng.standard_normal(square4.n_velocity)),
+                                 "linearized")
+
+    factorize()  # COLAMD, overfilled
+    trial = factorize()
+    assert trial.ordering == "mmd-sym" and pattern.order is trial.order
+    calls = _counting_layouts(monkeypatch)
+    first_held = factorize()
+    assert first_held.order is pattern.order and pattern.order.layout is None
+    assert len(calls) == 1
+    second_held = factorize()
+    layout = pattern.order.layout
+    assert second_held.order is pattern.order and layout is not None and len(calls) == 2
+    ref = symmetric_layout(second_held.matrix, pattern.order.columns)
+    assert all(np.array_equal(a, b) for a, b in zip(layout, ref))
+    assert factorize().order is pattern.order
+    assert pattern.order.layout is layout and len(calls) == 2 and pattern.held_lus == 3
+
+
+def test_stream_lu_builds_no_layout(disk_coarse, monkeypatch):
+    """The stream pattern makes one LU, a fresh one, and lays out nothing."""
+    calls = _counting_layouts(monkeypatch)
+    u = np.random.default_rng(43).standard_normal(disk_coarse.n_velocity)
+    psi = stream_function(disk_coarse, u)
+    assert np.isfinite(psi).all() and calls == []
+
+
+def _symmetric_by_difference(matrix) -> bool:
+    return abs(matrix - matrix.T).max() == 0
+
+
+def test_symmetry_test_agrees_with_the_difference_on_the_run_matrices(disk_coarse):
+    """On the heat, Stokes, linearized and stream matrices the one-copy
+    test decides as ``abs(A - A.T).max() == 0``."""
+    ops = Operators(disk_coarse, TimeGrid(0.1, 1), nu=0.01)
+    k = disk_coarse.scalar_stiffness.tocoo()
+    stream = EliminatedPattern(k.row, k.col, disk_coarse.n_scalar, disk_coarse.boundary_nodes)
+    y = np.random.default_rng(45).standard_normal(disk_coarse.n_velocity)
+    matrices = {"heat": ops.heat.fact.matrix, "stokes": ops.stokes.fact.matrix,
+                "linearized": ops.linearized(y), "stream": stream.matrix(k.data)}
+    for label, matrix in matrices.items():
+        assert exactly_symmetric(matrix) == _symmetric_by_difference(matrix)
+        assert exactly_symmetric(matrix) == (label != "linearized"), label
+
+
+@pytest.mark.parametrize("facing, symmetric", [
+    (None, True),    # an explicit zero facing no entry: the structures differ
+    (0.0, True),     # facing an explicit zero
+    (-0.0, True),    # facing a negative zero, equal to zero
+    (3.0, False),    # facing a nonzero
+])
+def test_symmetry_test_with_explicit_zeros(facing, symmetric):
+    """A stored zero at (0, 1) facing ``facing`` at (1, 0) (nothing when
+    None): the one-copy test decides as the difference does."""
+    rows, cols, vals = [0, 1, 1, 2, 2, 0], [0, 1, 2, 1, 2, 1], [1.0, 1.0, 2.0, 2.0, 1.0, 0.0]
+    if facing is not None:
+        rows, cols, vals = rows + [1], cols + [0], vals + [facing]
+    matrix = sp.csc_matrix((vals, (rows, cols)), shape=(3, 3))
+    assert matrix.nnz == len(vals)  # the zeros stay stored
+    assert _symmetric_by_difference(matrix) == symmetric
+    assert exactly_symmetric(matrix) == symmetric
+
+
+def test_symmetry_test_sums_repeated_entries():
+    """A CSC matrix that is not canonical (entry (0, 1) stored twice) is
+    decided by the difference, which sums the repeats."""
+    matrix = sp.csc_matrix(([1.0, 1.0, 0.5, 0.5, 1.0], [0, 1, 0, 0, 1], [0, 2, 5]),
+                           shape=(2, 2))
+    assert not matrix.has_canonical_format
+    assert exactly_symmetric(matrix) and _symmetric_by_difference(matrix)
+
+
+# numpy-side transients (tracemalloc peak above what the step keeps) on
+# ``disk_coarse``, measured at 24.8 bytes per entry of the linearized
+# pattern and 12.8 bytes per stored entry of the first linearized LU's
+# matrix (one transposed copy for the symmetry test); the bounds allow
+# about 9% and 25% more.  A build that frees its numbering, slots and
+# masks only at its end reads 28.4, and ``abs(A - A.T)`` as the symmetry
+# test 43.9, so the bounds catch either.
+PATTERN_BUILD_BYTES_PER_ENTRY = 27
+FIRST_LU_BYTES_PER_NNZ = 16
+
+
+def _transient(step):
+    """``(result, bytes)``: the traced peak of ``step`` above the traced
+    memory it leaves behind."""
+    tracemalloc.reset_peak()
+    result = step()
+    current, peak = tracemalloc.get_traced_memory()
+    return result, peak - current
+
+
+def test_pattern_build_and_first_linearized_lu_transients(disk_coarse):
+    """The numpy memory the linearized pattern's build and its first LU
+    allocate and free again stays within the bounds above."""
+    ops = Operators(disk_coarse, TimeGrid(0.1, 1), nu=0.01)
+    y = np.random.default_rng(47).standard_normal(disk_coarse.n_velocity)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        pattern, build = _transient(lambda: ops.linearized_pattern)
+        matrix = ops.linearized(y)
+        fact, first_lu = _transient(lambda: pattern.factorize(matrix, "linearized"))
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert fact.ordering == "colamd"
+    entries = len(pattern._slots)
+    assert build <= PATTERN_BUILD_BYTES_PER_ENTRY * entries, build / entries
+    assert first_lu <= FIRST_LU_BYTES_PER_NNZ * matrix.nnz, first_lu / matrix.nnz
 
 
 class _SpoilingLU(_RecordingLU):
