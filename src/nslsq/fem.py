@@ -7,14 +7,6 @@ y-component block (length 2*n_scalar); pressure is P1 on vertices.
 Quadrature: 6-point degree-4 rule for bilinear forms (exact for P2*P2
 products), 7-point degree-5 rule for the trilinear convection terms
 (P2*grad(P2)*P2 is degree 5) and general loads.
-
-The set-up kernels (physical gradients and points, the stiffness, the
-divergence blocks, ``load_vector`` and ``vorticity_load``) sum their
-terms from zero one at a time, in the order ``np.einsum`` sums them: the
-quadrature points in turn and, within a point, the products left to
-right.  Each equals its einsum form bit for bit, without the einsum's
-iteration over every index at once; the tests keep the einsum forms as
-oracles.
 """
 
 from __future__ import annotations
@@ -100,36 +92,16 @@ class _Rule:
         self.psi = p1_values(pts)           # (nq, 3)
         gref = p2_grads(pts)                # (nq, 6, 2)
         # physical gradient: g[t,q,j,d] = sum_e Jinv[t,e,d] gref[q,j,e]
-        nt, nq = len(space.det), len(ws)
-        self.g = _summed((nt, nq, 6, 2), (
-            space.jinv[:, None, None, e] * gref[:, :, e, None] for e in range(2)))
+        self.g = np.einsum("ted,qje->tqjd", space.jinv, gref)
         p = space.mesh.vertices[space.mesh.triangles]  # (nt, 3, 2)
-        self.x = _summed((nt, nq, 2), (  # physical points
-            self.psi[:, k, None] * p[:, None, k] for k in range(3)))
+        lam = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], axis=1)
+        self.x = np.einsum("qk,tkd->tqd", lam, p)      # physical points
 
     @cached_property
     def g_table(self) -> np.ndarray:
         """The gradients as one (6, 2*nq) matrix per triangle, [j, 2q+d]."""
         nt, nq = self.g.shape[:2]
         return np.ascontiguousarray(self.g.transpose(0, 2, 1, 3)).reshape(nt, 6, 2 * nq)
-
-
-def _summed(shape: tuple, terms) -> np.ndarray:
-    """``terms`` added to zeros of ``shape`` one at a time, as ``np.einsum``
-    sums its products."""
-    out = np.zeros(shape)
-    for term in terms:
-        out += term
-    return out
-
-
-def _integrated(space: "Space", rule: _Rule, shape: tuple, integrand) -> np.ndarray:
-    """Per-triangle integrals ``sum_q integrand(det * w_q, q)``, shape
-    ``(nt, *shape)``: the quadrature points are summed in turn from zero,
-    as ``np.einsum`` sums them, so an integrand whose products are written
-    left to right as in the einsum gives its einsum form bit for bit."""
-    return _summed((len(space.det), *shape),
-                   (integrand(space.det * w, q) for q, w in enumerate(rule.w)))
 
 
 class Space:
@@ -184,9 +156,7 @@ class Space:
     @cached_property
     def scalar_stiffness(self) -> sp.csr_matrix:
         r = self.rule4
-        elem = _integrated(self, r, (6, 6), lambda dw, q: (
-            dw[:, None, None] * r.g[:, q, :, None, 0] * r.g[:, q, None, :, 0]
-            + dw[:, None, None] * r.g[:, q, :, None, 1] * r.g[:, q, None, :, 1]))
+        elem = np.einsum("t,q,tqid,tqjd->tij", self.det, r.w, r.g, r.g)
         elem = 0.5 * (elem + elem.transpose(0, 2, 1))  # exact symmetry
         return self._scatter_p2p2(elem)
 
@@ -255,9 +225,11 @@ def assemble_stiffness(space: Space) -> sp.csr_matrix:
 def assemble_divergence(space: Space) -> sp.csr_matrix:
     """Pressure-test divergence matrix B with entries int(psi * div u)."""
     r = space.rule4
-    return sp.hstack([space._scatter_p1p2(_integrated(space, r, (3, 6), lambda dw, q: (
-        dw[:, None, None] * r.psi[q, :, None] * r.g[:, q, None, :, d]))) for d in range(2)],
-        format="csr")
+    bx = space._scatter_p1p2(
+        np.einsum("t,q,qk,tqj->tkj", space.det, r.w, r.psi, r.g[:, :, :, 0]))
+    by = space._scatter_p1p2(
+        np.einsum("t,q,qk,tqj->tkj", space.det, r.w, r.psi, r.g[:, :, :, 1]))
+    return sp.hstack([bx, by], format="csr")
 
 
 def convection_scalar_block(space: Space, a: np.ndarray) -> np.ndarray:
@@ -288,7 +260,7 @@ def load_vector(space: Space, f, t: float) -> np.ndarray:
     fq = np.asarray(f(r.x.reshape(-1, 2), t)).reshape(r.x.shape)
     out = np.empty(space.n_velocity)
     for c in range(2):
-        elem = _integrated(space, r, (6,), lambda dw, q: (dw * fq[:, q, c])[:, None] * r.phi[q])
+        elem = np.einsum("t,q,tq,qi->ti", space.det, r.w, fq[:, :, c], r.phi)
         out[c * space.n_scalar:(c + 1) * space.n_scalar] = space.scatter_p2_vector(elem)
     return out
 
@@ -319,7 +291,6 @@ def vorticity_load(space: Space, u: np.ndarray) -> np.ndarray:
     """
     r = space.rule4
     uq = space.velocity_at_quad(u, r)
-    elem = _integrated(space, r, (6,), lambda dw, q: (dw * uq[:, q, 1])[:, None] * r.g[:, q, :, 0])
-    elem -= _integrated(space, r, (6,),
-                        lambda dw, q: (dw * uq[:, q, 0])[:, None] * r.g[:, q, :, 1])
+    elem = np.einsum("t,q,tq,tqi->ti", space.det, r.w, uq[:, :, 1], r.g[:, :, :, 0])
+    elem -= np.einsum("t,q,tq,tqi->ti", space.det, r.w, uq[:, :, 0], r.g[:, :, :, 1])
     return space.scatter_p2_vector(elem)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from nslsq import fem
 from nslsq.fem import (
@@ -10,10 +9,8 @@ from nslsq.fem import (
     build_space,
     convection_vector,
     lid_boundary_values,
-    load_vector,
     rule_deg4,
     rule_deg5,
-    vorticity_load,
 )
 from nslsq.mesh import (
     Tag,
@@ -224,88 +221,6 @@ def test_convection_vector_matches_matrix(square2):
         assert np.abs(direct - viamat).max() < 1e-12 * max(1.0, np.abs(direct).max())
         oracle = _convection_vector_einsum(space, a, u)
         assert np.abs(direct - oracle).max() <= 1e-14 * np.abs(oracle).max()
-
-
-def _same_bits(a, b) -> bool:
-    """Equal shapes and equal float64 bit patterns, signed zeros included."""
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
-def _rule_einsum(space, rule):
-    """The einsum forms of a rule's physical gradients and points."""
-    pts, _ = rule
-    lam = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], axis=1)
-    return (np.einsum("ted,qje->tqjd", space.jinv, fem.p2_grads(pts)),
-            np.einsum("qk,tkd->tqd", lam, space.mesh.vertices[space.mesh.triangles]))
-
-
-def _stiffness_elements_einsum(space):
-    r = space.rule4
-    return np.einsum("t,q,tqid,tqjd->tij", space.det, r.w, r.g, r.g)
-
-
-def _divergence_elements_einsum(space, d):
-    r = space.rule4
-    return np.einsum("t,q,qk,tqj->tkj", space.det, r.w, r.psi, r.g[:, :, :, d])
-
-
-def _load_elements_einsum(space, fq):
-    r = space.rule5
-    return np.einsum("t,q,tq,qi->ti", space.det, r.w, fq, r.phi)
-
-
-def _vorticity_elements_einsum(space, uq):
-    r = space.rule4
-    elem = np.einsum("t,q,tq,tqi->ti", space.det, r.w, uq[:, :, 1], r.g[:, :, :, 0])
-    elem -= np.einsum("t,q,tq,tqi->ti", space.det, r.w, uq[:, :, 0], r.g[:, :, :, 1])
-    return elem
-
-
-def _swirl(x, t):
-    return np.stack([np.sin(3 * x[:, 0] + t) * x[:, 1], np.cos(x[:, 1]) - x[:, 0] ** 2], axis=1)
-
-
-@pytest.fixture(params=["square2", "disk_coarse", "jittered"])
-def kernel_space(request):
-    """A fresh space (no cached tables) on each mesh of the kernel tests."""
-    if request.param == "jittered":
-        return build_space(jittered_semidisk(0.2, 3))
-    return build_space(request.getfixturevalue(request.param).mesh)
-
-
-def test_rule_tables_match_einsum_bit_for_bit(kernel_space):
-    """Both rules' physical gradients and points, and the gradient table,
-    equal their einsum forms bit for bit."""
-    for rule, pts in ((kernel_space.rule4, rule_deg4()), (kernel_space.rule5, rule_deg5())):
-        g, x = _rule_einsum(kernel_space, pts)
-        assert _same_bits(rule.g, g) and _same_bits(rule.x, x)
-        nt, nq = g.shape[:2]
-        assert _same_bits(rule.g_table, np.ascontiguousarray(
-            g.transpose(0, 2, 1, 3)).reshape(nt, 6, 2 * nq))
-
-
-def test_assembly_kernels_match_einsum_bit_for_bit(kernel_space):
-    """The stiffness, the divergence blocks, ``load_vector`` and
-    ``vorticity_load`` equal their einsum forms bit for bit, through the
-    same scatter."""
-    space = kernel_space
-    elem = _stiffness_elements_einsum(space)
-    K = space._scatter_p2p2(0.5 * (elem + elem.transpose(0, 2, 1)))
-    assert _same_bits(space.scalar_stiffness.data, K.data)
-    assert np.array_equal(space.scalar_stiffness.indices, K.indices)
-    B = sp.hstack([space._scatter_p1p2(_divergence_elements_einsum(space, d))
-                   for d in range(2)], format="csr")
-    got = assemble_divergence(space)
-    assert _same_bits(got.data, B.data) and np.array_equal(got.indices, B.indices)
-    r5 = space.rule5
-    fq = _swirl(r5.x.reshape(-1, 2), 0.3).reshape(r5.x.shape)
-    load = np.concatenate([space.scatter_p2_vector(_load_elements_einsum(space, fq[:, :, c]))
-                           for c in range(2)])
-    assert _same_bits(load_vector(space, _swirl, 0.3), load)
-    u = np.random.default_rng(23).standard_normal(space.n_velocity)
-    vort = space.scatter_p2_vector(
-        _vorticity_elements_einsum(space, space.velocity_at_quad(u, space.rule4)))
-    assert _same_bits(vorticity_load(space, u), vort)
 
 
 def test_gradient_table_is_built_on_first_use(square2):

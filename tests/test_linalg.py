@@ -284,17 +284,22 @@ def test_saddle_block_solve_matches_single_solves(square4):
 
 
 def _held_symmetric_lus(space):
-    """The held symmetric LUs of one space: the Stokes LU on the heat
-    ordering and, on the unit square, the third linearized LU, on the
-    ordering of the fill rule's symmetric trial."""
+    """The held symmetric LUs of one space: the Stokes LU, the heat
+    pattern's one held LU, which lays out its own matrix, and, on the unit
+    square, the fifth linearized LU, the third held on the ordering of the
+    fill rule's symmetric trial, which gathers by the layout the pattern
+    attached from the fourth LU's matrix."""
     ops = Operators(space, TimeGrid(0.1, 1), nu=0.01)
     rng = np.random.default_rng(37)
     pattern = ops.linearized_pattern
-    first, trial, third = (pattern.factorize(ops.linearized(rng.standard_normal(
-        space.n_velocity)), "linearized") for _ in range(3))
+    first, trial, _, attaching, fifth = (pattern.factorize(ops.linearized(
+        rng.standard_normal(space.n_velocity)), "linearized") for _ in range(5))
     assert first.ordering == "colamd" and trial.held is None
-    assert third.order is trial.order is pattern.order
-    return {"stokes": ops.stokes.fact, "linearized": third}
+    assert fifth.order is attaching.order is trial.order is pattern.order
+    assert pattern.order.layout is not None and pattern.held_lus == 3
+    assert ops.stokes.fact.order.layout is None
+    assert not np.array_equal(fifth.matrix.data, attaching.matrix.data)
+    return {"stokes": ops.stokes.fact, "linearized": fifth}
 
 
 def _ordered_by_indexing(fact):
@@ -308,12 +313,14 @@ def _ordered_by_indexing(fact):
 
 @pytest.mark.parametrize("label", ["stokes", "linearized"])
 def test_symmetric_layout_gathers_the_ordered_matrix(label, square4):
-    """The layout of a held symmetric ordering (``symmetric_layout``)
-    gathers the matrix SuperLU is given: ``matrix[q][:, q]`` with sorted
-    columns, bit for bit, from the data of each matrix of the pattern."""
+    """The layout a held symmetric LU orders its matrix by gathers the
+    matrix SuperLU is given, ``matrix[q][:, q]`` with sorted columns, bit
+    for bit: the Stokes LU's own (``symmetric_layout`` of its matrix), and
+    the one the linearized pattern attached from an earlier matrix."""
     fact = _held_symmetric_lus(square4)[label]
     assert fact.ordering == "mmd-sym" and fact.order is fact.held
-    gather, indices, indptr = symmetric_layout(fact.matrix, fact.order.columns)
+    layout = fact.order.layout or symmetric_layout(fact.matrix, fact.order.columns)
+    gather, indices, indptr = layout
     assert gather.dtype == indices.dtype == indptr.dtype == np.int32
     ref = _ordered_by_indexing(fact)
     assert np.array_equal(fact.matrix.data[gather], ref.data)
@@ -322,9 +329,11 @@ def test_symmetric_layout_gathers_the_ordered_matrix(label, square4):
 
 @pytest.mark.parametrize("label", ["stokes", "linearized"])
 def test_held_symmetric_lu_solves_as_indexed_superlu(label, square4):
-    """A held symmetric LU, on its pattern's layout or on one laid out from
-    its own matrix, solves a block exactly as a SuperLU of the ordered
-    matrix made by row and column indexing."""
+    """A held symmetric LU, on its own layout (Stokes) or on the one its
+    pattern attached from an earlier matrix (linearized), and an LU on a
+    fresh copy of its ordering, which lays out its matrix anew, solve a
+    block exactly as a SuperLU of the ordered matrix made by row and
+    column indexing."""
     fact = _held_symmetric_lus(square4)[label]
     q = fact.order.columns
     indexed = spla.splu(_ordered_by_indexing(fact), permc_spec="NATURAL",
@@ -461,14 +470,17 @@ def test_symmetry_test_sums_repeated_entries():
 
 
 # numpy-side transients (tracemalloc peak above what the step keeps) on
-# ``disk_coarse``, measured at 24.8 bytes per entry of the linearized
-# pattern and 12.8 bytes per stored entry of the first linearized LU's
-# matrix (one transposed copy for the symmetry test); the bounds allow
-# about 9% and 25% more.  A build that frees its numbering, slots and
-# masks only at its end reads 28.4, and ``abs(A - A.T)`` as the symmetry
-# test 43.9, so the bounds catch either.
-PATTERN_BUILD_BYTES_PER_ENTRY = 27
-FIRST_LU_BYTES_PER_NNZ = 16
+# ``disk_coarse``, each against a reference taken in the test, measured
+# with numpy 2.4.6 and SciPy 1.17.1.  The pattern build peaks at its
+# entry gather, numpy indexing whose arrays' sizes their dtypes fix: it
+# reads 3.10 times the bytes of the gathered slots, ``pattern._slots``,
+# against 3.56 for a build that frees its numbering, slots and masks only
+# at its end.  The first linearized LU's symmetry test holds one
+# transposed copy of the matrix: the LU reads 1.05 times the bytes SciPy
+# allocates for ``matrix.T.tocsc()`` in the test, against 3.6 for
+# ``abs(A - A.T)``.  The bounds allow about 10% and 20% more.
+PATTERN_BUILD_PER_SLOT_BYTE = 3.4
+FIRST_LU_PER_COPY_BYTE = 1.25
 
 
 def _transient(step):
@@ -478,6 +490,15 @@ def _transient(step):
     result = step()
     current, peak = tracemalloc.get_traced_memory()
     return result, peak - current
+
+
+def _allocated(step) -> int:
+    """The traced peak of ``step``, whose result is kept, above the traced
+    memory before it."""
+    start = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    step()
+    return tracemalloc.get_traced_memory()[1] - start
 
 
 def test_pattern_build_and_first_linearized_lu_transients(disk_coarse):
@@ -490,14 +511,15 @@ def test_pattern_build_and_first_linearized_lu_transients(disk_coarse):
     try:
         pattern, build = _transient(lambda: ops.linearized_pattern)
         matrix = ops.linearized(y)
+        copy = _allocated(lambda: matrix.T.tocsc())
         fact, first_lu = _transient(lambda: pattern.factorize(matrix, "linearized"))
     finally:
         if not tracing:
             tracemalloc.stop()
     assert fact.ordering == "colamd"
-    entries = len(pattern._slots)
-    assert build <= PATTERN_BUILD_BYTES_PER_ENTRY * entries, build / entries
-    assert first_lu <= FIRST_LU_BYTES_PER_NNZ * matrix.nnz, first_lu / matrix.nnz
+    slots = pattern._slots.nbytes
+    assert build <= PATTERN_BUILD_PER_SLOT_BYTE * slots, build / slots
+    assert first_lu <= FIRST_LU_PER_COPY_BYTE * copy, first_lu / copy
 
 
 class _SpoilingLU(_RecordingLU):
