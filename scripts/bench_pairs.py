@@ -2,14 +2,15 @@
 """Interleaved benchmark pairs of two checkouts of the repository.
 
     python scripts/bench_pairs.py --parent OLD --change NEW \\
-        --workloads desk-cavity manufactured-levels --rounds 6 --seconds 20
+        --workloads desk-cavity manufactured-levels --rounds 6 --seconds 20 [--seed 1]
 
-Each round runs ``perfbench/run.py --seed 0 --trace 0`` once in each
-checkout per workload, in the order parent, change in even rounds and
-change, parent in odd ones, so that the host's slow drifts fall on both
-sides alike.  Per workload it prints, for every end-to-end metric, each
-side's median over the rounds, the median of the per-round change/parent
-ratios with their range, and in how many rounds the change read lower.
+Each round runs ``perfbench/run.py --seed N --trace 0`` (``--seed``,
+default 0) once in each checkout per workload, in the order parent,
+change in even rounds and change, parent in odd ones, so that the host's
+slow drifts fall on both sides alike.  Per workload it prints, for every
+end-to-end metric, each side's median over the rounds, the median of the
+per-round change/parent ratios with their range, and in how many rounds
+the change read lower.
 Every run whose result line is not ``correct`` is listed, and the script
 then exits 1.  A run of one side takes about ``--seconds`` plus the
 calibrations of ``run.py``.
@@ -25,11 +26,11 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
     """The result line (the last line of standard output) of one benchmark
     run in ``checkout``; a run that prints none counts as incorrect."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -92,6 +93,7 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True,
                     help="--seconds of each perfbench run")
+    ap.add_argument("--seed", type=int, default=0, help="--seed of each perfbench run")
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
@@ -101,7 +103,7 @@ def main(argv=None) -> int:
         pairs = []
         for i in range(args.rounds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            res = {side: run_once(checkouts[side], workload, args.seconds)
+            res = {side: run_once(checkouts[side], workload, args.seconds, args.seed)
                    for side in order}
             pairs.append((res["parent"], res["change"]))
             print(f"{workload} round {i}: " + ", ".join(

@@ -20,8 +20,8 @@ and prints the median of each side by side in milliseconds, to 0.1 ms
 (the unit square's LUs take a few ms).  A held LU on a symmetric
 ordering is timed as a pattern's first held LU: it lays out its own
 matrix (``linalg.symmetric_layout``).  The LUs are the heat-type
-operator (the first LU of its pattern), the Stokes-type operator (on the
-heat LU's ordering; one LU per run each), then two linearized levels
+and Stokes-type operators (the first LUs of their pattern, each fresh,
+made side by side; one LU per run each), then two linearized levels
 (``Operators.linearized``), the first two a direction sweep factorizes:
 on the semi-disk the first at the steady Stokes lid field, which orders
 the linearized pattern by COLAMD, and a later one at half that field,

@@ -146,15 +146,19 @@ class Space:
     def rule5(self) -> _Rule:
         return _Rule(self, *rule_deg5())
 
-    @cached_property
+    @property
     def scalar_mass(self) -> sp.csr_matrix:
+        """The scalar P2 mass matrix, assembled anew on each access: a run
+        keeps only the block-diagonal velocity copy (``assemble_mass``)."""
         r = self.rule4
         ref = np.einsum("q,qi,qj->ij", r.w, r.phi, r.phi)
         ref = 0.5 * (ref + ref.T)  # exact symmetry
         return self._scatter_p2p2(self.det[:, None, None] * ref)
 
-    @cached_property
+    @property
     def scalar_stiffness(self) -> sp.csr_matrix:
+        """The scalar P2 stiffness matrix, assembled anew on each access,
+        as ``scalar_mass``."""
         r = self.rule4
         elem = np.einsum("t,q,tqid,tqjd->tij", self.det, r.w, r.g, r.g)
         elem = 0.5 * (elem + elem.transpose(0, 2, 1))  # exact symmetry

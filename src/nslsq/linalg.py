@@ -5,12 +5,18 @@ Every eliminated matrix is a matrix of an ``EliminatedPattern``, which
 eliminates the constrained dofs once; a ``SaddlePattern`` also lays out
 the saddle right-hand side and solution.  An ordering depends only on
 the sparsity pattern, so every LU after a pattern's first takes its
-ordering.  A pattern's first LU (``Factorization``) orders a matrix equal
-to its transpose (heat, Stokes, stream) by minimum degree on ``A + A^T``
-with diagonal pivots, and any other (the linearized operator) by COLAMD
-with partial pivoting, which on the semi-disk fills it less.  Whether a
-matrix equals its transpose is decided on one transposed copy
-(``exactly_symmetric``), as ``abs(A - A.T).max() == 0`` decides it.
+ordering.  A pattern's first LU (``Factorization``, ``fresh_lu``) orders a
+matrix equal to its transpose (heat, Stokes, stream) by minimum degree on
+``A + A^T`` with diagonal pivots, and any other (the linearized operator)
+by COLAMD with partial pivoting, which on the semi-disk fills it less.
+A pattern whose first matrices are known at once makes their LUs side
+by side (``SaddlePattern.factorize_all``): the heat and Stokes LUs
+are each a fresh LU of its own matrix, the Stokes LU's SuperLU on a
+worker thread while the calling thread makes the heat LU (SciPy's
+``splu`` releases the GIL).  Minimum degree reads the structure alone,
+so the two get equal orderings.  Whether a matrix equals its transpose
+is decided on one transposed copy (``exactly_symmetric``), as
+``abs(A - A.T).max() == 0`` decides it.
 ``DIAG_PIVOT_THRESH`` is small, so the symmetric ordering survives
 pivoting, but not zero: at zero a tiny nonzero diagonal is taken as the
 pivot however large its column.
@@ -26,9 +32,9 @@ its second lays out the pattern once and attaches the layout to the
 ``Ordering``, where every later held LU finds it.  A layout costs 8
 bytes per stored entry (about 2.5 MB for the heat and Stokes pattern at
 ``h = 0.025``), so only a pattern that reuses its ordering keeps one:
-the heat and Stokes pattern, whose one held LU is the Stokes LU, keeps
-none, nor does the stream pattern, which makes one LU, while the unit
-square's linearized pattern keeps one for all its held LUs after the
+the heat and Stokes pattern, which makes no held LU, keeps none, nor
+does the stream pattern, which makes one LU, while the unit square's
+linearized pattern keeps one for all its held LUs after the
 first.  A held COLAMD ordering permutes columns only, and SciPy's column
 gather already returns sorted columns, so it has no layout.
 
@@ -55,6 +61,7 @@ factorizes is counted by its owner (``timestepping.Operators``).
 
 from __future__ import annotations
 
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +132,43 @@ def exactly_symmetric(matrix: sp.csc_matrix) -> bool:
     return abs(matrix - transposed).max() == 0
 
 
+def checked(matrix: sp.spmatrix, label: str) -> sp.csc_matrix:
+    """``matrix`` in CSC, once it is known to be square with finite
+    entries: the checks every LU makes before SuperLU."""
+    matrix = matrix.tocsc()
+    if matrix.shape[0] != matrix.shape[1]:
+        raise SolverError(f"matrix not square: {matrix.shape}")
+    if not np.isfinite(matrix.data).all():
+        raise SolverError(f"non-finite matrix entries ({label})")
+    return matrix
+
+
+def fresh_lu(matrix: sp.csc_matrix, label: str,
+             symmetric: bool = False) -> tuple[spla.SuperLU, str]:
+    """``(SuperLU, ordering)`` of a ``checked`` matrix on an ordering of its
+    own: ``"mmd-sym"``, minimum degree on ``A + A^T`` with diagonal pivots,
+    when ``symmetric`` or the matrix equals its transpose
+    (``exactly_symmetric``), else, or when that LU meets an exactly zero
+    pivot, ``"colamd"`` with partial pivoting; a matrix COLAMD finds
+    singular raises ``SolverError``.  It reads only ``matrix`` and SciPy's
+    ``splu`` releases the GIL, so it runs on a worker thread as well
+    (``SaddlePattern.factorize_all``)."""
+    if symmetric or exactly_symmetric(matrix):
+        try:
+            return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                             options=dict(SymmetricMode=True)), "mmd-sym"
+        except RuntimeError:
+            pass  # an exactly zero pivot: COLAMD decides, as for any matrix
+    try:
+        return spla.splu(matrix), "colamd"
+    except RuntimeError as exc:
+        raise SolverError(
+            f"singular matrix ({label}): {exc}; a singular saddle system "
+            "usually means a missing pressure pin or empty Dirichlet set"
+        ) from exc
+
+
 class _OrderedLU:
     """SuperLU of a matrix with its columns (and, for a symmetric ordering,
     its rows) permuted; ``solve`` takes and returns vectors, or blocks of
@@ -174,8 +218,11 @@ class Factorization:
     with it.
     If that LU meets an exactly zero pivot, the matrix is factorized
     afresh.  The held ordering reaches ``__init__`` through the ``held``
-    attribute, and the symmetric path through ``symmetric_path``, so
-    that every LU is made by the one ``__init__(matrix, label)``.
+    attribute, the symmetric path through ``symmetric_path``, and a fresh
+    LU that a worker thread is making (``fresh_lu``, started by
+    ``SaddlePattern.factorize_all``) through ``made``, the future
+    ``__init__`` waits on, so that every LU is made by the one
+    ``__init__(matrix, label)``, on the calling thread.
 
     ``ordering`` (``"mmd-sym"`` or ``"colamd"``, also for a held ordering)
     and ``lu_nnz`` record which LU was made, and ``order`` is its
@@ -187,17 +234,19 @@ class Factorization:
 
     held: Ordering | None = None  # set by ``reusing`` before ``__init__`` runs
     symmetric_path = False  # set by ``symmetric`` likewise
+    made: Future | None = None  # set by ``SaddlePattern.factorize_all`` likewise
 
     def __init__(self, matrix: sp.spmatrix, label: str = "unlabeled"):
-        self.matrix = matrix.tocsc()
+        self.matrix = checked(matrix, label)
         self.n = self.matrix.shape[0]
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise SolverError(f"matrix not square: {self.matrix.shape}")
-        if not np.isfinite(self.matrix.data).all():
-            raise SolverError(f"non-finite matrix entries ({label})")
         lu = None if self.held is None else self._factorize_held(self.held)
         if lu is None:
-            lu = self._factorize_fresh(label)
+            lu, self.ordering = (fresh_lu(self.matrix, label, self.symmetric_path)
+                                 if self.made is None else self.made.result())
+            self._lu = lu
+            columns = np.empty(self.n, dtype=np.intp)
+            columns[lu.perm_c] = np.arange(self.n)
+            self.order = Ordering(self.ordering, columns)
         self.lu_nnz = lu.nnz
 
     def _factorize_held(self, order: Ordering):
@@ -219,29 +268,6 @@ class Factorization:
         self._lu = _OrderedLU(lu, order)
         self.ordering, self.order = order.name, order
         return lu
-
-    def _factorize_fresh(self, label: str):
-        self.ordering = "colamd"
-        if self.symmetric_path or exactly_symmetric(self.matrix):
-            try:
-                self._lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                                     options=dict(SymmetricMode=True))
-                self.ordering = "mmd-sym"
-            except RuntimeError:
-                pass  # an exactly zero pivot: COLAMD decides, as for any matrix
-        if self.ordering == "colamd":
-            try:
-                self._lu = spla.splu(self.matrix)
-            except RuntimeError as exc:
-                raise SolverError(
-                    f"singular matrix ({label}): {exc}; a singular saddle system "
-                    "usually means a missing pressure pin or empty Dirichlet set"
-                ) from exc
-        columns = np.empty(self.n, dtype=np.intp)
-        columns[self._lu.perm_c] = np.arange(self.n)
-        self.order = Ordering(self.ordering, columns)
-        return self._lu
 
     @classmethod
     def reusing(cls, order: Ordering | None, matrix: sp.spmatrix,
@@ -471,7 +497,9 @@ class SaddlePattern(EliminatedPattern):
     ``solve`` is the layout of every saddle solve: the momentum load goes
     into the velocity rows and the Dirichlet values (zero when omitted)
     onto the constrained rows, and the solution splits into
-    ``(velocity, multiplier)``.
+    ``(velocity, multiplier)``.  A pattern whose every matrix is known at
+    once makes their LUs side by side, each afresh (``factorize_all``), and
+    keeps only that layout after it.
     """
 
     def __init__(self, a_rows: np.ndarray, a_cols: np.ndarray, B: sp.spmatrix,
@@ -490,6 +518,30 @@ class SaddlePattern(EliminatedPattern):
 
     def values(self, *a_values: np.ndarray) -> np.ndarray:
         return np.concatenate([self._b_values, *a_values])
+
+    def factorize_all(self, *systems: tuple[np.ndarray, str]) -> list["SaddleFactorization"]:
+        """LU and coupling of every matrix the pattern will have, given by
+        its ``values`` and label as ``(values, label)`` pairs, the LUs fresh
+        and made side by side.  Once the matrices and couplings exist (each
+        matrix ``checked``) the pattern drops the tables that build them,
+        keeping the saddle layout ``solve`` reads.  SuperLU of every matrix
+        after the first runs on one worker thread (``fresh_lu``) while the
+        calling thread factorizes the first.  Every ``Factorization`` is
+        made on the calling thread, one after the other, the later ones
+        from the worker's LUs, so an error of a worker's LU raises there;
+        the worker ends before this returns.  The pattern holds the first
+        LU's ordering."""
+        matrices = [(checked(self.matrix(values), label), label) for values, label in systems]
+        couplings = [self.coupling(values) for values, _ in systems]
+        del self._slots, self._diagonal, self._coupled, self._coupled_at, self._b_values
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            made = [worker.submit(fresh_lu, matrix, label) for matrix, label in matrices[1:]]
+            facts = [Factorization(*matrices[0])]
+            facts += [Factorization._made(matrix, label, made=lu)
+                      for (matrix, label), lu in zip(matrices[1:], made)]
+        self.order, self.lu_nnz = facts[0].order, facts[0].lu_nnz
+        return [SaddleFactorization(self, fact, coupling)
+                for fact, coupling in zip(facts, couplings)]
 
     def solve(self, solve, load: np.ndarray, values: np.ndarray | None = None,
               coupling: sp.spmatrix | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -515,15 +567,14 @@ class SaddlePattern(EliminatedPattern):
 
 
 class SaddleFactorization:
-    """LU and Dirichlet coupling of one matrix of a ``SaddlePattern``,
-    given by its ``values``; each solve takes one momentum load or a stack
-    of them and the Dirichlet values (zero when omitted), as
+    """LU and Dirichlet coupling of one matrix of a ``SaddlePattern``
+    (``SaddlePattern.factorize_all``); each solve takes one momentum load
+    or a stack of them and the Dirichlet values (zero when omitted), as
     ``SaddlePattern.solve``."""
 
-    def __init__(self, pattern: SaddlePattern, values: np.ndarray, label: str):
-        self.pattern = pattern
-        self.fact = pattern.factorize(pattern.matrix(values), label)
-        self.coupling = pattern.coupling(values)
+    def __init__(self, pattern: SaddlePattern, fact: Factorization,
+                 coupling: sp.csr_matrix):
+        self.pattern, self.fact, self.coupling = pattern, fact, coupling
 
     def solve(self, load: np.ndarray, values: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray]:

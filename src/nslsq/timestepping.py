@@ -4,13 +4,15 @@ Every scheme of the outer iteration steps one constrained system
 ``(M/dt + A) u^{n+1} + B^T lam = M u^n/dt + load`` forward in time
 (``sweep``), and every Riesz lift solves one constant Stokes-type system
 per interval, in blocks of intervals (``lift``).  Every matrix here is a
-matrix of a ``linalg.SaddlePattern``, and every LU after a pattern's
-first takes its ordering.  The heat-type ``M/dt + K`` and Stokes-type
-``K`` operators share one pattern and are factorized once per run, for
-every time level and outer iterate.  The linearized Navier-Stokes
-operator of the direction sweep has a pattern of its own, shared by
-every viscosity.  It is assembled at every level; ``_direction_level``
-decides which levels it is factorized on.
+matrix of a ``linalg.SaddlePattern``.  The heat-type ``M/dt + K`` and
+Stokes-type ``K`` operators share one pattern and are factorized once
+per run, for every time level and outer iterate, together: each is a
+fresh LU on its own, equal minimum-degree ordering, made side by side.
+The linearized Navier-Stokes operator of the direction sweep has a
+pattern of its own, shared by every viscosity, and every linearized LU
+after a run's first takes the ordering that pattern holds.  It is
+assembled at every level; ``_direction_level`` decides which levels it
+is factorized on.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import scipy.sparse as sp
 
 from . import fem
 from .fem import Space
-from .linalg import SaddleFactorization, SaddlePattern, krylov_solve
+from .linalg import SaddlePattern, krylov_solve
 
 LU_LAG = 3  # a direction sweep factorizes every third level
 LIFT_BLOCK = 32  # a Riesz lift solves at most this many levels per LU solve
@@ -139,11 +141,15 @@ class _Convection:
 class Operators:
     """Assembled matrices and factorizations shared by all schemes.
 
-    The heat LU (``M/dt + K``) and the Stokes LU (``K``) are made on one
-    saddle pattern, so the Stokes LU takes the heat LU's ordering.  The
-    linearized operator has a pattern of its own, shared by every
-    viscosity (``with_nu``), so every linearized LU after a run's first
-    takes the ordering the pattern holds.  The heat LU's fill is that
+    The heat LU (``M/dt + K``) and the Stokes LU (``K``) are made together
+    on one saddle pattern (``linalg.SaddlePattern.factorize_all``), each a
+    fresh LU on its own, equal minimum-degree ordering: the Stokes LU's
+    SuperLU runs on a worker thread while the heat LU is made, and the
+    worker ends before ``__init__`` returns.  The pattern then keeps only
+    its saddle layout, and the space keeps no scalar matrix, only ``M``
+    and ``K``.  The linearized operator has a pattern of its own, shared
+    by every viscosity (``with_nu``), so every linearized LU after a run's
+    first takes the ordering the pattern holds.  The heat LU's fill is that
     pattern's reference: a first linearized COLAMD LU that fills more
     than ``linalg.FILL_RATIO`` times as much makes the second LU try the
     symmetric ordering, and the smaller is held (``linalg`` fill rule).
@@ -169,9 +175,9 @@ class Operators:
         a = self.M.tocoo()
         pattern = SaddlePattern(a.row, a.col, self.B, space.dirichlet_dofs)
         m_dt = (self.M / grid.dt).data
-        self.heat = SaddleFactorization(pattern, pattern.values(m_dt + self.K.data),
-                                        "heat")
-        self.stokes = SaddleFactorization(pattern, pattern.values(self.K.data), "stokes")
+        self.heat, self.stokes = pattern.factorize_all(
+            (pattern.values(m_dt + self.K.data), "heat"),
+            (pattern.values(self.K.data), "stokes"))
         self.factorizations = Counter(heat=1, stokes=1, linearized=0, lagged=0,
                                       krylov_iterations=0)
         self._convection = _Convection(space, self.M, self.B, self.heat.fact.lu_nnz)

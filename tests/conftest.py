@@ -224,4 +224,5 @@ def saddle_factorization(A: sp.spmatrix, B: sp.spmatrix, dirichlet_dofs: np.ndar
     """LU of [[A, B^T], [B, 0]] on a saddle pattern of its own."""
     a = A.tocoo()
     pattern = SaddlePattern(a.row, a.col, B, dirichlet_dofs)
-    return SaddleFactorization(pattern, pattern.values(a.data), label)
+    (fact,) = pattern.factorize_all((pattern.values(a.data), label))
+    return fact

@@ -3,6 +3,10 @@
 A traced run fails if a name the tracer wraps is renamed or deleted, if
 ``Factorization.__init__`` changes signature, or if a solve makes fewer
 than two linearized LUs (the tracer takes percentiles of their times).
+It also needs every ``Factorization.__init__`` on the calling thread, one
+after the other: the tracer keeps one span stack, so an ``__init__`` on
+another thread, or two at once, would nest spans wrongly.  Only SuperLU
+itself may run on a worker (``linalg.SaddlePattern.factorize_all``).
 """
 
 import json

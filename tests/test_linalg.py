@@ -242,16 +242,17 @@ def test_krylov_far_lu_gives_up():
 
 
 def _block_lus(space):
-    """An ``mmd-sym`` LU (heat), a held symmetric ``_OrderedLU`` (Stokes on
-    the heat ordering), a fresh and a held COLAMD LU (two linearized
-    levels) of one space, a semi-disk: on the unit square the second
-    linearized LU is the fill rule's fresh symmetric trial."""
+    """An ``mmd-sym`` LU (heat), a held symmetric ``_OrderedLU`` (the Stokes
+    matrix on the heat ordering), a fresh and a held COLAMD LU (two
+    linearized levels) of one space, a semi-disk: on the unit square the
+    second linearized LU is the fill rule's fresh symmetric trial."""
     ops = Operators(space, TimeGrid(0.1, 1), nu=0.01)
     rng = np.random.default_rng(30)
     pattern = ops.linearized_pattern
     fresh, held = (pattern.factorize(ops.linearized(rng.standard_normal(
         space.n_velocity)), "linearized") for _ in range(2))
-    return {"mmd-sym": ops.heat.fact, "held mmd-sym": ops.stokes.fact,
+    held_sym = Factorization.reusing(ops.heat.fact.order, ops.stokes.fact.matrix, "stokes")
+    return {"mmd-sym": ops.heat.fact, "held mmd-sym": held_sym,
             "colamd": fresh, "held colamd": held}
 
 
@@ -283,23 +284,28 @@ def test_saddle_block_solve_matches_single_solves(square4):
         assert np.abs(lam[n] - m).max() <= 1e-12 * np.abs(m).max()
 
 
-def _held_symmetric_lus(space):
-    """The held symmetric LUs of one space: the Stokes LU, the heat
-    pattern's one held LU, which lays out its own matrix, and, on the unit
-    square, the fifth linearized LU, the third held on the ordering of the
-    fill rule's symmetric trial, which gathers by the layout the pattern
-    attached from the fourth LU's matrix."""
+def _held_symmetric_lu(space, label):
+    """A held symmetric LU of one space, the unit square, whose linearized
+    pattern holds the ordering of the fill rule's symmetric trial:
+    ``"first held"`` is the third linearized LU, the first held, which
+    lays out its own matrix, returned while the pattern keeps no layout;
+    ``"linearized"`` is the fifth, the third held, which gathers by the
+    layout the pattern attached from the fourth LU's matrix."""
     ops = Operators(space, TimeGrid(0.1, 1), nu=0.01)
     rng = np.random.default_rng(37)
     pattern = ops.linearized_pattern
-    first, trial, _, attaching, fifth = (pattern.factorize(ops.linearized(
-        rng.standard_normal(space.n_velocity)), "linearized") for _ in range(5))
+    lus = [pattern.factorize(ops.linearized(rng.standard_normal(space.n_velocity)),
+                             "linearized") for _ in range(3 if label == "first held" else 5)]
+    first, trial = lus[:2]
     assert first.ordering == "colamd" and trial.held is None
-    assert fifth.order is attaching.order is trial.order is pattern.order
+    assert all(lu.order is trial.order is pattern.order for lu in lus[2:])
+    if label == "first held":
+        assert pattern.order.layout is None and pattern.held_lus == 1
+        return lus[2]
+    attaching, fifth = lus[3:]
     assert pattern.order.layout is not None and pattern.held_lus == 3
-    assert ops.stokes.fact.order.layout is None
     assert not np.array_equal(fifth.matrix.data, attaching.matrix.data)
-    return {"stokes": ops.stokes.fact, "linearized": fifth}
+    return fifth
 
 
 def _ordered_by_indexing(fact):
@@ -311,13 +317,13 @@ def _ordered_by_indexing(fact):
     return ordered
 
 
-@pytest.mark.parametrize("label", ["stokes", "linearized"])
+@pytest.mark.parametrize("label", ["first held", "linearized"])
 def test_symmetric_layout_gathers_the_ordered_matrix(label, square4):
     """The layout a held symmetric LU orders its matrix by gathers the
     matrix SuperLU is given, ``matrix[q][:, q]`` with sorted columns, bit
-    for bit: the Stokes LU's own (``symmetric_layout`` of its matrix), and
-    the one the linearized pattern attached from an earlier matrix."""
-    fact = _held_symmetric_lus(square4)[label]
+    for bit: the first held LU's own (``symmetric_layout`` of its matrix),
+    and the one the linearized pattern attached from an earlier matrix."""
+    fact = _held_symmetric_lu(square4, label)
     assert fact.ordering == "mmd-sym" and fact.order is fact.held
     layout = fact.order.layout or symmetric_layout(fact.matrix, fact.order.columns)
     gather, indices, indptr = layout
@@ -327,14 +333,14 @@ def test_symmetric_layout_gathers_the_ordered_matrix(label, square4):
     assert np.array_equal(indices, ref.indices) and np.array_equal(indptr, ref.indptr)
 
 
-@pytest.mark.parametrize("label", ["stokes", "linearized"])
+@pytest.mark.parametrize("label", ["first held", "linearized"])
 def test_held_symmetric_lu_solves_as_indexed_superlu(label, square4):
-    """A held symmetric LU, on its own layout (Stokes) or on the one its
-    pattern attached from an earlier matrix (linearized), and an LU on a
+    """A held symmetric LU, on its own layout (the first held) or on the one
+    its pattern attached from an earlier matrix (the fifth), and an LU on a
     fresh copy of its ordering, which lays out its matrix anew, solve a
     block exactly as a SuperLU of the ordered matrix made by row and
     column indexing."""
-    fact = _held_symmetric_lus(square4)[label]
+    fact = _held_symmetric_lu(square4, label)
     q = fact.order.columns
     indexed = spla.splu(_ordered_by_indexing(fact), permc_spec="NATURAL",
                         diag_pivot_thresh=DIAG_PIVOT_THRESH)
@@ -375,16 +381,15 @@ def _counting_layouts(monkeypatch) -> list:
 
 @pytest.mark.parametrize("mesh", ["square4", "disk_coarse"])
 def test_heat_pattern_keeps_no_layout_after_the_stokes_lu(mesh, request, monkeypatch):
-    """The Stokes LU, the heat and Stokes pattern's one held LU, lays out
-    its own matrix once and the pattern keeps no layout."""
+    """The heat and Stokes LUs are both fresh: their pattern makes no held
+    LU, lays out nothing and keeps no layout."""
     space = request.getfixturevalue(mesh)
     calls = _counting_layouts(monkeypatch)
     ops = Operators(space, TimeGrid(0.1, 1), nu=0.01)
     pattern = ops.heat.pattern
-    assert ops.stokes.fact.order is ops.heat.fact.order is pattern.order
-    assert pattern.order.symmetric and pattern.held_lus == 1
-    assert pattern.order.layout is None
-    assert len(calls) == 1 and calls[0] is pattern.order.columns
+    assert ops.heat.fact.held is ops.stokes.fact.held is None
+    assert pattern.order is ops.heat.fact.order and pattern.held_lus == 0
+    assert pattern.order.layout is None and calls == []
 
 
 def test_linearized_pattern_keeps_a_layout_from_its_second_held_lu(square4, monkeypatch):

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,6 +50,25 @@ def test_bench_pairs_summary():
     rss = summary["metrics"]["peak_rss_mb"]
     assert rss["ratio"] == 1.0 and rss["ratio_max"] == pytest.approx(1.1)
     assert "INCORRECT: round 3 change" in bench_pairs.report("w", summary)
+
+
+
+@pytest.mark.parametrize("argv, seed", [([], "0"), (["--seed", "1"], "1")])
+def test_bench_pairs_passes_its_seed(argv, seed, monkeypatch, capsys):
+    """Every benchmark run of ``bench_pairs`` gets its ``--seed``, 0 when
+    omitted."""
+    bench_pairs = _load(SCRIPTS[0].parent / "bench_pairs.py")
+    runs = []
+
+    def run(cmd, **kwargs):
+        runs.append(cmd)
+        return SimpleNamespace(stdout=_result_line(True, 1.0, 100.0) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.main(["--parent", "a", "--change", "b", "--workloads", "w",
+                             "--rounds", "2", "--seconds", "1", *argv]) == 0
+    assert len(runs) == 4
+    assert all(cmd[cmd.index("--seed") + 1] == seed for cmd in runs)
 
 
 CONFIGS = sorted((SCRIPTS[0].parent.parent / "configs").glob("*.ini"))

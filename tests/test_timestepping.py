@@ -12,7 +12,7 @@ from nslsq.fem import (
     lid_boundary_values,
     load_vector,
 )
-from nslsq.linalg import FILL_RATIO, Factorization
+from nslsq.linalg import FILL_RATIO, Factorization, SolverError
 from nslsq.mesh import Tag, generate_semidisk, generate_unit_square
 from nslsq.timestepping import (
     LIFT_BLOCK,
@@ -412,15 +412,97 @@ def test_with_nu_holds_linearized_ordering(disk_coarse):
     assert ops.factorizations["heat"] == ops.factorizations["stokes"] == 1
 
 
-def test_stokes_lu_holds_heat_ordering(disk_coarse):
-    """The Stokes LU is made on the heat LU's symmetric ordering, with the
-    fill of its own fresh symmetric LU."""
-    ops = Operators(disk_coarse, TimeGrid(0.1, 1), nu=0.01)
+@pytest.mark.parametrize("mesh", ["square4", "disk_coarse", "jittered-semidisk"])
+def test_heat_and_stokes_lus_are_fresh_on_equal_orderings(mesh, request):
+    """The heat and Stokes LUs are each a fresh ``mmd-sym`` LU of its own
+    matrix, on equal orderings, and the Stokes LU, made on a worker
+    thread, solves a block bit for bit as a fresh ``Factorization`` of its
+    matrix made on the calling thread."""
+    from conftest import jittered_semidisk
+
+    space = (build_space(jittered_semidisk(0.2, 3)) if mesh == "jittered-semidisk"
+             else request.getfixturevalue(mesh))
+    ops = Operators(space, TimeGrid(0.1, 1), nu=0.01)
     heat, stokes = ops.heat.fact, ops.stokes.fact
-    assert stokes.order is heat.order
+    assert heat.ordering == stokes.ordering == "mmd-sym"
+    assert heat.held is stokes.held is None and stokes.order is not heat.order
+    assert np.array_equal(stokes.order.columns, heat.order.columns)
     fresh = Factorization(stokes.matrix, "stokes")
-    assert stokes.ordering == fresh.ordering == "mmd-sym"
     assert stokes.lu_nnz == fresh.lu_nnz
+    b = np.random.default_rng(25).standard_normal((stokes.n, 4))
+    assert np.array_equal(stokes.solve(b), fresh.solve(b))
+
+
+def test_operators_makes_every_factorization_on_the_calling_thread(square4, monkeypatch):
+    """Every ``Factorization.__init__`` of ``Operators(...)`` runs on the
+    calling thread, and none starts before the one before it returns: a
+    wrapper with one span stack, like the benchmark's tracer, records
+    them."""
+    import threading
+
+    from nslsq import linalg
+
+    init, stack, spans = linalg.Factorization.__init__, [], []
+
+    def recorded(self, matrix, label="unlabeled"):
+        spans.append((label, threading.get_ident(), len(stack)))
+        stack.append(label)
+        try:
+            init(self, matrix, label)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(linalg.Factorization, "__init__", recorded)
+    Operators(square4, TimeGrid(0.1, 1), nu=0.01)
+    caller = threading.get_ident()
+    assert spans == [("heat", caller, 0), ("stokes", caller, 0)]
+
+
+def test_failed_stokes_lu_raises_from_operators(square4, monkeypatch):
+    """A Stokes LU that SuperLU cannot make raises a ``SolverError`` naming
+    it from ``Operators(...)``, and no thread outlives the call."""
+    import threading
+    import time
+
+    from nslsq import linalg
+
+    stokes = Operators(square4, TimeGrid(0.1, 1), nu=0.01).stokes.fact.matrix.data
+    splu = linalg.spla.splu
+
+    def failing(matrix, *args, **kwargs):
+        if np.array_equal(matrix.data, stokes):
+            time.sleep(0.05)  # a thread not joined would still run
+            raise RuntimeError("Factor is exactly singular")
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", failing)
+    threads = threading.active_count()
+    with pytest.raises(SolverError, match="stokes"):
+        Operators(square4, TimeGrid(0.1, 1), nu=0.01)
+    assert threading.active_count() == threads
+
+
+def test_operators_drop_one_time_tables(square4):
+    """Once the heat and Stokes matrices and couplings exist, their pattern
+    keeps only the saddle layout its solves read, and the space caches no
+    scalar matrix: ``scalar_mass`` and ``scalar_stiffness`` are assembled
+    anew on each access, bit for bit the blocks of ``M`` and ``K``."""
+    ops = Operators(square4, TimeGrid(0.1, 1), nu=0.01)
+    pattern = ops.heat.pattern
+    assert pattern is ops.stokes.pattern
+    for name in ("_slots", "_diagonal", "_coupled", "_coupled_at", "_b_values"):
+        assert not hasattr(pattern, name), name
+    ns = square4.n_scalar
+    for name, block in (("scalar_mass", ops.M), ("scalar_stiffness", ops.K)):
+        assert name not in vars(square4)
+        for rows in (slice(0, ns), slice(ns, 2 * ns)):
+            ref = block[rows, rows].tocsr()
+            got = getattr(square4, name)
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, attr), getattr(ref, attr)), name
+        assert name not in vars(square4)
+    vel, _ = ops.heat.solve(np.ones(square4.n_velocity))
+    assert np.isfinite(vel).all()
 
 
 def test_lift_blocks_match_single_solves(square4, monkeypatch):
