@@ -144,16 +144,16 @@ def checked(matrix: sp.spmatrix, label: str) -> sp.csc_matrix:
 
 
 def fresh_lu(matrix: sp.csc_matrix, label: str,
-             symmetric: bool = False) -> tuple[spla.SuperLU, str]:
+             symmetric: bool | None = None) -> tuple[spla.SuperLU, str]:
     """``(SuperLU, ordering)`` of a ``checked`` matrix on an ordering of its
     own: ``"mmd-sym"``, minimum degree on ``A + A^T`` with diagonal pivots,
-    when ``symmetric`` or the matrix equals its transpose
-    (``exactly_symmetric``), else, or when that LU meets an exactly zero
+    when ``symmetric`` (by default, when the matrix equals its transpose:
+    ``exactly_symmetric``), else, or when that LU meets an exactly zero
     pivot, ``"colamd"`` with partial pivoting; a matrix COLAMD finds
-    singular raises ``SolverError``.  It reads only ``matrix`` and SciPy's
-    ``splu`` releases the GIL, so it runs on a worker thread as well
+    singular raises ``SolverError``.  Given ``symmetric``, it runs SuperLU
+    alone, which releases the GIL, so it runs on a worker thread as well
     (``SaddlePattern.factorize_all``)."""
-    if symmetric or exactly_symmetric(matrix):
+    if exactly_symmetric(matrix) if symmetric is None else symmetric:
         try:
             return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A",
                              diag_pivot_thresh=DIAG_PIVOT_THRESH,
@@ -241,7 +241,7 @@ class Factorization:
         self.n = self.matrix.shape[0]
         lu = None if self.held is None else self._factorize_held(self.held)
         if lu is None:
-            lu, self.ordering = (fresh_lu(self.matrix, label, self.symmetric_path)
+            lu, self.ordering = (fresh_lu(self.matrix, label, self.symmetric_path or None)
                                  if self.made is None else self.made.result())
             self._lu = lu
             columns = np.empty(self.n, dtype=np.intp)
@@ -523,19 +523,22 @@ class SaddlePattern(EliminatedPattern):
         """LU and coupling of every matrix the pattern will have, given by
         its ``values`` and label as ``(values, label)`` pairs, the LUs fresh
         and made side by side.  Once the matrices and couplings exist (each
-        matrix ``checked``) the pattern drops the tables that build them,
-        keeping the saddle layout ``solve`` reads.  SuperLU of every matrix
-        after the first runs on one worker thread (``fresh_lu``) while the
-        calling thread factorizes the first.  Every ``Factorization`` is
+        matrix after the first ``checked`` and tested for symmetry) the
+        pattern drops the tables that build them, keeping the saddle layout
+        ``solve`` reads.  SuperLU of every matrix after the first runs on
+        one worker thread (``fresh_lu``) while the calling thread
+        factorizes the first.  Every ``Factorization`` is
         made on the calling thread, one after the other, the later ones
         from the worker's LUs, so an error of a worker's LU raises there;
         the worker ends before this returns.  The pattern holds the first
         LU's ordering."""
-        matrices = [(checked(self.matrix(values), label), label) for values, label in systems]
+        matrices = [(self.matrix(values), label) for values, label in systems]
+        matrices[1:] = [(checked(matrix, label), label) for matrix, label in matrices[1:]]
         couplings = [self.coupling(values) for values, _ in systems]
         del self._slots, self._diagonal, self._coupled, self._coupled_at, self._b_values
         with ThreadPoolExecutor(max_workers=1) as worker:
-            made = [worker.submit(fresh_lu, matrix, label) for matrix, label in matrices[1:]]
+            made = [worker.submit(fresh_lu, matrix, label, exactly_symmetric(matrix))
+                    for matrix, label in matrices[1:]]
             facts = [Factorization(*matrices[0])]
             facts += [Factorization._made(matrix, label, made=lu)
                       for (matrix, label), lu in zip(matrices[1:], made)]

@@ -437,12 +437,18 @@ def test_operators_makes_every_factorization_on_the_calling_thread(square4, monk
     """Every ``Factorization.__init__`` of ``Operators(...)`` runs on the
     calling thread, and none starts before the one before it returns: a
     wrapper with one span stack, like the benchmark's tracer, records
-    them."""
+    them.  The symmetry tests run there too: the worker runs SuperLU
+    alone."""
     import threading
 
     from nslsq import linalg
 
     init, stack, spans = linalg.Factorization.__init__, [], []
+    symmetric, tested = linalg.exactly_symmetric, []
+
+    def recorded_test(matrix):
+        tested.append(threading.get_ident())
+        return symmetric(matrix)
 
     def recorded(self, matrix, label="unlabeled"):
         spans.append((label, threading.get_ident(), len(stack)))
@@ -453,9 +459,11 @@ def test_operators_makes_every_factorization_on_the_calling_thread(square4, monk
             stack.pop()
 
     monkeypatch.setattr(linalg.Factorization, "__init__", recorded)
+    monkeypatch.setattr(linalg, "exactly_symmetric", recorded_test)
     Operators(square4, TimeGrid(0.1, 1), nu=0.01)
     caller = threading.get_ident()
     assert spans == [("heat", caller, 0), ("stokes", caller, 0)]
+    assert tested == [caller, caller]
 
 
 def test_failed_stokes_lu_raises_from_operators(square4, monkeypatch):
