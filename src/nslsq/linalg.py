@@ -527,11 +527,11 @@ class SaddlePattern(EliminatedPattern):
         pattern drops the tables that build them, keeping the saddle layout
         ``solve`` reads.  SuperLU of every matrix after the first runs on
         one worker thread (``fresh_lu``) while the calling thread
-        factorizes the first.  Every ``Factorization`` is
-        made on the calling thread, one after the other, the later ones
-        from the worker's LUs, so an error of a worker's LU raises there;
-        the worker ends before this returns.  The pattern holds the first
-        LU's ordering."""
+        factorizes the first.  Every ``Factorization`` is made on the
+        calling thread, one after the other, the later ones from the
+        worker's LUs, so an error of a worker's LU raises there; the
+        worker ends before this returns.  The pattern holds the first LU's
+        ordering."""
         matrices = [(self.matrix(values), label) for values, label in systems]
         matrices[1:] = [(checked(matrix, label), label) for matrix, label in matrices[1:]]
         couplings = [self.coupling(values) for values, _ in systems]
