@@ -8,9 +8,13 @@ Each round runs ``perfbench/run.py --seed N --trace 0`` (``--seed``,
 default 0) once in each checkout per workload, in the order parent,
 change in even rounds and change, parent in odd ones, so that the host's
 slow drifts fall on both sides alike.  Per workload it prints, for every
-end-to-end metric, each side's median over the rounds, the median of the
-per-round change/parent ratios with their range, and in how many rounds
-the change read lower.
+end-to-end metric, each side's median and quartiles over the rounds, the
+median of the per-round change/parent ratios with their range, and in
+how many rounds the change read lower.  Beside the calibrated times it
+prints the same for the unscaled medians ``unscaled_wall_s``,
+``unscaled_setup_s`` and ``unscaled_solve_s`` from the detail line
+``run.py`` prints before its result line, because the calibration scale
+of a run moves its side of a pair as well.
 Every run whose result line is not ``correct`` is listed, and the script
 then exits 1.  A run of one side takes about ``--seconds`` plus the
 calibrations of ``run.py``.
@@ -24,27 +28,46 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+UNSCALED = ("unscaled_wall_s", "unscaled_setup_s", "unscaled_solve_s")
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
     """The result line (the last line of standard output) of one benchmark
-    run in ``checkout``; a run that prints none counts as incorrect."""
+    run in ``checkout``, its metrics joined by the unscaled medians of the
+    detail line before it; a run that prints no result line counts as
+    incorrect."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return {"correct": False, "metrics": {}}
+    try:
+        samples = json.loads(lines[-2])["samples"]
+    except (IndexError, json.JSONDecodeError, KeyError, TypeError):
+        samples = {}
+    for name in UNSCALED:
+        if name in samples:
+            result["metrics"][name] = {"value": samples[name]["median"], "unit": "s"}
+    return result
+
+
+def _quartiles(values) -> tuple[float, float]:
+    """First and third quartiles; one value is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
 
 
 def summarize(pairs: list[tuple[dict, dict]]) -> dict:
-    """Per metric, the sides' medians and the change/parent ratios of the
-    ``(parent, change)`` result lines of one workload, and the
-    ``(round, side)`` of every incorrect run.  A round with an incorrect
-    side adds no ratio."""
+    """Per metric, the sides' medians and quartiles and the change/parent
+    ratios of the ``(parent, change)`` result lines of one workload, and
+    the ``(round, side)`` of every incorrect run.  A round with an
+    incorrect side adds no ratio."""
     incorrect = [(i, side) for i, pair in enumerate(pairs)
                  for side, res in zip(SIDES, pair) if not res.get("correct")]
     bad_rounds = {i for i, _ in incorrect}
@@ -55,9 +78,12 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
     for name in names:
         values = [[res["metrics"][name]["value"] for res in pair] for pair in good]
         ratios = [c / p for p, c in values if p != 0]
+        parent, change = zip(*values)
         metrics[name] = {
-            "parent": statistics.median(p for p, _ in values),
-            "change": statistics.median(c for _, c in values),
+            "parent": statistics.median(parent),
+            "change": statistics.median(change),
+            "parent_quartiles": _quartiles(parent),
+            "change_quartiles": _quartiles(change),
             "ratio": statistics.median(ratios) if ratios else None,
             "ratio_min": min(ratios, default=None),
             "ratio_max": max(ratios, default=None),
@@ -70,15 +96,18 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
 def report(workload: str, summary: dict) -> str:
     lines = [f"{workload}:",
              f"  {'metric':<18} {'parent':>10} {'change':>10} {'ratio':>6} "
-             f"{'range':>13} {'change lower':>13}"]
+             f"{'range':>13} {'change lower':>13} {'parent q1-q3':>21} "
+             f"{'change q1-q3':>21}"]
     for name, m in summary["metrics"].items():
         if m["ratio"] is None:
             ratio, spread = "-", "-"
         else:
             ratio = f"{m['ratio']:.3f}"
             spread = f"{m['ratio_min']:.2f}-{m['ratio_max']:.2f}"
+        quartiles = " ".join(f"{q1:>10.4g}-{q3:<10.4g}" for q1, q3 in (
+            m["parent_quartiles"], m["change_quartiles"]))
         lines.append(f"  {name:<18} {m['parent']:>10.4g} {m['change']:>10.4g} "
-                     f"{ratio:>6} {spread:>13} {m['lower']:>7}/{m['rounds']}")
+                     f"{ratio:>6} {spread:>13} {m['lower']:>7}/{m['rounds']:<5} {quartiles}")
     for i, side in summary["incorrect"]:
         lines.append(f"  INCORRECT: round {i} {side}")
     return "\n".join(lines)

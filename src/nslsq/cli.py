@@ -275,7 +275,8 @@ def write_history_csv(records, path):
 
 def _records_as_dicts(records):
     return [{"k": r.k, "sqrt2E": r.sqrt2E, "lambda": r.lam,
-             "rel_increment": r.rel_increment, "wall_time": r.wall_time}
+             "rel_increment": r.rel_increment, "wall_time": r.wall_time,
+             "predicted_sqrt2E": r.predicted_sqrt2E}
             for r in records]
 
 

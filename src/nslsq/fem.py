@@ -7,6 +7,11 @@ y-component block (length 2*n_scalar); pressure is P1 on vertices.
 Quadrature: 6-point degree-4 rule for bilinear forms (exact for P2*P2
 products), 7-point degree-5 rule for the trilinear convection terms
 (P2*grad(P2)*P2 is degree 5) and general loads.
+
+The set-up kernels sum their products with ``_ordered_sum``, in the order
+``np.einsum`` sums them, so each equals its einsum form bit for bit
+(``tests/test_fem.py`` keeps those forms as oracles) without einsum's
+slow multi-operand loops.
 """
 
 from __future__ import annotations
@@ -72,6 +77,17 @@ def p2_grads(pts: np.ndarray) -> np.ndarray:
     return g
 
 
+def _ordered_sum(terms):
+    """The sum of the arrays ``terms``, from zero, one at a time in order:
+    the order in which ``np.einsum`` sums its products, so a kernel that
+    passes einsum's products in einsum's order equals the einsum bit for
+    bit, signed zeros included."""
+    total = 0.0
+    for term in terms:
+        total += term  # the first term makes a new array, the rest add in place
+    return total
+
+
 def p1_values(pts: np.ndarray) -> np.ndarray:
     x, y = pts[:, 0], pts[:, 1]
     return np.stack([1.0 - x - y, x, y], axis=1)
@@ -91,11 +107,16 @@ class _Rule:
         self.phi = p2_values(pts)           # (nq, 6)
         self.psi = p1_values(pts)           # (nq, 3)
         gref = p2_grads(pts)                # (nq, 6, 2)
-        # physical gradient: g[t,q,j,d] = sum_e Jinv[t,e,d] gref[q,j,e]
-        self.g = np.einsum("ted,qje->tqjd", space.jinv, gref)
+        # physical gradient: g[t,q,j,d] = sum_e Jinv[t,e,d] gref[q,j,e], one
+        # point at a time: a freed temporary the size of g raises glibc's
+        # mmap threshold, which left the peak RSS of an h = 0.025 solve 6 MB
+        # higher in about half of the runs
+        self.g = np.stack([_ordered_sum(space.jinv[:, None, e, :] * gq[:, e, None]
+                                        for e in range(2)) for gq in gref], axis=1)
         p = space.mesh.vertices[space.mesh.triangles]  # (nt, 3, 2)
         lam = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], axis=1)
-        self.x = np.einsum("qk,tkd->tqd", lam, p)      # physical points
+        # physical points: x[t,q,d] = sum_k lam[q,k] p[t,k,d]
+        self.x = _ordered_sum(lam[:, k, None] * p[:, None, k, :] for k in range(3))
 
     @cached_property
     def g_table(self) -> np.ndarray:
@@ -159,10 +180,18 @@ class Space:
     def scalar_stiffness(self) -> sp.csr_matrix:
         """The scalar P2 stiffness matrix, assembled anew on each access,
         as ``scalar_mass``."""
-        r = self.rule4
-        elem = np.einsum("t,q,tqid,tqjd->tij", self.det, r.w, r.g, r.g)
+        g = self.rule4.g
+        # sum over q of det w_q (g_i0 g_j0 + g_i1 g_j1), d summed first
+        elem = _ordered_sum(
+            dw * g[:, q, :, None, 0] * g[:, q, None, :, 0]
+            + dw * g[:, q, :, None, 1] * g[:, q, None, :, 1]
+            for q, dw in enumerate(self._weights(self.rule4)[:, :, None, None]))
         elem = 0.5 * (elem + elem.transpose(0, 2, 1))  # exact symmetry
         return self._scatter_p2p2(elem)
+
+    def _weights(self, rule: _Rule) -> np.ndarray:
+        """``det * w_q`` per point and triangle, shape (nq, nt)."""
+        return rule.w[:, None] * self.det
 
     def _scatter_p2p2(self, elem: np.ndarray) -> sp.csr_matrix:
         nt = self.mesh.n_triangles
@@ -229,11 +258,11 @@ def assemble_stiffness(space: Space) -> sp.csr_matrix:
 def assemble_divergence(space: Space) -> sp.csr_matrix:
     """Pressure-test divergence matrix B with entries int(psi * div u)."""
     r = space.rule4
-    bx = space._scatter_p1p2(
-        np.einsum("t,q,qk,tqj->tkj", space.det, r.w, r.psi, r.g[:, :, :, 0]))
-    by = space._scatter_p1p2(
-        np.einsum("t,q,qk,tqj->tkj", space.det, r.w, r.psi, r.g[:, :, :, 1]))
-    return sp.hstack([bx, by], format="csr")
+    # elem[t,k,j,d] = sum over q of det w_q psi_k d_d phi_j
+    elem = _ordered_sum(dw[:, None, None, None] * r.psi[q, None, :, None, None]
+                        * r.g[:, q, None]
+                        for q, dw in enumerate(space._weights(r)))
+    return sp.hstack([space._scatter_p1p2(elem[..., d]) for d in range(2)], format="csr")
 
 
 def convection_scalar_block(space: Space, a: np.ndarray) -> np.ndarray:
@@ -259,14 +288,20 @@ def convection_vector(space: Space, a: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def load_vector(space: Space, f, t: float) -> np.ndarray:
-    """Body-force load int(f(x,t) . phi_i) with the degree-5 rule."""
+    """Body-force load int(f(x,t) . phi_i) with the degree-5 rule.  A force
+    whose values at the points are not finite, or not one 2-vector per
+    point, raises ``ValueError``."""
     r = space.rule5
-    fq = np.asarray(f(r.x.reshape(-1, 2), t)).reshape(r.x.shape)
-    out = np.empty(space.n_velocity)
-    for c in range(2):
-        elem = np.einsum("t,q,tq,qi->ti", space.det, r.w, fq[:, :, c], r.phi)
-        out[c * space.n_scalar:(c + 1) * space.n_scalar] = space.scatter_p2_vector(elem)
-    return out
+    points = r.x.reshape(-1, 2)
+    fq = np.asarray(f(points, t), dtype=np.float64)
+    if fq.shape != points.shape or not np.isfinite(fq).all():
+        raise ValueError(f"forcing f must give {len(points)} x 2 finite values at "
+                         f"the quadrature points, got shape {fq.shape} at t={t}")
+    fq = fq.reshape(r.x.shape)
+    # elem[t,c,i] = sum over q of det w_q f_c phi_i
+    elem = _ordered_sum((dw[:, None] * fq[:, q])[:, :, None] * r.phi[q]
+                        for q, dw in enumerate(space._weights(r)))
+    return np.concatenate([space.scatter_p2_vector(elem[:, c]) for c in range(2)])
 
 
 def interpolate_velocity(space: Space, fun, t: float | None = None) -> np.ndarray:
@@ -295,6 +330,10 @@ def vorticity_load(space: Space, u: np.ndarray) -> np.ndarray:
     """
     r = space.rule4
     uq = space.velocity_at_quad(u, r)
-    elem = np.einsum("t,q,tq,tqi->ti", space.det, r.w, uq[:, :, 1], r.g[:, :, :, 0])
-    elem -= np.einsum("t,q,tq,tqi->ti", space.det, r.w, uq[:, :, 0], r.g[:, :, :, 1])
+    # elem[t,i] = sum over q of det w_q (u_y d_x phi_i - u_x d_y phi_i)
+    weights = space._weights(r)
+    elem = _ordered_sum(dw[:, None] * uq[:, q, 1, None] * r.g[:, q, :, 0]
+                        for q, dw in enumerate(weights))
+    elem -= _ordered_sum(dw[:, None] * uq[:, q, 0, None] * r.g[:, q, :, 1]
+                         for q, dw in enumerate(weights))
     return space.scatter_p2_vector(elem)

@@ -13,22 +13,24 @@ import numpy as np
 PI = np.pi
 
 
-def exact_velocity(x: np.ndarray, t: float) -> np.ndarray:
+def _factors(x: np.ndarray, t: float) -> tuple:
+    """The sines, cosines and decay every formula below is written in, each
+    evaluated once: (sin pi x, sin pi y, sin 2pi x, sin 2pi y, cos 2pi x,
+    cos 2pi y, e^{-t})."""
     x = np.asarray(x)
-    s = np.exp(-t)
-    ux = PI * np.sin(PI * x[:, 0]) ** 2 * np.sin(2 * PI * x[:, 1]) * s
-    uy = -PI * np.sin(2 * PI * x[:, 0]) * np.sin(PI * x[:, 1]) ** 2 * s
+    return (np.sin(PI * x[:, 0]), np.sin(PI * x[:, 1]),
+            np.sin(2 * PI * x[:, 0]), np.sin(2 * PI * x[:, 1]),
+            np.cos(2 * PI * x[:, 0]), np.cos(2 * PI * x[:, 1]), np.exp(-t))
+
+
+def _velocity(sx, sy, s2x, s2y, c2x, c2y, s) -> np.ndarray:
+    ux = PI * sx ** 2 * s2y * s
+    uy = -PI * s2x * sy ** 2 * s
     return np.stack([ux, uy], axis=1)
 
 
-def exact_gradient(x: np.ndarray, t: float) -> np.ndarray:
-    """Velocity gradient, shape (k, 2, 2), [c, d] = d_d u_c."""
-    x = np.asarray(x)
-    s = np.exp(-t)
-    sx, sy = np.sin(PI * x[:, 0]), np.sin(PI * x[:, 1])
-    s2x, s2y = np.sin(2 * PI * x[:, 0]), np.sin(2 * PI * x[:, 1])
-    c2x, c2y = np.cos(2 * PI * x[:, 0]), np.cos(2 * PI * x[:, 1])
-    g = np.empty((len(x), 2, 2))
+def _gradient(sx, sy, s2x, s2y, c2x, c2y, s) -> np.ndarray:
+    g = np.empty((len(sx), 2, 2))
     g[:, 0, 0] = PI**2 * s2x * s2y * s
     g[:, 0, 1] = 2 * PI**2 * sx**2 * c2y * s
     g[:, 1, 0] = -2 * PI**2 * c2x * sy**2 * s
@@ -36,25 +38,34 @@ def exact_gradient(x: np.ndarray, t: float) -> np.ndarray:
     return g
 
 
-def exact_laplacian(x: np.ndarray, t: float) -> np.ndarray:
-    x = np.asarray(x)
-    s = np.exp(-t)
-    sx, sy = np.sin(PI * x[:, 0]), np.sin(PI * x[:, 1])
-    s2x, s2y = np.sin(2 * PI * x[:, 0]), np.sin(2 * PI * x[:, 1])
-    c2x, c2y = np.cos(2 * PI * x[:, 0]), np.cos(2 * PI * x[:, 1])
+def _laplacian(sx, sy, s2x, s2y, c2x, c2y, s) -> np.ndarray:
     lx = 2 * PI**3 * s2y * (c2x - 2 * sx**2) * s
     ly = -2 * PI**3 * s2x * (c2y - 2 * sy**2) * s
     return np.stack([lx, ly], axis=1)
 
 
+def exact_velocity(x: np.ndarray, t: float) -> np.ndarray:
+    return _velocity(*_factors(x, t))
+
+
+def exact_gradient(x: np.ndarray, t: float) -> np.ndarray:
+    """Velocity gradient, shape (k, 2, 2), [c, d] = d_d u_c."""
+    return _gradient(*_factors(x, t))
+
+
+def exact_laplacian(x: np.ndarray, t: float) -> np.ndarray:
+    return _laplacian(*_factors(x, t))
+
+
 def forcing(nu: float):
-    """Body force f = u_t - nu*Lap(u) + (u.grad)u with zero pressure."""
+    """Body force f = u_t - nu*Lap(u) + (u.grad)u with zero pressure; each
+    call evaluates the sines and cosines once for all three terms."""
 
     def f(x, t):
-        u = exact_velocity(x, t)
-        g = exact_gradient(x, t)
-        conv = np.einsum("kd,kcd->kc", u, g)
-        return -u - nu * exact_laplacian(x, t) + conv
+        factors = _factors(x, t)
+        u = _velocity(*factors)
+        conv = np.einsum("kd,kcd->kc", u, _gradient(*factors))
+        return -u - nu * _laplacian(*factors) + conv
 
     return f
 

@@ -52,7 +52,11 @@ class IterationRecord:
 
     ``lam`` is the step taken from this iterate (None on the last row);
     ``rel_increment`` compares this iterate to the previous one in the
-    L2(0,T;V) norm over levels 1..N (None at k=0).
+    L2(0,T;V) norm over levels 1..N (None at k=0).  ``predicted_sqrt2E``
+    is the exact quartic of the previous iterate at its step,
+    ``sqrt((1-lam)^2 a + 2 lam^2 (1-lam) b + lam^4 c)`` from its line-search
+    scalars (None at k=0): an exact direction makes it equal ``sqrt2E``
+    up to rounding.
     """
 
     k: int
@@ -60,6 +64,7 @@ class IterationRecord:
     lam: float | None
     rel_increment: float | None
     wall_time: float
+    predicted_sqrt2E: float | None = None
 
 
 @dataclass
@@ -272,9 +277,17 @@ def cheap_step_rule(E: float, norm_rem: float, m: float) -> float:
     return min(lam, 1.0, float(m))
 
 
-def _record(records, k, sqrt2e, lam, rel_inc, t0):
+def _record(records, k, sqrt2e, lam, rel_inc, predicted, t0):
     records.append(IterationRecord(k, float(sqrt2e), lam, rel_inc,
-                                   time.perf_counter() - t0))
+                                   time.perf_counter() - t0, predicted))
+
+
+def _predicted_sqrt2e(a: float, b: float, c: float, lam: float) -> float:
+    """``sqrt(2E)`` after the step ``lam`` by the exact quartic of the
+    line search, ``sqrt((1-lam)^2 a + 2 lam^2 (1-lam) b + lam^4 c)``; a
+    negative rounding of the squared norm reads as zero."""
+    q = (1 - lam) ** 2 * a + 2 * lam**2 * (1 - lam) * b + lam**4 * c
+    return float(np.sqrt(max(q, 0.0)))
 
 
 def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
@@ -302,6 +315,7 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
     y = y0
     records: list[IterationRecord] = []
     rel_inc: float | None = None
+    predicted: float | None = None
     sqrt2e0 = None
     error = None
     k = 0
@@ -328,7 +342,7 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
                 outcome = "diverged" if sqrt2e > 10.0 * sqrt2e0 else "solver_failed"
                 error = str(exc)
         if outcome is not None:
-            _record(records, k, sqrt2e, None, rel_inc, t0)
+            _record(records, k, sqrt2e, None, rel_inc, predicted, t0)
             return NewtonResult(y, records, outcome, error=error)
 
         b, c = inner(ops, r, r2), inner(ops, r2, r2)
@@ -337,7 +351,7 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
             try:
                 lam, _ = line_search_quartic(a, b, c, m)
             except ValueError:
-                _record(records, k, sqrt2e, None, rel_inc, t0)
+                _record(records, k, sqrt2e, None, rel_inc, predicted, t0)
                 return NewtonResult(y, records, "line_search_failed")
         elif policy == "cheap":
             lam = cheap_step_rule(0.5 * a, np.sqrt(c), m)
@@ -351,8 +365,9 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
             step = lam * np.sqrt(l2v_norm_sq(ops, direction.values[1:]))
             next_rel = step / y_norm if y_norm > 0 else (0.0 if step == 0 else np.inf)
             y = y.axpy(-lam, direction)
-        _record(records, k, sqrt2e, lam, rel_inc, t0)
+        _record(records, k, sqrt2e, lam, rel_inc, predicted, t0)
         rel_inc = float(next_rel)
+        predicted = _predicted_sqrt2e(a, b, c, lam)
         k += 1
 
 
@@ -363,11 +378,15 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
     if given, else the Stokes initial guess.
 
     ``g`` is the horizontal lid velocity (homogeneous walls when omitted),
-    ``u0`` the initial velocity as a vector or a callable (the steady
-    Stokes field of the lid data when omitted, which a warm start does not
-    solve for).  Non-finite data and lid data on a mesh without a lid
-    raise ``ValueError``, also on a warm start, and so does a
-    ``warm_start`` that is not ``N + 1`` finite velocity levels.
+    ``f(x, t)`` the body force, and ``u0`` the initial velocity as a vector
+    or a callable (the steady Stokes field of the lid data when omitted,
+    which a warm start does not solve for).  The Stokes initial guess is
+    the unsteady Stokes sweep from ``u0``; from the steady field without a
+    force that sweep returns the field at every level, so the field is
+    copied to every level instead.  Non-finite data, a force that is not
+    one 2-vector per point, and lid data on a mesh without a lid raise
+    ``ValueError``, also on a warm start, and so does a ``warm_start``
+    that is not ``N + 1`` finite velocity levels.
     """
     if warm_start is not None:
         shape = np.shape(warm_start.values)
@@ -380,14 +399,15 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
               else fem.lid_boundary_values(space, g))
     if not np.isfinite(values).all():
         raise ValueError("lid velocity g has non-finite values on the lid")
-    if ops is None:
-        ops = Operators(space, grid, nu)
     loads = None
-    if f is not None:
+    if f is not None:  # before the operators, so a bad force costs no LU
         times = grid.times()
         loads = np.stack([fem.load_vector(space, f, times[n + 1])
                           for n in range(grid.N)])
-    if u0 is None and warm_start is None:
+    if ops is None:
+        ops = Operators(space, grid, nu)
+    steady = u0 is None and warm_start is None
+    if steady:
         u0 = steady_stokes_initial(ops, values)
     elif callable(u0):
         u0 = fem.interpolate_velocity(space, u0)
@@ -396,8 +416,12 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
         if u0.shape != (space.n_velocity,) or not np.isfinite(u0).all():
             raise ValueError(f"initial velocity u0 must be {space.n_velocity} finite "
                              f"values, got shape {u0.shape}")
-    y0 = (warm_start.copy() if warm_start is not None  # it replaces the Stokes guess
-          else unsteady_stokes_initial_guess(ops, u0, values, loads))
+    if warm_start is not None:  # it replaces the Stokes guess
+        y0 = warm_start.copy()
+    elif steady and loads is None:  # the sweep would return u0 at every level
+        y0 = FieldTrajectory(grid, np.tile(u0, (grid.N + 1, 1)))
+    else:
+        y0 = unsteady_stokes_initial_guess(ops, u0, values, loads)
     return ops, loads, y0
 
 

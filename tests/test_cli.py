@@ -217,6 +217,21 @@ def test_run_experiment_outputs(tiny_run):
     assert (out / "snapshot_t0.4.vtk").exists()
 
 
+def test_report_records_carry_the_prediction(tiny_run):
+    """Every ``report.txt`` record carries the quartic's prediction of its
+    ``sqrt2E`` from the row before (none at k = 0); ``history.csv`` keeps
+    its four columns."""
+    _, report, out = tiny_run
+    records = json.loads((out / "report.txt").read_text())["records"]
+    assert records == report.records and len(records) >= 2
+    assert records[0]["predicted_sqrt2E"] is None
+    for prev, row in zip(records, records[1:]):
+        gap = abs(row["sqrt2E"] - row["predicted_sqrt2E"])
+        assert gap <= 1e-9 * (row["sqrt2E"] + prev["sqrt2E"])
+    csv = (out / "history.csv").read_text().splitlines()
+    assert all(line.count(",") == 3 for line in csv)
+
+
 def test_report_counts_match_mesh(tiny_run):
     cfg, report, out = tiny_run
     from nslsq.cli import build_mesh

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nslsq import fem
+from nslsq import manufactured as mf
 from nslsq.fem import (
     assemble_divergence,
     assemble_mass,
@@ -221,6 +223,83 @@ def test_convection_vector_matches_matrix(square2):
         assert np.abs(direct - viamat).max() < 1e-12 * max(1.0, np.abs(direct).max())
         oracle = _convection_vector_einsum(space, a, u)
         assert np.abs(direct - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+# The einsum forms of the set-up kernels.  The kernels sum the same
+# products in the order np.einsum sums them (``fem._ordered_sum``), so each
+# equals its form here bit for bit; that order is einsum's, measured on
+# numpy 2.4.6.
+def _rule_einsum(space, pts):
+    """``_Rule.g`` and ``_Rule.x`` at reference points ``pts``."""
+    p = space.mesh.vertices[space.mesh.triangles]
+    lam = np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], axis=1)
+    return (np.einsum("ted,qje->tqjd", space.jinv, fem.p2_grads(pts)),
+            np.einsum("qk,tkd->tqd", lam, p))
+
+
+def _stiffness_einsum(space):
+    r = space.rule4
+    elem = np.einsum("t,q,tqid,tqjd->tij", space.det, r.w, r.g, r.g)
+    return space._scatter_p2p2(0.5 * (elem + elem.transpose(0, 2, 1)))
+
+
+def _divergence_einsum(space):
+    r = space.rule4
+    return sp.hstack([
+        space._scatter_p1p2(np.einsum("t,q,qk,tqj->tkj", space.det, r.w, r.psi,
+                                      r.g[:, :, :, d]))
+        for d in range(2)], format="csr")
+
+
+def _load_vector_einsum(space, f, t):
+    r = space.rule5
+    fq = np.asarray(f(r.x.reshape(-1, 2), t)).reshape(r.x.shape)
+    return np.concatenate([
+        space.scatter_p2_vector(np.einsum("t,q,tq,qi->ti", space.det, r.w, fq[:, :, c], r.phi))
+        for c in range(2)])
+
+
+def _vorticity_load_einsum(space, u):
+    r = space.rule4
+    uq = space.velocity_at_quad(u, r)
+    elem = np.einsum("t,q,tq,tqi->ti", space.det, r.w, uq[:, :, 1], r.g[:, :, :, 0])
+    elem -= np.einsum("t,q,tq,tqi->ti", space.det, r.w, uq[:, :, 0], r.g[:, :, :, 1])
+    return space.scatter_p2_vector(elem)
+
+
+def _same_bits(got, want):
+    """Equal shapes and float64 bit patterns, signed zeros included."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64),
+                                                      want.view(np.uint64))
+
+
+def _same_matrix(got, want):
+    return (_same_bits(got.data, want.data) and np.array_equal(got.indices, want.indices)
+            and np.array_equal(got.indptr, want.indptr))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_unit_square(2),
+    lambda: generate_semidisk(0.12),
+    lambda: jittered_semidisk(0.2, 3),
+    lambda: generate_unit_square(8),
+], ids=["square2", "disk_coarse", "jittered", "square8"])
+def test_set_up_kernels_equal_their_einsum_forms(make):
+    """The rules' gradients and points, the stiffness, the divergence
+    blocks, the load vector and the vorticity load equal their einsum forms
+    bit for bit."""
+    space = build_space(make())
+    for rule, (pts, _) in ((space.rule4, rule_deg4()), (space.rule5, rule_deg5())):
+        g, x = _rule_einsum(space, pts)
+        assert _same_bits(rule.g, g) and _same_bits(rule.x, x)
+    assert _same_matrix(space.scalar_stiffness, _stiffness_einsum(space))
+    assert _same_matrix(assemble_divergence(space), _divergence_einsum(space))
+    rng = np.random.default_rng(31)
+    f = mf.forcing(0.1)
+    assert _same_bits(fem.load_vector(space, f, 0.3), _load_vector_einsum(space, f, 0.3))
+    u = rng.standard_normal(space.n_velocity)
+    assert _same_bits(fem.vorticity_load(space, u), _vorticity_load_einsum(space, u))
 
 
 def test_gradient_table_is_built_on_first_use(square2):

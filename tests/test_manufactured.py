@@ -73,3 +73,20 @@ def test_divergence_free_and_zero_trace():
     assert np.abs(g[:, 0, 0] + g[:, 1, 1]).max() < 1e-12
     edge = np.array([[0.0, 0.3], [1.0, 0.7], [0.4, 0.0], [0.9, 1.0]])
     assert np.abs(mf.exact_velocity(edge, 0.0)).max() < 1e-13
+
+
+def test_forcing_is_the_composition_of_the_exact_fields(monkeypatch):
+    """Each call of the forcing evaluates the sines and cosines once, and
+    its values are bit for bit those of the exact fields composed."""
+    x = np.random.default_rng(5).uniform(-0.2, 1.2, (400, 2))
+    for nu, t in ((0.1, 0.0), (1 / 500, 0.37)):
+        u, g = mf.exact_velocity(x, t), mf.exact_gradient(x, t)
+        want = -u - nu * mf.exact_laplacian(x, t) + np.einsum("kd,kcd->kc", u, g)
+        got = mf.forcing(nu)(x, t)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    calls = []
+    factors = mf._factors
+    monkeypatch.setattr(mf, "_factors", lambda *args: calls.append(1) or factors(*args))
+    mf.forcing(0.1)(x, 0.5)
+    assert len(calls) == 1

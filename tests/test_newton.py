@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslsq import manufactured as mf, newton, timestepping
-from nslsq.fem import build_space, interpolate_velocity
+from nslsq import cli, manufactured as mf, newton, timestepping
+from nslsq.fem import build_space, interpolate_velocity, lid_boundary_values
 from nslsq.linalg import Factorization
 from nslsq.mesh import generate_semidisk, generate_unit_square
 from nslsq.newton import (
+    POLICIES,
     VARIANTS,
     a0_inner,
     cheap_step_rule,
@@ -424,6 +425,34 @@ def test_line_search_truth_at_accepted_steps(setup):
     assert np.array_equal(*first_directions)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_records_carry_the_quartic_prediction(setup, variant):
+    """Under every step policy, each row after the first carries the
+    quartic of the row before at its step, and it equals the measured
+    ``sqrt2E`` within the fingerprint's gate: the direction solves the
+    linearization exactly."""
+    space, grid, ops, loads, y0 = setup
+    for policy in POLICIES:
+        res = newton_loop(ops, y0, loads, variant=variant, policy=policy, max_iter=40)
+        rows = res.records
+        assert res.converged and len(rows) >= 3, policy
+        assert rows[0].predicted_sqrt2E is None
+        for prev, row in zip(rows, rows[1:]):
+            gap = abs(row.sqrt2E - row.predicted_sqrt2E)
+            assert gap <= 1e-9 * (row.sqrt2E + prev.sqrt2E), (policy, row.k)
+
+
+def test_scaled_direction_breaks_the_prediction(setup, monkeypatch):
+    """A direction scaled by 1.1 no longer solves the linearization, and the
+    prediction of the next row misses it by far more than the gate."""
+    space, grid, ops, loads, y0 = setup
+    direction = newton.compute_direction
+    monkeypatch.setattr(newton, "compute_direction", lambda *args: FieldTrajectory(
+        grid, 1.1 * direction(*args).values))
+    prev, row = newton_loop(ops, y0, loads, max_iter=1).records
+    assert abs(row.sqrt2E - row.predicted_sqrt2E) > 1e-3 * (row.sqrt2E + prev.sqrt2E)
+
+
 def test_zero_problem_stays_zero(square2):
     grid = TimeGrid(1.0, 4)
     res = damped_newton_solve(square2, grid, nu=1.0)
@@ -508,8 +537,8 @@ def test_factorization_counts_fresh_run():
 
 
 def test_prepare_problem_rejects_non_finite_data(disk_coarse, square2):
-    """Bad lid data or initial velocity is reported as bad input before any
-    iterate, not as a diverged run."""
+    """Bad lid data, forcing or initial velocity is reported as bad input
+    before any iterate, not as a diverged run."""
     grid = TimeGrid(0.1, 2)
     with pytest.raises(ValueError, match="lid velocity g"):
         damped_newton_solve(disk_coarse, grid, 0.1, g=lambda x: np.nan * x)
@@ -521,6 +550,12 @@ def test_prepare_problem_rejects_non_finite_data(disk_coarse, square2):
     for u0 in (np.full(n, np.nan), lambda x: np.nan * x, np.zeros(3), np.zeros((2, n))):
         with pytest.raises(ValueError, match="u0"):
             prepare_problem(square2, grid, 0.1, u0=u0)
+    # a force with a NaN, a scalar force, and one value short, at the quadrature points
+    for f in (lambda x, t: np.nan * x, lambda x, t: 0 * x[:, 0], lambda x, t: x[:-1]):
+        with pytest.raises(ValueError, match="forcing f"):
+            prepare_problem(square2, grid, 0.1, f=f)
+        with pytest.raises(ValueError, match="forcing f"):
+            damped_newton_solve(square2, grid, 0.1, f=f)
     # a warm start of N = 3 levels for N = 4, and one with a NaN level
     grid = TimeGrid(0.1, 4)
     short = FieldTrajectory.zeros(TimeGrid(0.1, 3), n)
@@ -605,6 +640,28 @@ def test_warm_start_skips_stokes_initial_guess(square2, monkeypatch):
     with pytest.raises(ValueError, match="u0"):
         damped_newton_solve(square2, grid, 0.1, u0=np.zeros(3),
                             warm_start=cont[-1][1].trajectory)
+
+
+def test_steady_start_is_the_stokes_field_on_every_level(disk_coarse, monkeypatch):
+    """From the steady Stokes field of lid data without a force, the initial
+    trajectory is that field on every level, bit for bit, without the
+    unsteady sweep, which returns it to rounding; a force still sweeps."""
+    calls = []
+    guess = newton.unsteady_stokes_initial_guess
+    monkeypatch.setattr(newton, "unsteady_stokes_initial_guess",
+                        lambda *args: calls.append(1) or guess(*args))
+    grid = TimeGrid(0.1, 5)
+    ops, loads, y0 = prepare_problem(disk_coarse, grid, 0.01, g=cli.lid_profile)
+    assert loads is None and not calls
+    levels = y0.values
+    assert levels.shape == (grid.N + 1, disk_coarse.n_velocity)
+    assert all(np.array_equal(v.view(np.uint64), levels[0].view(np.uint64))
+               for v in levels)
+    swept = guess(ops, levels[0], lid_boundary_values(disk_coarse, cli.lid_profile))
+    assert np.abs(swept.values - levels).max() <= 1e-12 * np.abs(levels).max()
+    prepare_problem(disk_coarse, grid, 0.01, g=cli.lid_profile, ops=ops,
+                    f=lambda x, t: np.ones_like(x))
+    assert len(calls) == 1
 
 
 def test_warm_start_skips_steady_stokes_initial(square2, monkeypatch):

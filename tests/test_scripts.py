@@ -33,7 +33,7 @@ def _result_line(correct, solve_s, rss):
 
 
 def test_bench_pairs_summary():
-    """Medians per side, the median change/parent ratio over the rounds
+    """Medians and quartiles per side, the median change/parent ratio over the rounds
     with both sides correct, and the incorrect runs by round and side."""
     bench_pairs = _load(SCRIPTS[0].parent / "bench_pairs.py")
     lines = [(_result_line(True, 1.0, 100.0), _result_line(True, 0.9, 100.0)),
@@ -44,6 +44,8 @@ def test_bench_pairs_summary():
     assert summary["incorrect"] == [(3, "change")]
     solve = summary["metrics"]["solve_s"]
     assert solve["parent"] == 1.0 and solve["change"] == 1.1
+    assert solve["parent_quartiles"] == (1.0, 1.5)
+    assert solve["change_quartiles"] == pytest.approx((1.0, 1.35))
     assert solve["ratio"] == pytest.approx(0.9)
     assert (solve["ratio_min"], solve["ratio_max"]) == pytest.approx((0.8, 1.1))
     assert (solve["lower"], solve["rounds"]) == (2, 3)
@@ -69,6 +71,39 @@ def test_bench_pairs_passes_its_seed(argv, seed, monkeypatch, capsys):
                              "--rounds", "2", "--seconds", "1", *argv]) == 0
     assert len(runs) == 4
     assert all(cmd[cmd.index("--seed") + 1] == seed for cmd in runs)
+
+
+def test_bench_pairs_reports_unscaled_ratios(monkeypatch, capsys):
+    """The unscaled medians of each run's detail line join its metrics, and
+    the report prints their change/parent ratios beside the calibrated
+    ones; a run without a detail line keeps only its result line."""
+    bench_pairs = _load(SCRIPTS[0].parent / "bench_pairs.py")
+    unscaled = {"parent": (2.0, 0.5, 1.5), "change": (1.5, 0.25, 1.25)}
+
+    def run(cmd, cwd, **kwargs):
+        wall, setup, solve = unscaled[Path(cwd).name]
+        detail = {"samples": {"unscaled_wall_s": {"median": wall},
+                              "unscaled_setup_s": {"median": setup},
+                              "unscaled_solve_s": {"median": solve},
+                              "solve_s": {"median": 9.0}}}
+        return SimpleNamespace(stdout=json.dumps(detail) + "\n"
+                               + _result_line(True, 1.0, 100.0) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.main(["--parent", "parent", "--change", "change",
+                             "--workloads", "w", "--rounds", "2", "--seconds", "1"]) == 0
+    table = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  ")}
+    assert table["solve_s"][3] == "1.000"
+    assert table["unscaled_wall_s"][1:4] == ["2", "1.5", "0.750"]
+    assert table["unscaled_setup_s"][3] == "0.500"
+    assert table["unscaled_solve_s"][3] == "0.833"
+    assert table["unscaled_solve_s"][5] == "2/2"
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kwargs: SimpleNamespace(
+        stdout=_result_line(True, 1.0, 100.0) + "\n"))
+    assert set(bench_pairs.run_once(Path("a"), "w", 1, 0)["metrics"]) == {
+        "solve_s", "peak_rss_mb"}
 
 
 CONFIGS = sorted((SCRIPTS[0].parent.parent / "configs").glob("*.ini"))
