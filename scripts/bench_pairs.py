@@ -10,7 +10,13 @@ change in even rounds and change, parent in odd ones, so that the host's
 slow drifts fall on both sides alike.  Per workload it prints, for every
 end-to-end metric, each side's median and quartiles over the rounds, the
 median of the per-round change/parent ratios with their range, and in
-how many rounds the change read lower.  Beside the calibrated times it
+how many rounds the change read lower, and a verdict by the rule a
+claim is judged by: ``gain`` when the change reads better in at least
+nine of ten rounds and its median beats the parent's by more than the
+parent's q3 - q1, ``worse`` when its median is past the parent's by
+more than the metric's ``bound`` in ``BENCHMARK.json`` (relative to the
+parent's median; an ``unscaled_*`` time takes its base metric's bound),
+and ``-`` otherwise.  Beside the calibrated times it
 prints the same for the unscaled medians ``unscaled_wall_s``,
 ``unscaled_setup_s`` and ``unscaled_solve_s`` from the detail line
 ``run.py`` prints before its result line, because the calibration scale
@@ -29,6 +35,16 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 UNSCALED = ("unscaled_wall_s", "unscaled_setup_s", "unscaled_solve_s")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def metric_rules() -> dict:
+    """``better`` and ``bound`` of each end-to-end metric of
+    ``BENCHMARK.json`` by name, an ``unscaled_*`` time taking its base
+    metric's."""
+    rules = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    rules.update((name, rules[name.removeprefix("unscaled_")]) for name in UNSCALED)
+    return rules
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
@@ -63,11 +79,28 @@ def _quartiles(values) -> tuple[float, float]:
     return q1, q3
 
 
+def verdict(m: dict, values: list, rule: dict | None) -> str:
+    """``gain``, ``worse`` or ``-`` for one metric's summary ``m`` and its
+    rounds' ``(parent, change)`` ``values`` under its ``rule`` (see the
+    module docstring); a round that ties counts for neither side, and a
+    metric without a rule is ``-``."""
+    if rule is None:
+        return "-"
+    sign = 1 if rule["better"] == "lower" else -1
+    gain = sign * (m["parent"] - m["change"])  # negative: the change is worse
+    wins = sum(sign * (p - c) > 0 for p, c in values)
+    q1, q3 = m["parent_quartiles"]
+    if 10 * wins >= 9 * len(values) and gain > q3 - q1:
+        return "gain"
+    return "worse" if -gain > rule["bound"] * m["parent"] else "-"
+
+
 def summarize(pairs: list[tuple[dict, dict]]) -> dict:
-    """Per metric, the sides' medians and quartiles and the change/parent
-    ratios of the ``(parent, change)`` result lines of one workload, and
-    the ``(round, side)`` of every incorrect run.  A round with an
-    incorrect side adds no ratio."""
+    """Per metric, the sides' medians and quartiles, the change/parent
+    ratios and the ``verdict`` of the ``(parent, change)`` result lines of
+    one workload, and the ``(round, side)`` of every incorrect run.  A
+    round with an incorrect side adds no ratio."""
+    rules = metric_rules()
     incorrect = [(i, side) for i, pair in enumerate(pairs)
                  for side, res in zip(SIDES, pair) if not res.get("correct")]
     bad_rounds = {i for i, _ in incorrect}
@@ -90,6 +123,7 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
             "lower": sum(c < p for p, c in values),
             "rounds": len(values),
         }
+        metrics[name]["verdict"] = verdict(metrics[name], values, rules.get(name))
     return {"metrics": metrics, "incorrect": incorrect}
 
 
@@ -97,7 +131,7 @@ def report(workload: str, summary: dict) -> str:
     lines = [f"{workload}:",
              f"  {'metric':<18} {'parent':>10} {'change':>10} {'ratio':>6} "
              f"{'range':>13} {'change lower':>13} {'parent q1-q3':>21} "
-             f"{'change q1-q3':>21}"]
+             f"{'change q1-q3':>21} {'verdict':>7}"]
     for name, m in summary["metrics"].items():
         if m["ratio"] is None:
             ratio, spread = "-", "-"
@@ -107,7 +141,8 @@ def report(workload: str, summary: dict) -> str:
         quartiles = " ".join(f"{q1:>10.4g}-{q3:<10.4g}" for q1, q3 in (
             m["parent_quartiles"], m["change_quartiles"]))
         lines.append(f"  {name:<18} {m['parent']:>10.4g} {m['change']:>10.4g} "
-                     f"{ratio:>6} {spread:>13} {m['lower']:>7}/{m['rounds']:<5} {quartiles}")
+                     f"{ratio:>6} {spread:>13} {m['lower']:>7}/{m['rounds']:<5} {quartiles} "
+                     f"{m['verdict']:>7}")
     for i, side in summary["incorrect"]:
         lines.append(f"  INCORRECT: round {i} {side}")
     return "\n".join(lines)

@@ -13,13 +13,16 @@ takes the LU the solver makes (``linalg.Factorization`` on the matrix's
 took, whether it computed that ordering (``fresh``), took the one its
 pattern holds (``held``) or was the fill rule's fresh symmetric trial
 (``trial``), its fill (``lu_nnz``, the entries SuperLU stores for L and
-U), and the ordering the pattern holds after it (``kept``).  It then
-times a fresh LU of the same matrix (on the symmetric path for a trial)
-and one on the ordering the pattern holds, three of each, interleaved,
-and prints the median of each side by side in milliseconds, to 0.1 ms
-(the unit square's LUs take a few ms).  A held LU on a symmetric
-ordering is timed as a pattern's first held LU: it lays out its own
-matrix (``linalg.symmetric_layout``).  The LUs are the heat-type
+U), and the ordering a later LU would take (``kept``: the one the
+linearized pattern holds after it; the heat and Stokes pattern makes
+no other LU and holds none, so for those the LU's own).  It then times
+a fresh LU of the same matrix (on the symmetric path for a trial) and
+one on the kept ordering, three of each, interleaved, and prints the
+median of each side by side in milliseconds, to 0.1 ms (the unit
+square's LUs take a few ms).  A held LU is timed as a run makes every
+held LU after an ordering's first: a symmetric ordering is laid out
+once (``linalg.symmetric_layout``), outside the timed LUs, and each
+held LU gathers by that layout.  The LUs are the heat-type
 and Stokes-type operators (the first LUs of their pattern, each fresh,
 made side by side; one LU per run each), then two linearized levels
 (``Operators.linearized``), the first two a direction sweep factorizes:
@@ -41,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nslsq.cli import lid_profile  # noqa: E402
 from nslsq.fem import build_space, interpolate_velocity, lid_boundary_values  # noqa: E402
-from nslsq.linalg import Factorization  # noqa: E402
+from nslsq.linalg import Factorization, symmetric_layout  # noqa: E402
 from nslsq.manufactured import exact_velocity  # noqa: E402
 from nslsq.mesh import generate_semidisk, generate_unit_square  # noqa: E402
 from nslsq.timestepping import Operators, TimeGrid, steady_stokes_initial  # noqa: E402
@@ -91,23 +94,26 @@ def main():
         ops = Operators(space, TimeGrid(dt, 1), nu)
         first, later = linearized_fields(ops, geometry)
         linearized = ops.linearized_pattern
-        lus = (("heat", ops.heat.pattern, lambda: ops.heat.fact),
-               ("stokes", ops.stokes.pattern, lambda: ops.stokes.fact),
-               ("linearized", linearized, lambda: linearized.factorize(
+        lus = (("heat", lambda: ops.heat.fact),
+               ("stokes", lambda: ops.stokes.fact),
+               ("linearized", lambda: linearized.factorize(
                    ops.linearized(first), "linearized")),
-               ("linearized", linearized, lambda: linearized.factorize(
+               ("linearized", lambda: linearized.factorize(
                    ops.linearized(later), "linearized")))
-        for label, pattern, make_lu in lus:
+        for label, make_lu in lus:
             fact = make_lu()
+            kept = linearized.order if label == "linearized" else fact.order
+            if kept.symmetric:  # laid out once, as a run's first held LU does
+                kept.layout = symmetric_layout(fact.matrix, kept.columns)
             source = ("held" if fact.order is fact.held
                       else "trial" if fact.symmetric_path else "fresh")
             fresh = Factorization.symmetric if fact.symmetric_path else Factorization
             ms = median_ms({
                 "fresh": lambda: fresh(fact.matrix, label),
-                "held": lambda: Factorization.reusing(pattern.order, fact.matrix, label)})
+                "held": lambda: Factorization.reusing(kept, fact.matrix, label)})
             print(f"{name:<11} {dt:>6} {f'1/{round(1 / nu)}':>9} {label:<11} "
                   f"{fact.matrix.nnz:>10} {fact.ordering:<8} {source:<6} "
-                  f"{fact.lu_nnz:>11} {pattern.order.name:<8} "
+                  f"{fact.lu_nnz:>11} {kept.name:<8} "
                   f"{ms['fresh']:>8.1f} {ms['held']:>8.1f}", flush=True)
             del fact  # one linearized level alive at a time
 

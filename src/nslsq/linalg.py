@@ -4,17 +4,19 @@ and GMRES preconditioned with the LU of a nearby matrix.
 Every eliminated matrix is a matrix of an ``EliminatedPattern``, which
 eliminates the constrained dofs once; a ``SaddlePattern`` also lays out
 the saddle right-hand side and solution.  An ordering depends only on
-the sparsity pattern, so every LU after a pattern's first takes its
-ordering.  A pattern's first LU (``Factorization``, ``fresh_lu``) orders a
-matrix equal to its transpose (heat, Stokes, stream) by minimum degree on
-``A + A^T`` with diagonal pivots, and any other (the linearized operator)
-by COLAMD with partial pivoting, which on the semi-disk fills it less.
+the sparsity pattern, so every LU a pattern makes after its first
+(``EliminatedPattern.factorize``) takes its ordering.  A pattern's first
+LU (``Factorization``, ``fresh_lu``) orders a matrix equal to its
+transpose (heat, Stokes, stream) by minimum degree on ``A + A^T`` with
+diagonal pivots, and any other (the linearized operator) by COLAMD with
+partial pivoting, which on the semi-disk fills it less.
 A pattern whose first matrices are known at once makes their LUs side
 by side (``SaddlePattern.factorize_all``): the heat and Stokes LUs
 are each a fresh LU of its own matrix, the Stokes LU's SuperLU on a
 worker thread while the calling thread makes the heat LU (SciPy's
 ``splu`` releases the GIL).  Minimum degree reads the structure alone,
-so the two get equal orderings.  Whether a matrix equals its transpose
+so the two get equal orderings; that pattern makes no other LU and
+holds no ordering.  Whether a matrix equals its transpose
 is decided on one transposed copy (``exactly_symmetric``), as
 ``abs(A - A.T).max() == 0`` decides it.
 ``DIAG_PIVOT_THRESH`` is small, so the symmetric ordering survives
@@ -26,17 +28,11 @@ symmetric LU orders its matrix by one gather of its ordered CSC
 (``symmetric_layout``: ``gather``, the position in ``data`` of each
 ordered entry, with the ordered ``indices`` and ``indptr``, columns
 sorted), and SuperLU receives the array that row and column indexing and
-SciPy's sort of every column would give it.  The layout rule: a
-pattern's first held LU lays out its own matrix and drops the layout;
-its second lays out the pattern once and attaches the layout to the
-``Ordering``, where every later held LU finds it.  A layout costs 8
-bytes per stored entry (about 2.5 MB for the heat and Stokes pattern at
-``h = 0.025``), so only a pattern that reuses its ordering keeps one:
-the heat and Stokes pattern, which makes no held LU, keeps none, nor
-does the stream pattern, which makes one LU, while the unit square's
-linearized pattern keeps one for all its held LUs after the
-first.  A held COLAMD ordering permutes columns only, and SciPy's column
-gather already returns sorted columns, so it has no layout.
+SciPy's sort of every column would give it.  An ordering is laid out at
+its first held LU and keeps the layout (8 bytes per stored entry) for
+every later one.  A held COLAMD ordering permutes columns only, and
+SciPy's column gather already returns sorted columns, so it has no
+layout.
 
 The fill rule: on the unit square COLAMD fills the linearized operator
 more than twice as much as minimum degree on ``A + A^T`` does.  A
@@ -91,10 +87,8 @@ class Ordering:
     ordering that made it (``"colamd"`` or ``"mmd-sym"``); a symmetric
     ordering permutes the rows the same way, so the diagonal stays on the
     diagonal for SuperLU's diagonal pivots.  ``layout`` is the ordered
-    CSC of the pattern that holds a symmetric ordering
-    (``symmetric_layout``), attached by that ``EliminatedPattern`` at its
-    second held LU; None before it, for COLAMD and for an ordering no
-    pattern holds.
+    CSC of a symmetric ordering's pattern (``symmetric_layout``), attached
+    at its first held LU; None before it and for COLAMD.
     """
 
     name: str
@@ -212,10 +206,9 @@ class Factorization:
     skips the ordering and the symmetry test: it factorizes the ordered
     matrix in SuperLU's natural order and permutes every solve around it.
     A symmetric ``order`` orders the matrix by the gather of its
-    ``layout``, so ``matrix`` must then be a matrix of the pattern that
-    attached it; an ordering without a layout (a pattern's first held LU)
-    is laid out from ``matrix`` for this LU, and the layout is dropped
-    with it.
+    ``layout``, which the ordering's first held LU lays out from its own
+    matrix and attaches, so every matrix held on one ordering must be a
+    matrix of one pattern.
     If that LU meets an exactly zero pivot, the matrix is factorized
     afresh.  The held ordering reaches ``__init__`` through the ``held``
     attribute, the symmetric path through ``symmetric_path``, and a fresh
@@ -253,7 +246,9 @@ class Factorization:
         q = order.columns
         if order.symmetric:
             # the ordered matrix in sorted CSC, as SciPy's splu would sort it
-            gather, indices, indptr = order.layout or symmetric_layout(self.matrix, q)
+            if order.layout is None:
+                order.layout = symmetric_layout(self.matrix, q)
+            gather, indices, indptr = order.layout
             ordered = sp.csc_matrix((self.matrix.data[gather], indices, indptr),
                                     shape=self.matrix.shape)
             thresh = DIAG_PIVOT_THRESH
@@ -388,9 +383,9 @@ class EliminatedPattern:
     assembly, are named once each).  Entries on a constrained row or
     column are dropped, not stored as zeros, which COLAMD and SuperLU
     would fill like nonzeros, and each constrained dof gets a unit
-    diagonal.  The CSC layout comes from SciPy's COO to CSC conversion of
-    the numbered pairs, which sorts within each column only, and a pair
-    that repeats raises ``ValueError``.
+    diagonal.  The CSC structure comes from SciPy's COO to CSC conversion
+    of the numbered pairs, which sorts within each column only, and a
+    pair that repeats raises ``ValueError``.
     ``matrix(values)`` sums each slot's values in entry order with one
     ``bincount``, and every matrix shares ``indices``/``indptr``.
     ``coupling(values)`` maps constrained values to their load on the free
@@ -401,12 +396,6 @@ class EliminatedPattern:
     filled less.  ``order`` and ``lu_nnz`` are the ordering the pattern
     holds and the fill of the LU that made it (None before the first LU);
     the trial spends ``reference_nnz``, so it runs at most once.
-    ``held_lus`` counts the LUs made on ``order`` since it was adopted.
-    The first held LU on a symmetric ordering lays out its own matrix and
-    drops the layout; the second attaches the pattern's ordered
-    ``layout`` (``symmetric_layout``, 8 bytes per stored entry) to the
-    ordering, so it and every held LU after it order their matrix by one
-    gather, and a pattern that reuses its ordering once keeps no layout.
 
     The build drops the CSC numbering, the slot of each kept pair and the
     row and column masks before it gathers the slot of each entry, where
@@ -451,7 +440,6 @@ class EliminatedPattern:
         self._coupled_at = rows[pairs], position[cols[pairs]]
         self.order: Ordering | None = None
         self.lu_nnz: int | None = None
-        self.held_lus = 0  # LUs made on ``order`` since the pattern adopted it
         self.reference_nnz = reference_nnz
 
     def matrix(self, values: np.ndarray) -> sp.csc_matrix:
@@ -474,14 +462,10 @@ class EliminatedPattern:
             fact = Factorization.symmetric(matrix, label)
             keep = fact.lu_nnz < self.lu_nnz
         else:
-            if self.held_lus == 1 and self.order.symmetric:  # the second held LU
-                self.order.layout = symmetric_layout(matrix, self.order.columns)
             fact = Factorization.reusing(self.order, matrix, label)
             keep = fact.order is not self.order  # a fresh LU
-        if fact.order is self.order:
-            self.held_lus += 1
-        elif keep:
-            self.order, self.lu_nnz, self.held_lus = fact.order, fact.lu_nnz, 0
+        if keep:
+            self.order, self.lu_nnz = fact.order, fact.lu_nnz
         return fact
 
 
@@ -530,8 +514,8 @@ class SaddlePattern(EliminatedPattern):
         factorizes the first.  Every ``Factorization`` is made on the
         calling thread, one after the other, the later ones from the
         worker's LUs, so an error of a worker's LU raises there; the
-        worker ends before this returns.  The pattern holds the first LU's
-        ordering."""
+        worker ends before this returns.  The pattern, which can make no
+        other LU, holds no ordering."""
         matrices = [(self.matrix(values), label) for values, label in systems]
         matrices[1:] = [(checked(matrix, label), label) for matrix, label in matrices[1:]]
         couplings = [self.coupling(values) for values, _ in systems]
@@ -542,7 +526,6 @@ class SaddlePattern(EliminatedPattern):
             facts = [Factorization(*matrices[0])]
             facts += [Factorization._made(matrix, label, made=lu)
                       for (matrix, label), lu in zip(matrices[1:], made)]
-        self.order, self.lu_nnz = facts[0].order, facts[0].lu_nnz
         return [SaddleFactorization(self, fact, coupling)
                 for fact, coupling in zip(facts, couplings)]
 

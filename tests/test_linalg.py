@@ -7,7 +7,12 @@ import scipy.sparse.linalg as spla
 
 from nslsq import linalg
 from nslsq.cli import stream_function
-from nslsq.fem import assemble_divergence, assemble_stiffness, build_space
+from nslsq.fem import (
+    assemble_divergence,
+    assemble_stiffness,
+    build_space,
+    interpolate_velocity,
+)
 from nslsq.linalg import (
     DIAG_PIVOT_THRESH,
     KRYLOV_CYCLES,
@@ -23,7 +28,9 @@ from nslsq.linalg import (
     krylov_solve,
     symmetric_layout,
 )
-from nslsq.timestepping import Operators, TimeGrid
+from nslsq.manufactured import exact_velocity
+from nslsq.mesh import generate_unit_square
+from nslsq.timestepping import FieldTrajectory, Operators, TimeGrid, sweep
 
 from conftest import jittered_semidisk, saddle_factorization
 
@@ -288,9 +295,9 @@ def _held_symmetric_lu(space, label):
     """A held symmetric LU of one space, the unit square, whose linearized
     pattern holds the ordering of the fill rule's symmetric trial:
     ``"first held"`` is the third linearized LU, the first held, which
-    lays out its own matrix, returned while the pattern keeps no layout;
+    lays out its own matrix and attaches the layout to the ordering;
     ``"linearized"`` is the fifth, the third held, which gathers by the
-    layout the pattern attached from the fourth LU's matrix."""
+    layout attached from the third LU's matrix."""
     ops = Operators(space, TimeGrid(0.1, 1), nu=0.01)
     rng = np.random.default_rng(37)
     pattern = ops.linearized_pattern
@@ -299,11 +306,10 @@ def _held_symmetric_lu(space, label):
     first, trial = lus[:2]
     assert first.ordering == "colamd" and trial.held is None
     assert all(lu.order is trial.order is pattern.order for lu in lus[2:])
+    assert pattern.order.layout is not None
     if label == "first held":
-        assert pattern.order.layout is None and pattern.held_lus == 1
         return lus[2]
-    attaching, fifth = lus[3:]
-    assert pattern.order.layout is not None and pattern.held_lus == 3
+    attaching, fifth = lus[2], lus[4]
     assert not np.array_equal(fifth.matrix.data, attaching.matrix.data)
     return fifth
 
@@ -321,12 +327,11 @@ def _ordered_by_indexing(fact):
 def test_symmetric_layout_gathers_the_ordered_matrix(label, square4):
     """The layout a held symmetric LU orders its matrix by gathers the
     matrix SuperLU is given, ``matrix[q][:, q]`` with sorted columns, bit
-    for bit: the first held LU's own (``symmetric_layout`` of its matrix),
-    and the one the linearized pattern attached from an earlier matrix."""
+    for bit: the one the first held LU attached from its own matrix, and,
+    for a later held LU, from an earlier matrix."""
     fact = _held_symmetric_lu(square4, label)
     assert fact.ordering == "mmd-sym" and fact.order is fact.held
-    layout = fact.order.layout or symmetric_layout(fact.matrix, fact.order.columns)
-    gather, indices, indptr = layout
+    gather, indices, indptr = fact.order.layout
     assert gather.dtype == indices.dtype == indptr.dtype == np.int32
     ref = _ordered_by_indexing(fact)
     assert np.array_equal(fact.matrix.data[gather], ref.data)
@@ -335,11 +340,11 @@ def test_symmetric_layout_gathers_the_ordered_matrix(label, square4):
 
 @pytest.mark.parametrize("label", ["first held", "linearized"])
 def test_held_symmetric_lu_solves_as_indexed_superlu(label, square4):
-    """A held symmetric LU, on its own layout (the first held) or on the one
-    its pattern attached from an earlier matrix (the fifth), and an LU on a
-    fresh copy of its ordering, which lays out its matrix anew, solve a
-    block exactly as a SuperLU of the ordered matrix made by row and
-    column indexing."""
+    """A held symmetric LU, on the layout it attached from its own matrix
+    (the first held) or on one attached from an earlier matrix (the
+    fifth), and an LU on a fresh copy of its ordering, which lays out its
+    matrix anew, solve a block exactly as a SuperLU of the ordered matrix
+    made by row and column indexing."""
     fact = _held_symmetric_lu(square4, label)
     q = fact.order.columns
     indexed = spla.splu(_ordered_by_indexing(fact), permc_spec="NATURAL",
@@ -353,18 +358,19 @@ def test_held_symmetric_lu_solves_as_indexed_superlu(label, square4):
         assert np.array_equal(lu._lu.solve(b), ref)
 
 
-def test_colamd_held_pattern_attaches_no_layout(disk_coarse):
+def test_colamd_held_pattern_attaches_no_layout(disk_coarse, monkeypatch):
     """On the semi-disk the linearized pattern holds the first LU's COLAMD
-    ordering, and no layout, also from its second held LU on: a held
-    COLAMD LU gathers its columns alone."""
+    ordering for its two held LUs, and lays out nothing: a held COLAMD LU
+    gathers its columns alone."""
     ops = Operators(disk_coarse, TimeGrid(0.1, 1), nu=0.01)
     rng = np.random.default_rng(39)
     pattern = ops.linearized_pattern
+    calls = _counting_layouts(monkeypatch)
     first, *later = (pattern.factorize(ops.linearized(rng.standard_normal(
         disk_coarse.n_velocity)), "linearized") for _ in range(3))
     assert all(lu.order is first.order is pattern.order for lu in later)
-    assert pattern.order.name == "colamd" and pattern.held_lus == 2
-    assert pattern.order.layout is None
+    assert pattern.order.name == "colamd"
+    assert pattern.order.layout is None and calls == []
 
 
 def _counting_layouts(monkeypatch) -> list:
@@ -381,22 +387,23 @@ def _counting_layouts(monkeypatch) -> list:
 
 @pytest.mark.parametrize("mesh", ["square4", "disk_coarse"])
 def test_heat_pattern_keeps_no_layout_after_the_stokes_lu(mesh, request, monkeypatch):
-    """The heat and Stokes LUs are both fresh: their pattern makes no held
-    LU, lays out nothing and keeps no layout."""
+    """The heat and Stokes LUs are both fresh: their pattern, which can make
+    no other LU, holds no ordering and lays out nothing."""
     space = request.getfixturevalue(mesh)
     calls = _counting_layouts(monkeypatch)
     ops = Operators(space, TimeGrid(0.1, 1), nu=0.01)
-    pattern = ops.heat.pattern
     assert ops.heat.fact.held is ops.stokes.fact.held is None
-    assert pattern.order is ops.heat.fact.order and pattern.held_lus == 0
-    assert pattern.order.layout is None and calls == []
+    assert ops.heat.pattern.order is None
+    assert ops.heat.fact.order.layout is ops.stokes.fact.order.layout is None
+    assert calls == []
 
 
-def test_linearized_pattern_keeps_a_layout_from_its_second_held_lu(square4, monkeypatch):
+def test_linearized_pattern_keeps_a_layout_from_its_first_held_lu(square4, monkeypatch):
     """On the unit square the linearized pattern holds the trial's
     symmetric ordering; its first held LU lays out its own matrix and
-    drops the layout, its second attaches one, and every later held LU
-    gathers by that layout without laying out again."""
+    attaches the layout to the ordering, and every later held LU gathers
+    by that layout without laying out again.  A direction sweep of the
+    manufactured-levels benchmark (``n = 8``, ``N = 50``) lays out once."""
     ops = Operators(square4, TimeGrid(0.1, 1), nu=0.01)
     rng = np.random.default_rng(41)
     pattern = ops.linearized_pattern
@@ -410,15 +417,22 @@ def test_linearized_pattern_keeps_a_layout_from_its_second_held_lu(square4, monk
     assert trial.ordering == "mmd-sym" and pattern.order is trial.order
     calls = _counting_layouts(monkeypatch)
     first_held = factorize()
-    assert first_held.order is pattern.order and pattern.order.layout is None
-    assert len(calls) == 1
-    second_held = factorize()
     layout = pattern.order.layout
-    assert second_held.order is pattern.order and layout is not None and len(calls) == 2
-    ref = symmetric_layout(second_held.matrix, pattern.order.columns)
+    assert first_held.order is pattern.order and layout is not None and len(calls) == 1
+    ref = symmetric_layout(first_held.matrix, pattern.order.columns)
     assert all(np.array_equal(a, b) for a, b in zip(layout, ref))
-    assert factorize().order is pattern.order
-    assert pattern.order.layout is layout and len(calls) == 2 and pattern.held_lus == 3
+    assert all(factorize().order is pattern.order for _ in range(2))
+    assert pattern.order.layout is layout and len(calls) == 1
+
+    space = build_space(generate_unit_square(8))
+    grid = TimeGrid(0.01, 50)
+    ops = Operators(space, grid, nu=0.1)
+    y = FieldTrajectory(grid, np.array(
+        [interpolate_velocity(space, exact_velocity, t) for t in grid.times()]))
+    calls.clear()
+    sweep(ops, rng.standard_normal((grid.N, space.n_velocity)), y)
+    assert ops.linearized_lu["ordering"] == "mmd-sym"
+    assert ops.factorizations["linearized"] > 2 and len(calls) == 1
 
 
 def test_stream_lu_builds_no_layout(disk_coarse, monkeypatch):

@@ -34,7 +34,9 @@ def _result_line(correct, solve_s, rss):
 
 def test_bench_pairs_summary():
     """Medians and quartiles per side, the median change/parent ratio over the rounds
-    with both sides correct, and the incorrect runs by round and side."""
+    with both sides correct, the incorrect runs by round and side, and the verdict
+    per metric: ``gain`` from nine wins in ten rounds by more than the parent's
+    q3 - q1, ``worse`` past the metric's bound, ``-`` otherwise."""
     bench_pairs = _load(SCRIPTS[0].parent / "bench_pairs.py")
     lines = [(_result_line(True, 1.0, 100.0), _result_line(True, 0.9, 100.0)),
              (_result_line(True, 2.0, 110.0), _result_line(True, 1.6, 121.0)),
@@ -52,6 +54,26 @@ def test_bench_pairs_summary():
     rss = summary["metrics"]["peak_rss_mb"]
     assert rss["ratio"] == 1.0 and rss["ratio_max"] == pytest.approx(1.1)
     assert "INCORRECT: round 3 change" in bench_pairs.report("w", summary)
+    assert solve["verdict"] == rss["verdict"] == "-"  # 2 of 3 lower; 1.0 ratio
+
+    def verdicts(solve, rss):
+        """Verdict per metric of rounds given as ``(parent, change)`` values."""
+        pairs = [tuple(json.loads(_result_line(True, *side)) for side in zip(s, r))
+                 for s, r in zip(solve, rss)]
+        return {name: m["verdict"]
+                for name, m in bench_pairs.summarize(pairs)["metrics"].items()}
+
+    parent = [1.0 + 0.01 * i for i in range(10)]  # q3 - q1 = 0.045
+    nine_wins = [(p, 0.8 if i < 9 else 1.5) for i, p in enumerate(parent)]
+    eight_wins = [(p, 0.8 if i < 8 else 1.5) for i, p in enumerate(parent)]
+    assert verdicts(nine_wins, [(100.0, 126.0)] * 10) == {
+        "solve_s": "gain", "peak_rss_mb": "worse"}  # past the 0.25 bound
+    assert verdicts(eight_wins, [(100.0, 124.0)] * 10) == {
+        "solve_s": "-", "peak_rss_mb": "-"}
+    wide = [(1.0 + i, 0.9 + i) for i in range(10)]  # 10 of 10, by less than q3 - q1
+    assert verdicts(wide, [(100.0, 100.0)] * 10)["solve_s"] == "-"
+    rules = bench_pairs.metric_rules()
+    assert rules["unscaled_solve_s"]["bound"] == rules["solve_s"]["bound"] == 0.25
 
 
 
@@ -99,6 +121,7 @@ def test_bench_pairs_reports_unscaled_ratios(monkeypatch, capsys):
     assert table["unscaled_setup_s"][3] == "0.500"
     assert table["unscaled_solve_s"][3] == "0.833"
     assert table["unscaled_solve_s"][5] == "2/2"
+    assert table["unscaled_solve_s"][-1] == "gain" and table["solve_s"][-1] == "-"
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kwargs: SimpleNamespace(
         stdout=_result_line(True, 1.0, 100.0) + "\n"))
