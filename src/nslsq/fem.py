@@ -4,9 +4,12 @@ Degrees of freedom: scalar P2 nodes are the mesh vertices followed by the
 edge midpoints; velocity fields store the x-component block before the
 y-component block (length 2*n_scalar); pressure is P1 on vertices.
 
-Quadrature: 6-point degree-4 rule for bilinear forms (exact for P2*P2
-products), 7-point degree-5 rule for the trilinear convection terms
-(P2*grad(P2)*P2 is degree 5) and general loads.
+Quadrature: every form reads one 7-point degree-5 rule, exact for each
+polynomial integrand here: the mass form (P2*P2) has degree 4, the
+vorticity load (P2*grad(P2)) degree 3, the divergence (P1*grad(P2)) and
+the stiffness degree 2, and the trilinear convection term
+(P2*grad(P2)*P2) degree 5.  Loads and errors of non-polynomial data are
+approximated on the same rule.
 
 The set-up kernels sum their products with ``_ordered_sum``, in the order
 ``np.einsum`` sums them, so each equals its einsum form bit for bit
@@ -22,21 +25,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, Tag, node_tags
-
-
-def rule_deg4() -> tuple[np.ndarray, np.ndarray]:
-    """6-point degree-4 rule on the reference triangle; weights sum to 1/2."""
-    s10 = np.sqrt(10.0)
-    t = np.sqrt(38.0 - 44.0 * np.sqrt(2.0 / 5.0))
-    a1 = (8.0 - s10 + t) / 18.0
-    a2 = (8.0 - s10 - t) / 18.0
-    w1 = (620.0 + np.sqrt(213125.0 - 53320.0 * s10)) / 3720.0
-    w2 = (620.0 - np.sqrt(213125.0 - 53320.0 * s10)) / 3720.0
-    pts, ws = [], []
-    for a, w in ((a1, w1), (a2, w2)):
-        pts += [(a, a), (1.0 - 2.0 * a, a), (a, 1.0 - 2.0 * a)]
-        ws += [0.5 * w] * 3
-    return np.array(pts), np.array(ws)
 
 
 def rule_deg5() -> tuple[np.ndarray, np.ndarray]:
@@ -94,12 +82,12 @@ def p1_values(pts: np.ndarray) -> np.ndarray:
 
 
 class _Rule:
-    """Per-mesh tables for one quadrature rule.
+    """Per-mesh tables of the quadrature rule.
 
     ``g`` holds the physical gradients of the P2 shape functions at the
     points, ``x`` the physical points.  ``g_table``, the gradients as one
     matrix per triangle for ``Space.velocity_grad_at_quad``, is built on
-    first use: only the degree-5 rule's is read.
+    first use.
     """
 
     def __init__(self, space: "Space", pts: np.ndarray, ws: np.ndarray):
@@ -160,53 +148,43 @@ class Space:
         self.dirichlet_dofs = np.concatenate([nodes, nodes + self.n_scalar])
 
     @cached_property
-    def rule4(self) -> _Rule:
-        return _Rule(self, *rule_deg4())
-
-    @cached_property
-    def rule5(self) -> _Rule:
+    def rule(self) -> _Rule:
         return _Rule(self, *rule_deg5())
 
     @property
     def scalar_mass(self) -> sp.csr_matrix:
         """The scalar P2 mass matrix, assembled anew on each access: a run
         keeps only the block-diagonal velocity copy (``assemble_mass``)."""
-        r = self.rule4
+        r = self.rule
         ref = np.einsum("q,qi,qj->ij", r.w, r.phi, r.phi)
         ref = 0.5 * (ref + ref.T)  # exact symmetry
-        return self._scatter_p2p2(self.det[:, None, None] * ref)
+        return self._scatter(self.det[:, None, None] * ref, self.tri_p2, self.n_scalar)
 
     @property
     def scalar_stiffness(self) -> sp.csr_matrix:
         """The scalar P2 stiffness matrix, assembled anew on each access,
         as ``scalar_mass``."""
-        g = self.rule4.g
+        g = self.rule.g
         # sum over q of det w_q (g_i0 g_j0 + g_i1 g_j1), d summed first
         elem = _ordered_sum(
             dw * g[:, q, :, None, 0] * g[:, q, None, :, 0]
             + dw * g[:, q, :, None, 1] * g[:, q, None, :, 1]
-            for q, dw in enumerate(self._weights(self.rule4)[:, :, None, None]))
+            for q, dw in enumerate(self._weights()[:, :, None, None]))
         elem = 0.5 * (elem + elem.transpose(0, 2, 1))  # exact symmetry
-        return self._scatter_p2p2(elem)
+        return self._scatter(elem, self.tri_p2, self.n_scalar)
 
-    def _weights(self, rule: _Rule) -> np.ndarray:
+    def _weights(self) -> np.ndarray:
         """``det * w_q`` per point and triangle, shape (nq, nt)."""
-        return rule.w[:, None] * self.det
+        return self.rule.w[:, None] * self.det
 
-    def _scatter_p2p2(self, elem: np.ndarray) -> sp.csr_matrix:
-        nt = self.mesh.n_triangles
-        rows = np.broadcast_to(self.tri_p2[:, :, None], (nt, 6, 6)).ravel()
-        cols = np.broadcast_to(self.tri_p2[:, None, :], (nt, 6, 6)).ravel()
-        m = sp.coo_matrix((elem.ravel(), (rows, cols)),
-                          shape=(self.n_scalar, self.n_scalar))
-        return m.tocsr()
-
-    def _scatter_p1p2(self, elem: np.ndarray) -> sp.csr_matrix:
-        nt = self.mesh.n_triangles
-        rows = np.broadcast_to(self.mesh.triangles[:, :, None], (nt, 3, 6)).ravel()
-        cols = np.broadcast_to(self.tri_p2[:, None, :], (nt, 3, 6)).ravel()
-        m = sp.coo_matrix((elem.ravel(), (rows, cols)),
-                          shape=(self.n_pressure, self.n_scalar))
+    def _scatter(self, elem: np.ndarray, row_nodes: np.ndarray,
+                 n_rows: int) -> sp.csr_matrix:
+        """Sum the element matrices ``elem`` (nt, k, 6) into an
+        ``(n_rows, n_scalar)`` matrix: row i of triangle t is node
+        ``row_nodes[t, i]``, column j its P2 node ``tri_p2[t, j]``."""
+        rows = np.broadcast_to(row_nodes[:, :, None], elem.shape).ravel()
+        cols = np.broadcast_to(self.tri_p2[:, None, :], elem.shape).ravel()
+        m = sp.coo_matrix((elem.ravel(), (rows, cols)), shape=(n_rows, self.n_scalar))
         return m.tocsr()
 
     def scatter_p2_vector(self, elem: np.ndarray) -> np.ndarray:
@@ -224,18 +202,18 @@ class Space:
                 f"expected VelocityP2 coefficients of length {self.n_velocity}, "
                 f"got {u.shape[-1]}")
 
-    def velocity_at_quad(self, u: np.ndarray, rule: _Rule) -> np.ndarray:
+    def velocity_at_quad(self, u: np.ndarray) -> np.ndarray:
         """Field values at quadrature points, shape (nt, nq, 2)."""
         ux, uy = self.split(u)
-        vx = ux[self.tri_p2] @ rule.phi.T   # (nt, nq)
-        vy = uy[self.tri_p2] @ rule.phi.T
+        vx = ux[self.tri_p2] @ self.rule.phi.T   # (nt, nq)
+        vy = uy[self.tri_p2] @ self.rule.phi.T
         return np.stack([vx, vy], axis=-1)
 
-    def velocity_grad_at_quad(self, u: np.ndarray, rule: _Rule) -> np.ndarray:
+    def velocity_grad_at_quad(self, u: np.ndarray) -> np.ndarray:
         """Gradients at quadrature points, shape (nt, nq, 2, 2), [c,d]=d_d u_c."""
         self._check_velocity(u)
         local = u.reshape(2, -1)[:, self.tri_p2].transpose(1, 0, 2)  # (nt, 2, 6)
-        grads = local @ rule.g_table                                  # (nt, 2, 2*nq)
+        grads = local @ self.rule.g_table                            # (nt, 2, 2*nq)
         return grads.reshape(len(grads), 2, -1, 2).transpose(0, 2, 1, 3)
 
 
@@ -257,19 +235,20 @@ def assemble_stiffness(space: Space) -> sp.csr_matrix:
 
 def assemble_divergence(space: Space) -> sp.csr_matrix:
     """Pressure-test divergence matrix B with entries int(psi * div u)."""
-    r = space.rule4
+    r = space.rule
     # elem[t,k,j,d] = sum over q of det w_q psi_k d_d phi_j
     elem = _ordered_sum(dw[:, None, None, None] * r.psi[q, None, :, None, None]
                         * r.g[:, q, None]
-                        for q, dw in enumerate(space._weights(r)))
-    return sp.hstack([space._scatter_p1p2(elem[..., d]) for d in range(2)], format="csr")
+                        for q, dw in enumerate(space._weights()))
+    return sp.hstack([space._scatter(elem[..., d], space.mesh.triangles, space.n_pressure)
+                      for d in range(2)], format="csr")
 
 
 def convection_scalar_block(space: Space, a: np.ndarray) -> np.ndarray:
     """Element tensors (nt,6,6) of int((a.grad)phi_j phi_i); shared by both
     velocity components."""
-    r = space.rule5
-    aq = space.velocity_at_quad(a, r) * (space.det[:, None] * r.w)[:, :, None]
+    r = space.rule
+    aq = space.velocity_at_quad(a) * (space.det[:, None] * r.w)[:, :, None]
     # weighted (a.grad)phi_j, (nt, nq, 6)
     adotg = aq[:, :, None, 0] * r.g[..., 0] + aq[:, :, None, 1] * r.g[..., 1]
     return r.phi.T @ adotg
@@ -277,9 +256,9 @@ def convection_scalar_block(space: Space, a: np.ndarray) -> np.ndarray:
 
 def convection_vector(space: Space, a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Load vector of the trilinear term, entries int((a.grad)u . phi_i)."""
-    r = space.rule5
-    aq = space.velocity_at_quad(a, r)          # (nt, nq, 2)
-    gu = space.velocity_grad_at_quad(u, r)     # (nt, nq, 2, 2)
+    r = space.rule
+    aq = space.velocity_at_quad(a)          # (nt, nq, 2)
+    gu = space.velocity_grad_at_quad(u)     # (nt, nq, 2, 2)
     # ((a.grad)u)_c times det*w at each quadrature point, (nt, nq, 2)
     integrand = aq[:, :, None, 0] * gu[..., 0] + aq[:, :, None, 1] * gu[..., 1]
     integrand *= (space.det[:, None] * r.w)[:, :, None]
@@ -288,10 +267,10 @@ def convection_vector(space: Space, a: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def load_vector(space: Space, f, t: float) -> np.ndarray:
-    """Body-force load int(f(x,t) . phi_i) with the degree-5 rule.  A force
+    """Body-force load int(f(x,t) . phi_i) on the quadrature rule.  A force
     whose values at the points are not finite, or not one 2-vector per
     point, raises ``ValueError``."""
-    r = space.rule5
+    r = space.rule
     points = r.x.reshape(-1, 2)
     fq = np.asarray(f(points, t), dtype=np.float64)
     if fq.shape != points.shape or not np.isfinite(fq).all():
@@ -300,7 +279,7 @@ def load_vector(space: Space, f, t: float) -> np.ndarray:
     fq = fq.reshape(r.x.shape)
     # elem[t,c,i] = sum over q of det w_q f_c phi_i
     elem = _ordered_sum((dw[:, None] * fq[:, q])[:, :, None] * r.phi[q]
-                        for q, dw in enumerate(space._weights(r)))
+                        for q, dw in enumerate(space._weights()))
     return np.concatenate([space.scatter_p2_vector(elem[:, c]) for c in range(2)])
 
 
@@ -328,10 +307,10 @@ def vorticity_load(space: Space, u: np.ndarray) -> np.ndarray:
     parts of (d2 u1 - d1 u2) against P2 test functions vanishing on the
     boundary.
     """
-    r = space.rule4
-    uq = space.velocity_at_quad(u, r)
+    r = space.rule
+    uq = space.velocity_at_quad(u)
     # elem[t,i] = sum over q of det w_q (u_y d_x phi_i - u_x d_y phi_i)
-    weights = space._weights(r)
+    weights = space._weights()
     elem = _ordered_sum(dw[:, None] * uq[:, q, 1, None] * r.g[:, q, :, 0]
                         for q, dw in enumerate(weights))
     elem -= _ordered_sum(dw[:, None] * uq[:, q, 0, None] * r.g[:, q, :, 1]

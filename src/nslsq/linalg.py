@@ -190,10 +190,12 @@ class Factorization:
     (an exact zero, as in a pressure block, always pivots off the
     diagonal).  Any
     other matrix is ordered by COLAMD with partial pivoting, and so is a
-    symmetric one whose symmetric LU meets an exactly zero pivot: a
-    saddle matrix that is singular in exact arithmetic (a rank-deficient
-    multiplier block) then factorizes through a roundoff-sized COLAMD
-    pivot, or is reported singular, as before the symmetric ordering.
+    symmetric one whose symmetric LU meets an exactly zero pivot.  A
+    saddle matrix with more unpinned multipliers than free velocities is
+    singular and never reaches an LU (``SaddlePattern`` raises); one whose
+    multiplier block is rank-deficient otherwise factorizes through a
+    roundoff-sized COLAMD pivot or is reported singular, as the pivots
+    fall.
     ``Factorization.symmetric(matrix, label)`` takes the symmetric path
     whatever the matrix's values.  The fill rule uses it: a pattern whose
     first, COLAMD LU fills more than ``FILL_RATIO`` times its reference
@@ -477,7 +479,9 @@ class SaddlePattern(EliminatedPattern):
     ``a_rows``/``a_cols`` are the entries of the velocity block ``A``, or
     its pairs with ``a_entries`` the pair of each entry (as ``entries`` of
     an ``EliminatedPattern``), and ``values(*a_values)`` is the value
-    vector of a matrix: the divergence values, then those of ``A``.
+    vector of a matrix: the divergence values, then those of ``A``.  More
+    unpinned pressures than free velocity dofs make every matrix of the
+    pattern singular, and the pattern raises ``SolverError``.
     ``solve`` is the layout of every saddle solve: the momentum load goes
     into the velocity rows and the Dirichlet values (zero when omitted)
     onto the constrained rows, and the solution splits into
@@ -490,6 +494,11 @@ class SaddlePattern(EliminatedPattern):
                  dirichlet_dofs: np.ndarray, a_entries: np.ndarray | None = None,
                  reference_nnz: int | None = None):
         self.n_vel = n_vel = B.shape[1]
+        n_free = n_vel - len(dirichlet_dofs)
+        if B.shape[0] - 1 > n_free:
+            raise SolverError(
+                f"singular saddle system: {B.shape[0] - 1} unpinned pressures "
+                f"constrain {n_free} free velocity dofs, so B has dependent rows")
         b = B.tocoo()
         self._b_values = np.concatenate([b.data, b.data])
         nb = len(self._b_values)

@@ -73,11 +73,11 @@ def forcing(nu: float):
 def l2v_error_sq(space, grid, values: np.ndarray) -> float:
     """Squared L2(0,T;V) distance of the discrete levels 1..N to the exact
     solution, by degree-5 quadrature per level."""
-    r = space.rule5
+    r = space.rule
     xq = r.x.reshape(-1, 2)
     total = 0.0
     for n in range(1, grid.N + 1):
-        gh = space.velocity_grad_at_quad(np.asarray(values[n], dtype=np.float64), r)
+        gh = space.velocity_grad_at_quad(np.asarray(values[n], dtype=np.float64))
         ge = exact_gradient(xq, grid.times()[n]).reshape(gh.shape)
         total += grid.dt * np.einsum("t,q,tqcd->", space.det, r.w, (gh - ge) ** 2)
     return float(total)

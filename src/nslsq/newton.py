@@ -293,10 +293,11 @@ def _predicted_sqrt2e(a: float, b: float, c: float, lam: float) -> float:
 def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
                 *, variant: str = "E", tol: float = 1e-8, m: float = 2.0,
                 policy: str = "quartic", max_iter: int = MAX_OUTER_ITERATIONS,
-                divergence_factor: float = DIVERGENCE_FACTOR,
                 on_iterate=None) -> NewtonResult:
     """Outer damped-Newton iteration on a prepared initial trajectory,
     driving the residual measure ``variant`` (E or Etilde) below ``tol``.
+    A ``sqrt(2E)`` that is not finite, or past ``DIVERGENCE_FACTOR`` (read
+    at each check) times the first, ends it as ``diverged``.
 
     When the quartic line search rejects its scalars (``b^2 > ac``, which
     exact representations cannot give), the loop ends with the outcome
@@ -327,7 +328,7 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
         sqrt2e = np.sqrt(a) if a >= 0 else np.nan
         if sqrt2e0 is None:
             sqrt2e0 = sqrt2e
-        if not np.isfinite(sqrt2e) or (k > 0 and sqrt2e > divergence_factor * sqrt2e0):
+        if not np.isfinite(sqrt2e) or (k > 0 and sqrt2e > DIVERGENCE_FACTOR * sqrt2e0):
             outcome = "diverged"
         elif sqrt2e <= tol:
             outcome = "converged"

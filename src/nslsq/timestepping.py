@@ -97,7 +97,7 @@ class _Convection:
     @cached_property
     def _wphiphi(self) -> np.ndarray:
         """Weighted ``phi_i phi_j`` at each quadrature point, (nq, 36)."""
-        r = self.space.rule5
+        r = self.space.rule
         return (r.w[:, None, None] * r.phi[:, :, None]
                 * r.phi[:, None, :]).reshape(len(r.w), -1)
 
@@ -128,8 +128,8 @@ class _Convection:
         the quadrature points, plus the convection block on (0, 0) and
         (1, 1)."""
         space = self.space
-        gy = space.velocity_grad_at_quad(y_level, space.rule5)  # (t, q, c, d)
-        weighted = np.empty((2, 2, *gy.shape[:2]))              # (c, d, t, q)
+        gy = space.velocity_grad_at_quad(y_level)   # (t, q, c, d)
+        weighted = np.empty((2, 2, *gy.shape[:2]))  # (c, d, t, q)
         np.multiply(gy.transpose(2, 3, 0, 1), space.det[:, None], out=weighted)
         conv = (weighted @ self._wphiphi).reshape(2, 2, len(space.det), 6, 6)
         ce = fem.convection_scalar_block(space, y_level)

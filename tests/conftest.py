@@ -200,21 +200,21 @@ def space_layout_reference(mesh: Mesh) -> dict:
 
 def assemble_convection(space: Space, a: np.ndarray) -> sp.csr_matrix:
     """Matrix C(a) of the form int((a.grad)u . w); linear in a."""
-    c = space._scatter_p2p2(convection_scalar_block(space, a))
+    c = space._scatter(convection_scalar_block(space, a), space.tri_p2, space.n_scalar)
     return sp.block_diag((c, c), format="csr")
 
 
 def assemble_linearized_convection(space: Space, y: np.ndarray) -> sp.csr_matrix:
     """L(y) = C(y) + D(y) with D(y) the reaction part int((u.grad)y . w)."""
-    r = space.rule5
-    c = space._scatter_p2p2(convection_scalar_block(space, y))
-    gy = space.velocity_grad_at_quad(y, r)   # (nt, nq, 2, 2)
+    r = space.rule
+    c = space._scatter(convection_scalar_block(space, y), space.tri_p2, space.n_scalar)
+    gy = space.velocity_grad_at_quad(y)   # (nt, nq, 2, 2)
     blocks = [[None, None], [None, None]]
     for ci in range(2):
         for d in range(2):
             elem = np.einsum("t,q,qi,qj,tq->tij",
                              space.det, r.w, r.phi, r.phi, gy[:, :, ci, d])
-            blocks[ci][d] = space._scatter_p2p2(elem)
+            blocks[ci][d] = space._scatter(elem, space.tri_p2, space.n_scalar)
     dmat = sp.bmat(blocks, format="csr")
     return sp.block_diag((c, c), format="csr") + dmat
 

@@ -13,7 +13,8 @@ import pytest
 from nslsq import manufactured as mf
 from nslsq import newton
 from nslsq.cli import lid_profile, parse_config, run_experiment, stream_function
-from nslsq.fem import build_space
+from nslsq.fem import assemble_divergence, build_space
+from nslsq.linalg import SolverError
 from nslsq.mesh import generate_semidisk, generate_unit_square
 from nslsq.newton import (
     damped_newton_solve,
@@ -208,37 +209,45 @@ def test_criterion_9_oracle_suite(square1):
                + grid_l**4 * c)
     ok_ls = abs(lam - grid_l[np.argmin(q)]) <= 2e-6
 
-    # Riesz lift vs dense solve on the 2-triangle mesh (degenerate: the
-    # constrained space is {0}) and on the smallest nontrivial mesh
+    # the 2-triangle mesh is degenerate: its constrained space is {0}, and
+    # its saddle matrix is singular (3 unpinned pressures, 2 free velocity
+    # dofs, so B's free block has rank 2 < 3), which set-up reports
     from scipy.linalg import null_space
 
     from nslsq.mesh import Mesh, Tag
 
-    two = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-               np.array([[0, 1, 2], [0, 2, 3]]),
-               np.array([[0, 1], [1, 2], [2, 3], [0, 3]]),
-               np.array([Tag.WALL] * 4))
-    ok_lift = True
-    for space in (build_space(two), square1):
-        grid = TimeGrid(1.0, 2)
-        ops = Operators(space, grid, 1.0)
-        rng = np.random.default_rng(6)
-        vals = np.zeros((3, space.n_velocity))
-        for n in (1, 2):
-            vals[n] = rng.standard_normal(space.n_velocity)
-            vals[n][space.dirichlet_dofs] = 0.0
-        w = riesz_lift(ops, FieldTrajectory(grid, vals))
-        produced = grid.dt * sum(w[n] @ (ops.K @ w[n]) for n in range(2))
-        free = np.setdiff1d(np.arange(space.n_velocity), space.dirichlet_dofs)
-        z = null_space(ops.B.toarray()[1:, :][:, free])
-        expected = 0.0
-        if z.shape[1]:
-            kz = z.T @ ops.K.toarray()[np.ix_(free, free)] @ z
-            for n in range(2):
-                load = -(ops.M @ (vals[n + 1] - vals[n])) / grid.dt
-                cc = np.linalg.solve(kz, z.T @ load[free])
-                expected += grid.dt * cc @ kz @ cc
-        ok_lift &= abs(produced - expected) <= 1e-10 * max(1.0, expected)
+    two = build_space(Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                           np.array([[0, 1, 2], [0, 2, 3]]),
+                           np.array([[0, 1], [1, 2], [2, 3], [0, 3]]),
+                           np.array([Tag.WALL] * 4)))
+    free = np.setdiff1d(np.arange(two.n_velocity), two.dirichlet_dofs)
+    b_free = assemble_divergence(two).toarray()[1:, :][:, free]
+    ok_two = null_space(b_free).shape[1] == 0 and np.linalg.matrix_rank(b_free) == 2
+    try:
+        Operators(two, TimeGrid(1.0, 2), 1.0)
+        ok_two = False
+    except SolverError:
+        pass
+
+    # Riesz lift vs dense solve on the smallest nontrivial mesh
+    grid = TimeGrid(1.0, 2)
+    ops = Operators(square1, grid, 1.0)
+    rng = np.random.default_rng(6)
+    vals = np.zeros((3, square1.n_velocity))
+    for n in (1, 2):
+        vals[n] = rng.standard_normal(square1.n_velocity)
+        vals[n][square1.dirichlet_dofs] = 0.0
+    w = riesz_lift(ops, FieldTrajectory(grid, vals))
+    produced = grid.dt * sum(w[n] @ (ops.K @ w[n]) for n in range(2))
+    free = np.setdiff1d(np.arange(square1.n_velocity), square1.dirichlet_dofs)
+    z = null_space(ops.B.toarray()[1:, :][:, free])
+    kz = z.T @ ops.K.toarray()[np.ix_(free, free)] @ z
+    expected = 0.0
+    for n in range(2):
+        load = -(ops.M @ (vals[n + 1] - vals[n])) / grid.dt
+        cc = np.linalg.solve(kz, z.T @ load[free])
+        expected += grid.dt * cc @ kz @ cc
+    ok_lift = z.shape[1] > 0 and abs(produced - expected) <= 1e-10 * max(1.0, expected)
 
     # element matrices vs analytic (CAS) integration on the reference triangle
     from test_fem import P2_MASS_OVER_AREA, reference_element_matrices_sympy
@@ -247,24 +256,23 @@ def test_criterion_9_oracle_suite(square1):
                            np.array([[0, 1, 2]]),
                            np.array([[0, 1], [1, 2], [0, 2]]),
                            np.array([Tag.WALL] * 3)))
-    mass_cas, stiff_cas = reference_element_matrices_sympy()
+    mass_cas, stiff_cas, div_cas = reference_element_matrices_sympy()
     ok_elem = (np.abs(ref.scalar_mass.toarray() - mass_cas).max() < 1e-12
                and np.abs(ref.scalar_mass.toarray()
                           - 0.5 * P2_MASS_OVER_AREA).max() < 1e-12
-               and np.abs(ref.scalar_stiffness.toarray() - stiff_cas).max() < 1e-12)
+               and np.abs(ref.scalar_stiffness.toarray() - stiff_cas).max() < 1e-12
+               and np.abs(assemble_divergence(ref).toarray() - div_cas).max() < 1e-12)
 
     # divergence-free rigid rotation
-    from nslsq.fem import assemble_divergence
-
     sq = build_space(generate_unit_square(2))
     x, y = sq.p2_coords[:, 0], sq.p2_coords[:, 1]
     rot = np.concatenate([-y, x])
     ok_div = np.abs(assemble_divergence(sq) @ rot).max() <= 1e-10
 
     wall = time.perf_counter() - t0
-    criterion(9, "oracle suite (quartic scan, dense lift, element CAS, "
-                 "rigid rotation)",
-              ok_ls and ok_lift and ok_elem and ok_div and wall <= 30,
+    criterion(9, "oracle suite (quartic scan, singular 2-triangle saddle, dense "
+                 "lift, element CAS, rigid rotation)",
+              ok_ls and ok_two and ok_lift and ok_elem and ok_div and wall <= 30,
               f"wall={wall:.1f}s")
 
 

@@ -11,7 +11,6 @@ from nslsq.fem import (
     build_space,
     convection_vector,
     lid_boundary_values,
-    rule_deg4,
     rule_deg5,
 )
 from nslsq.mesh import (
@@ -44,25 +43,34 @@ P2_MASS_OVER_AREA = np.array(
 
 
 def reference_element_matrices_sympy():
-    """Exact P2 mass and stiffness element matrices on the reference
-    triangle (0,0)-(1,0)-(0,1), by symbolic integration."""
+    """Exact P2 mass and stiffness element matrices and the divergence
+    blocks ``[int(psi_k d_x phi_j) | int(psi_k d_y phi_j)]`` (3 x 12, the
+    layout of B) on the reference triangle (0,0)-(1,0)-(0,1), by symbolic
+    integration."""
     import sympy as sy
 
     x, y = sy.symbols("x y")
     l0, l1, l2 = 1 - x - y, x, y
     basis = [l0 * (2 * l0 - 1), l1 * (2 * l1 - 1), l2 * (2 * l2 - 1),
              4 * l0 * l1, 4 * l1 * l2, 4 * l2 * l0]
+
+    def integral(f):
+        return sy.integrate(sy.integrate(f, (y, 0, 1 - x)), (x, 0, 1))
+
     mass = sy.zeros(6, 6)
     stiff = sy.zeros(6, 6)
     for i in range(6):
         for j in range(i, 6):
-            mass[i, j] = mass[j, i] = sy.integrate(
-                sy.integrate(basis[i] * basis[j], (y, 0, 1 - x)), (x, 0, 1))
-            gij = (sy.diff(basis[i], x) * sy.diff(basis[j], x)
-                   + sy.diff(basis[i], y) * sy.diff(basis[j], y))
-            stiff[i, j] = stiff[j, i] = sy.integrate(
-                sy.integrate(gij, (y, 0, 1 - x)), (x, 0, 1))
-    return (np.array(mass, dtype=float), np.array(stiff, dtype=float))
+            mass[i, j] = mass[j, i] = integral(basis[i] * basis[j])
+            stiff[i, j] = stiff[j, i] = integral(
+                sy.diff(basis[i], x) * sy.diff(basis[j], x)
+                + sy.diff(basis[i], y) * sy.diff(basis[j], y))
+    div = sy.zeros(3, 12)
+    for k, psi in enumerate((l0, l1, l2)):
+        for d, var in enumerate((x, y)):
+            for j in range(6):
+                div[k, 6 * d + j] = integral(psi * sy.diff(basis[j], var))
+    return tuple(np.array(m, dtype=float) for m in (mass, stiff, div))
 
 
 @pytest.fixture(scope="module")
@@ -80,13 +88,12 @@ def ref_space():
 def test_quadrature_rules_integrate_their_degree():
     from math import factorial
 
-    for rule, deg in ((rule_deg4(), 4), (rule_deg5(), 5)):
-        pts, ws = rule
-        for i in range(deg + 1):
-            for j in range(deg + 1 - i):
-                exact = factorial(i) * factorial(j) / factorial(i + j + 2)
-                got = np.sum(ws * pts[:, 0] ** i * pts[:, 1] ** j)
-                assert abs(got - exact) < 1e-15
+    pts, ws = rule_deg5()
+    for i in range(6):
+        for j in range(6 - i):
+            exact = factorial(i) * factorial(j) / factorial(i + j + 2)
+            got = np.sum(ws * pts[:, 0] ** i * pts[:, 1] ** j)
+            assert abs(got - exact) < 1e-15
 
 
 def test_element_mass_matches_frozen_analytic(ref_space):
@@ -96,9 +103,10 @@ def test_element_mass_matches_frozen_analytic(ref_space):
 
 
 def test_element_matrices_match_sympy(ref_space):
-    mass_exact, stiff_exact = reference_element_matrices_sympy()
+    mass_exact, stiff_exact, div_exact = reference_element_matrices_sympy()
     assert np.abs(ref_space.scalar_mass.toarray() - mass_exact).max() < 1e-12
     assert np.abs(ref_space.scalar_stiffness.toarray() - stiff_exact).max() < 1e-12
+    assert np.abs(assemble_divergence(ref_space).toarray() - div_exact).max() < 1e-12
     assert np.abs(mass_exact - 0.5 * P2_MASS_OVER_AREA).max() < 1e-15
 
 
@@ -156,9 +164,9 @@ def test_convection_skew_symmetry_identity(square2):
     u = rng.standard_normal(space.n_velocity)
     C = assemble_convection(space, a)
     lhs = u @ (C @ u)
-    r = space.rule5
-    ga = space.velocity_grad_at_quad(a, r)
-    uq = space.velocity_at_quad(u, r)
+    r = space.rule
+    ga = space.velocity_grad_at_quad(a)
+    uq = space.velocity_at_quad(u)
     diva = ga[:, :, 0, 0] + ga[:, :, 1, 1]
     u2 = uq[:, :, 0] ** 2 + uq[:, :, 1] ** 2
     rhs = -0.5 * np.einsum("t,q,tq,tq->", space.det, r.w, diva, u2)
@@ -202,9 +210,9 @@ def test_linearized_convection_is_directional_derivative(square2):
 
 def _convection_vector_einsum(space, a, u):
     """The per-component einsum form of ``convection_vector``."""
-    r = space.rule5
-    integrand = np.einsum("tqd,tqcd->tqc", space.velocity_at_quad(a, r),
-                          space.velocity_grad_at_quad(u, r))
+    r = space.rule
+    integrand = np.einsum("tqd,tqcd->tqc", space.velocity_at_quad(a),
+                          space.velocity_grad_at_quad(u))
     return np.concatenate([
         space.scatter_p2_vector(
             np.einsum("t,q,tq,qi->ti", space.det, r.w, integrand[:, :, c], r.phi))
@@ -238,21 +246,22 @@ def _rule_einsum(space, pts):
 
 
 def _stiffness_einsum(space):
-    r = space.rule4
+    r = space.rule
     elem = np.einsum("t,q,tqid,tqjd->tij", space.det, r.w, r.g, r.g)
-    return space._scatter_p2p2(0.5 * (elem + elem.transpose(0, 2, 1)))
+    return space._scatter(0.5 * (elem + elem.transpose(0, 2, 1)), space.tri_p2,
+                          space.n_scalar)
 
 
 def _divergence_einsum(space):
-    r = space.rule4
+    r = space.rule
     return sp.hstack([
-        space._scatter_p1p2(np.einsum("t,q,qk,tqj->tkj", space.det, r.w, r.psi,
-                                      r.g[:, :, :, d]))
+        space._scatter(np.einsum("t,q,qk,tqj->tkj", space.det, r.w, r.psi, r.g[:, :, :, d]),
+                       space.mesh.triangles, space.n_pressure)
         for d in range(2)], format="csr")
 
 
 def _load_vector_einsum(space, f, t):
-    r = space.rule5
+    r = space.rule
     fq = np.asarray(f(r.x.reshape(-1, 2), t)).reshape(r.x.shape)
     return np.concatenate([
         space.scatter_p2_vector(np.einsum("t,q,tq,qi->ti", space.det, r.w, fq[:, :, c], r.phi))
@@ -260,8 +269,8 @@ def _load_vector_einsum(space, f, t):
 
 
 def _vorticity_load_einsum(space, u):
-    r = space.rule4
-    uq = space.velocity_at_quad(u, r)
+    r = space.rule
+    uq = space.velocity_at_quad(u)
     elem = np.einsum("t,q,tq,tqi->ti", space.det, r.w, uq[:, :, 1], r.g[:, :, :, 0])
     elem -= np.einsum("t,q,tq,tqi->ti", space.det, r.w, uq[:, :, 0], r.g[:, :, :, 1])
     return space.scatter_p2_vector(elem)
@@ -286,13 +295,12 @@ def _same_matrix(got, want):
     lambda: generate_unit_square(8),
 ], ids=["square2", "disk_coarse", "jittered", "square8"])
 def test_set_up_kernels_equal_their_einsum_forms(make):
-    """The rules' gradients and points, the stiffness, the divergence
+    """The rule's gradients and points, the stiffness, the divergence
     blocks, the load vector and the vorticity load equal their einsum forms
     bit for bit."""
     space = build_space(make())
-    for rule, (pts, _) in ((space.rule4, rule_deg4()), (space.rule5, rule_deg5())):
-        g, x = _rule_einsum(space, pts)
-        assert _same_bits(rule.g, g) and _same_bits(rule.x, x)
+    g, x = _rule_einsum(space, rule_deg5()[0])
+    assert _same_bits(space.rule.g, g) and _same_bits(space.rule.x, x)
     assert _same_matrix(space.scalar_stiffness, _stiffness_einsum(space))
     assert _same_matrix(assemble_divergence(space), _divergence_einsum(space))
     rng = np.random.default_rng(31)
@@ -303,13 +311,13 @@ def test_set_up_kernels_equal_their_einsum_forms(make):
 
 
 def test_gradient_table_is_built_on_first_use(square2):
-    """Set-up and the linearized operator read the degree-5 rule's table
-    only; the degree-4 rule never builds one."""
+    """Set-up builds no gradient table; the first linearized operator,
+    which reads it, builds it."""
     space = build_space(square2.mesh)
     ops = Operators(space, TimeGrid(0.1, 1), nu=0.01)
-    assert "g_table" not in vars(space.rule4)
+    assert "g_table" not in vars(space.rule)
     ops.linearized(np.random.default_rng(29).standard_normal(space.n_velocity))
-    assert "g_table" not in vars(space.rule4) and "g_table" in vars(space.rule5)
+    assert "g_table" in vars(space.rule)
 
 
 def test_assembly_determinism(disk_coarse):

@@ -90,8 +90,9 @@ def test_factorization_reuse_and_counts():
 
 def test_two_triangle_constrained_space_is_trivial():
     """On a 2-triangle mesh the homogeneous discretely divergence-free
-    subspace is {0}: any constrained solve returns (numerically) zero
-    velocity even though the multiplier block is rank-deficient."""
+    subspace is {0}, and the saddle matrix is singular: 3 unpinned
+    pressures act on 2 free velocity dofs, so the multiplier block has
+    dependent rows.  The saddle pattern rejects it by the counts."""
     from scipy.linalg import null_space
 
     from nslsq.fem import build_space
@@ -104,16 +105,15 @@ def test_two_triangle_constrained_space_is_trivial():
         np.array([Tag.WALL] * 4),
     )
     space = build_space(mesh)
-    B = assemble_divergence(space)
+    A, B = assemble_stiffness(space), assemble_divergence(space)
     free = np.setdiff1d(np.arange(space.n_velocity), space.dirichlet_dofs)
-    z = null_space(B.toarray()[1:, :][:, free])
-    assert z.shape[1] == 0
-    fact = saddle_factorization(assemble_stiffness(space), B, space.dirichlet_dofs,
-                                "two-triangle")
-    # singular in exact arithmetic: the symmetric LU meets a zero pivot
-    assert fact.fact.ordering == "colamd"
-    vel, _ = fact.solve(np.ones(space.n_velocity))
-    assert np.abs(vel).max() < 1e-12
+    b = B.toarray()[1:, :][:, free]
+    assert null_space(b).shape[1] == 0
+    # the eliminated saddle matrix has rank 2 + 2 of its 5 rows
+    saddle = np.block([[A.toarray()[np.ix_(free, free)], b.T], [b, np.zeros((3, 3))]])
+    assert b.shape == (3, 2) and np.linalg.matrix_rank(saddle) == 4
+    with pytest.raises(SolverError, match="3 unpinned pressures constrain 2 free"):
+        saddle_factorization(A, B, space.dirichlet_dofs, "two-triangle")
 
 
 def test_saddle_stokes_zero_data_gives_zero(square1):

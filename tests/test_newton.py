@@ -488,12 +488,12 @@ def test_unknown_policy_rejected(setup):
             newton_loop(ops, y0, loads, variant=variant, policy="bogus")
 
 
-def test_divergence_detection_reports_not_crashes(setup):
+def test_divergence_detection_reports_not_crashes(setup, monkeypatch):
     """A tiny divergence factor forces the diverged outcome path."""
     space, grid, ops, loads, y0 = setup
+    monkeypatch.setattr(newton, "DIVERGENCE_FACTOR", 1.0 + 1e-9)
     for variant in VARIANTS:
-        res = newton_loop(ops, y0, loads, variant=variant,
-                          divergence_factor=1.0 + 1e-9, max_iter=50)
+        res = newton_loop(ops, y0, loads, variant=variant, max_iter=50)
         assert res.outcome in ("diverged", "converged"), variant
         # with a factor this tight the first growth of sqrt2E must report
         if res.outcome == "diverged":
