@@ -425,7 +425,7 @@ def main(argv=None) -> int:
     print(f"outcome: {report.outcome}  final sqrt(2E): {report.final_sqrt2E:.3e}  "
           f"iterations: {report.records[-1]['k']}  wall: {report.wall_time:.1f}s")
     if report.error is not None:
-        print(f"solver error: {report.error}")
+        print(f"{report.outcome}: {report.error}")
     counts = report.solver_counts
     print(f"LUs: {counts.get('linearized', 0)} linearized, {counts.get('heat', 0)} heat, "
           f"{counts.get('stokes', 0)} stokes; lagged levels: {counts.get('lagged', 0)}, "

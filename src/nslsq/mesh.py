@@ -269,7 +269,8 @@ def read_triangle_format(
     Vertex boundary markers are mapped to tags through boundary_tag_map;
     a boundary edge gets the tag of the larger of its endpoint markers.
     Clockwise triangles are reordered.  Raises ParseError with the
-    offending line number, also for a record past a header's count.
+    offending line number, also for a record past a header's count and
+    for a ``.node`` or ``.ele`` index that does not follow its predecessor.
     """
     records = _records(node_text)
     try:
@@ -342,6 +343,8 @@ def read_triangle_format(
             raise ParseError(f".ele line {lineno}: malformed record") from None
         if min(tri) < 0 or max(tri) >= nv:
             raise ParseError(f".ele line {lineno}: vertex index out of range")
+        if idx - base != k:
+            raise ParseError(f".ele line {lineno}: non-consecutive index {idx}")
         triangles[k] = tri
     _no_records_past(records, ".ele", f"{nt} triangle records")
 

@@ -44,6 +44,10 @@ from .timestepping import (
 
 DIVERGENCE_FACTOR = 1e6
 MAX_OUTER_ITERATIONS = 100
+# The loop ends as ``stalled`` when sqrt(2E) has fallen, but by less than a
+# relative STALL_DROP, over the last STALL_ITERATES iterates.
+STALL_DROP = 1e-3
+STALL_ITERATES = 5
 
 
 @dataclass
@@ -53,10 +57,9 @@ class IterationRecord:
     ``lam`` is the step taken from this iterate (None on the last row);
     ``rel_increment`` compares this iterate to the previous one in the
     L2(0,T;V) norm over levels 1..N (None at k=0).  ``predicted_sqrt2E``
-    is the exact quartic of the previous iterate at its step,
-    ``sqrt((1-lam)^2 a + 2 lam^2 (1-lam) b + lam^4 c)`` from its line-search
-    scalars (None at k=0): an exact direction makes it equal ``sqrt2E``
-    up to rounding.
+    is ``sqrt(quartic(a, b, c, lam))`` of the previous iterate at its step,
+    from its line-search scalars (None at k=0; a negative rounding reads as
+    zero): an exact direction makes it equal ``sqrt2E`` up to rounding.
     """
 
     k: int
@@ -68,28 +71,14 @@ class IterationRecord:
 
 
 @dataclass
-class CorrectorBundle:
-    """One Newton step: the direction and the three scalars of the quartic
-    line search, v_norm_sq = |r|^2 (twice the functional),
-    cross_inner = <r, r2> and rem_norm_sq = |r2|^2, where r is the residual
-    and r2 that of the step's quadratic remainder (the A0 norm of the
-    correctors under E, the K norm of the lifted defects under Etilde).
-    """
-
-    direction: FieldTrajectory
-    v_norm_sq: float
-    cross_inner: float
-    rem_norm_sq: float
-
-
-@dataclass
 class NewtonResult:
     trajectory: FieldTrajectory
     records: list[IterationRecord]
-    outcome: str  # converged | diverged | max_iterations | line_search_failed | solver_failed
+    # converged | diverged | max_iterations | stalled | line_search_failed | solver_failed
+    outcome: str
     ops: Operators | None = None
     loads: np.ndarray | None = None
-    error: str | None = None  # the SolverError that ended the loop, if one did
+    error: str | None = None  # the SolverError or the stall that ended the loop
 
     @property
     def converged(self) -> bool:
@@ -211,27 +200,34 @@ _MEASURES = {
     "E": (_corrector_fields, lambda ops, r1, r2: a0_inner(ops, *r1, *r2)),
     "Etilde": (lift, lambda ops, h1, h2: ops.grid.dt * _stiffness_inner(ops.K, h1, h2)),
 }
-POLICIES = ("quartic", "cheap", "fixed1")
 VARIANTS = tuple(_MEASURES)
 
 
+def quartic(a: float, b: float, c: float, lam: float) -> float:
+    """Twice the functional after the step ``lam`` along the Newton
+    direction, exactly: ``(1-lam)^2 a + 2 lam^2 (1-lam) b + lam^4 c`` in the
+    line-search scalars a = |r|^2, b = <r, r2> and c = |r2|^2 of the
+    residual's representation r and its quadratic remainder's r2."""
+    return (1 - lam) ** 2 * a + 2 * lam**2 * (1 - lam) * b + lam**4 * c
+
+
 def line_search_quartic(a: float, b: float, c: float, m: float) -> tuple[float, float]:
-    """Global minimum over (0, m] of
-    q(lam) = ((1-lam)^2 a + 2 lam^2 (1-lam) b + lam^4 c) / 2.
+    """Global minimum over (0, m] of the functional ``quartic(a, b, c, lam) / 2``.
 
     Closed-form real roots of the cubic q' plus the endpoint; ties break
     toward the smaller step.  a = |corrector|^2 must be positive: a zero
-    residual means the caller is already converged.
+    residual means the caller is already converged.  Scalars that break
+    Cauchy-Schwarz, ``b^2 > ac`` beyond a relative 1e-6, raise.
     """
     if not a > 0.0:
         raise ValueError("zero residual: line search must not be invoked at a solution")
     if m < 1.0:
         raise ValueError(f"search interval must contain 1, got m={m}")
-    if b * b > a * c * (1.0 + 1e-6) + 1e-12 * max(a, c, 1.0) ** 2:
+    if b * b > a * c * (1.0 + 1e-6):
         raise ValueError(f"Cauchy-Schwarz violated: b^2={b * b:.3e} > ac={a * c:.3e}")
 
     def q(lam):
-        return 0.5 * ((1 - lam) ** 2 * a + 2 * lam**2 * (1 - lam) * b + lam**4 * c)
+        return 0.5 * quartic(a, b, c, lam)
 
     def dq(lam):
         return -a * (1 - lam) + b * (2 * lam - 3 * lam**2) + 2.0 * c * lam**3
@@ -256,13 +252,8 @@ def line_search_quartic(a: float, b: float, c: float, m: float) -> tuple[float, 
                 lam -= dq(lam) / curv
             if 0.0 < lam <= m:
                 candidates.append(lam)
-    candidates.sort()
-    best_lam, best_q = candidates[0], q(candidates[0])
-    for lam in candidates[1:]:
-        val = q(lam)
-        if val < best_q:
-            best_lam, best_q = lam, val
-    return best_lam, best_q
+    best = min(sorted(candidates), key=q)
+    return best, q(best)
 
 
 def cheap_step_rule(E: float, norm_rem: float, m: float) -> float:
@@ -277,23 +268,20 @@ def cheap_step_rule(E: float, norm_rem: float, m: float) -> float:
     return min(lam, 1.0, float(m))
 
 
-def _record(records, k, sqrt2e, lam, rel_inc, predicted, t0):
-    records.append(IterationRecord(k, float(sqrt2e), lam, rel_inc,
-                                   time.perf_counter() - t0, predicted))
-
-
-def _predicted_sqrt2e(a: float, b: float, c: float, lam: float) -> float:
-    """``sqrt(2E)`` after the step ``lam`` by the exact quartic of the
-    line search, ``sqrt((1-lam)^2 a + 2 lam^2 (1-lam) b + lam^4 c)``; a
-    negative rounding of the squared norm reads as zero."""
-    q = (1 - lam) ** 2 * a + 2 * lam**2 * (1 - lam) * b + lam**4 * c
-    return float(np.sqrt(max(q, 0.0)))
+# Each step policy maps the line-search scalars a, b, c and the search bound
+# m to a step.  The entries look the rules up when called, so a rule patched
+# on the module takes effect.
+_STEPS = {
+    "quartic": lambda a, b, c, m: line_search_quartic(a, b, c, m)[0],
+    "cheap": lambda a, b, c, m: cheap_step_rule(0.5 * a, np.sqrt(c), m),
+    "fixed1": lambda a, b, c, m: 1.0,
+}
+POLICIES = tuple(_STEPS)
 
 
 def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
                 *, variant: str = "E", tol: float = 1e-8, m: float = 2.0,
-                policy: str = "quartic", max_iter: int = MAX_OUTER_ITERATIONS,
-                on_iterate=None) -> NewtonResult:
+                policy: str = "quartic", max_iter: int = MAX_OUTER_ITERATIONS) -> NewtonResult:
     """Outer damped-Newton iteration on a prepared initial trajectory,
     driving the residual measure ``variant`` (E or Etilde) below ``tol``.
     A ``sqrt(2E)`` that is not finite, or past ``DIVERGENCE_FACTOR`` (read
@@ -304,8 +292,12 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
     ``line_search_failed`` and the rows so far.  A ``SolverError`` in the
     direction or remainder solves ends it as ``solver_failed``, or as
     ``diverged`` past ten times the first ``sqrt(2E)``, keeping its message.
+    A ``sqrt(2E)`` that has fallen, but by less than a relative
+    ``STALL_DROP``, over the last ``STALL_ITERATES`` iterates ends it as
+    ``stalled``, with a message that gives both values; one that has grown
+    is left to the divergence checks.
     """
-    if policy not in POLICIES:
+    if policy not in _STEPS:
         raise ValueError(f"unknown step policy '{policy}'")
     if policy == "quartic" and not m >= 1.0:
         raise ValueError(f"search interval must contain 1, got m={m}")
@@ -313,12 +305,10 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
         raise ValueError(f"unknown residual measure '{variant}', "
                          f"expected one of {VARIANTS}")
     represent, inner = _MEASURES[variant]
+    step_rule = _STEPS[policy]
     y = y0
     records: list[IterationRecord] = []
-    rel_inc: float | None = None
-    predicted: float | None = None
-    sqrt2e0 = None
-    error = None
+    rel_inc = predicted = sqrt2e0 = error = None
     k = 0
     while True:
         t0 = time.perf_counter()
@@ -328,47 +318,44 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
         sqrt2e = np.sqrt(a) if a >= 0 else np.nan
         if sqrt2e0 is None:
             sqrt2e0 = sqrt2e
+        past = records[-STALL_ITERATES].sqrt2E if k >= STALL_ITERATES else np.inf
+        outcome = lam = None
         if not np.isfinite(sqrt2e) or (k > 0 and sqrt2e > DIVERGENCE_FACTOR * sqrt2e0):
             outcome = "diverged"
         elif sqrt2e <= tol:
             outcome = "converged"
         elif k >= max_iter:
             outcome = "max_iterations"
+        elif (1 - STALL_DROP) * past < sqrt2e <= past:
+            outcome = "stalled"
+            error = (f"sqrt(2E) fell by less than a relative {STALL_DROP:g} over "
+                     f"{STALL_ITERATES} iterates: {past:.6e} at k = "
+                     f"{k - STALL_ITERATES}, {sqrt2e:.6e} at k = {k}")
         else:
-            outcome = None
             try:
                 direction = compute_direction(ops, y, defects)
                 r2 = represent(ops, _self_convection_loads(ops, direction))
             except SolverError as exc:
                 outcome = "diverged" if sqrt2e > 10.0 * sqrt2e0 else "solver_failed"
                 error = str(exc)
+            else:
+                b, c = inner(ops, r, r2), inner(ops, r2, r2)
+                try:
+                    lam = step_rule(a, b, c, m)
+                except ValueError:
+                    outcome = "line_search_failed"
+        if outcome is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                y_norm = np.sqrt(l2v_norm_sq(ops, y.values[1:]))
+                step = lam * np.sqrt(l2v_norm_sq(ops, direction.values[1:]))
+                next_rel = step / y_norm if y_norm > 0 else (0.0 if step == 0 else np.inf)
+                y_next = y.axpy(-lam, direction)
+        records.append(IterationRecord(k, float(sqrt2e), lam, rel_inc,
+                                       time.perf_counter() - t0, predicted))
         if outcome is not None:
-            _record(records, k, sqrt2e, None, rel_inc, predicted, t0)
             return NewtonResult(y, records, outcome, error=error)
-
-        b, c = inner(ops, r, r2), inner(ops, r2, r2)
-        bundle = CorrectorBundle(direction, a, b, c)
-        if policy == "quartic":
-            try:
-                lam, _ = line_search_quartic(a, b, c, m)
-            except ValueError:
-                _record(records, k, sqrt2e, None, rel_inc, predicted, t0)
-                return NewtonResult(y, records, "line_search_failed")
-        elif policy == "cheap":
-            lam = cheap_step_rule(0.5 * a, np.sqrt(c), m)
-        else:
-            lam = 1.0
-        if on_iterate is not None:
-            on_iterate(k, y, bundle, lam)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            y_norm = np.sqrt(l2v_norm_sq(ops, y.values[1:]))
-            step = lam * np.sqrt(l2v_norm_sq(ops, direction.values[1:]))
-            next_rel = step / y_norm if y_norm > 0 else (0.0 if step == 0 else np.inf)
-            y = y.axpy(-lam, direction)
-        _record(records, k, sqrt2e, lam, rel_inc, predicted, t0)
-        rel_inc = float(next_rel)
-        predicted = _predicted_sqrt2e(a, b, c, lam)
+        y, rel_inc = y_next, float(next_rel)
+        predicted = float(np.sqrt(max(quartic(a, b, c, lam), 0.0)))
         k += 1
 
 

@@ -6,6 +6,7 @@ from nslsq import newton
 from nslsq.fem import Space, build_space, convection_scalar_block
 from nslsq.linalg import SaddleFactorization, SaddlePattern, SolverError
 from nslsq.mesh import Mesh, generate_semidisk, generate_unit_square
+from nslsq.timestepping import FieldTrajectory
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +49,38 @@ def fail_second_call(monkeypatch, name: str, error: Exception):
         return original(*args)
 
     monkeypatch.setattr(newton, name, failing)
+
+
+def capture_steps(monkeypatch) -> list:
+    """Wrap ``newton.compute_direction`` and ``newton.line_search_quartic``
+    so that each quartic step of the outer loop appends
+    ``[y, direction, (a, b, c, lam)]`` to the returned list."""
+    steps = []
+    direction, search = newton.compute_direction, newton.line_search_quartic
+
+    def directing(ops, y, defects):
+        d = direction(ops, y, defects)
+        steps.append([y, d])
+        return d
+
+    def searching(a, b, c, m):
+        lam, q = search(a, b, c, m)
+        steps[-1].append((a, b, c, lam))
+        return lam, q
+
+    monkeypatch.setattr(newton, "compute_direction", directing)
+    monkeypatch.setattr(newton, "line_search_quartic", searching)
+    return steps
+
+
+def tenfold_start(space: Space, y: FieldTrajectory) -> FieldTrajectory:
+    """``y`` with levels 1..N at ten times their values and the lid rows
+    kept.  From the Stokes guess on the semi-disk (h = 0.2, T = 1, N = 10,
+    nu = 1/500) the damped iteration flattens at sqrt(2E) 0.8001."""
+    values = y.values.copy()
+    values[1:] *= 10.0
+    values[1:, space.dirichlet_dofs] = y.values[1:, space.dirichlet_dofs]
+    return FieldTrajectory(y.grid, values)
 
 
 def constant_field(space: Space, cx: float, cy: float) -> np.ndarray:

@@ -25,6 +25,7 @@ from nslsq.newton import (
     riesz_lift,
 )
 from nslsq.timestepping import FieldTrajectory, Operators, TimeGrid
+from conftest import capture_steps
 
 pytestmark = pytest.mark.slow
 
@@ -49,20 +50,15 @@ def desk():
 
 @pytest.fixture(scope="session")
 def run500(desk):
-    """Desk-scale nu=1/500 quartic run with the first three iterates and
-    their bundles captured for the identity criteria."""
+    """Desk-scale nu=1/500 quartic run with its steps captured
+    (``conftest.capture_steps``) for the identity criteria."""
     space, grid = desk
-    captured = {}
-
-    def grab(k, y, bundle, lam):
-        if k <= 2:
-            captured[k] = (y.copy(), bundle, lam)
-
     t0 = time.perf_counter()
-    res = damped_newton_solve(space, grid, 1 / 500, g=lid_profile, tol=TOL,
-                              on_iterate=grab)
+    with pytest.MonkeyPatch.context() as patch:
+        steps = capture_steps(patch)
+        res = damped_newton_solve(space, grid, 1 / 500, g=lid_profile, tol=TOL)
     wall = time.perf_counter() - t0
-    return res, captured, wall
+    return res, steps, wall
 
 
 def test_criterion_1_manufactured_rates():
@@ -88,31 +84,28 @@ def test_criterion_1_manufactured_rates():
 
 
 def test_criterion_2_descent_identity(run500):
-    res, captured, _ = run500
+    res, steps, _ = run500
     ops, loads = res.ops, res.loads
     rels = []
-    for k in (0, 1, 2):
-        y, bundle, _ = captured[k]
-        d = bundle.direction
+    for y, d, (a, _, _, _) in steps[:3]:
         y_norm = np.sqrt(newton.l2v_norm_sq(ops, y.values[1:]))
         d_norm = np.sqrt(newton.l2v_norm_sq(ops, d.values[1:]))
         eps = 1e-4 * y_norm / d_norm
         ep, _, _ = evaluate_energy(ops, y.axpy(eps, d), loads)
         em, _, _ = evaluate_energy(ops, y.axpy(-eps, d), loads)
         slope = (ep - em) / (2 * eps)
-        rels.append(abs(slope - bundle.v_norm_sq) / bundle.v_norm_sq)
+        rels.append(abs(slope - a) / a)
     criterion(2, "descent identity E'(y).dir = 2E at k=0,1,2",
               max(rels) <= 0.02, "rel errs " + str([f"{r:.2e}" for r in rels]))
 
 
 def test_criterion_3_line_search_chain(run500):
-    res, captured, _ = run500
+    res, steps, _ = run500
     ops, loads = res.ops, res.loads
-    y, bundle, _ = captured[1]
-    a, b, c = bundle.v_norm_sq, bundle.cross_inner, bundle.rem_norm_sq
+    y, d, (a, b, c, _) = steps[1]
     rels = []
     for lam in (0.3, 0.7, 1.0):
-        z = y.axpy(-lam, bundle.direction)
+        z = y.axpy(-lam, d)
         e_scratch, _, _ = evaluate_energy(ops, z, loads)
         q = 0.5 * ((1 - lam) ** 2 * a + 2 * lam**2 * (1 - lam) * b + lam**4 * c)
         rels.append(abs(e_scratch - q) / abs(q))
@@ -164,7 +157,7 @@ def test_criterion_5_damped_vs_plain_separation(desk):
 
 
 def test_criterion_6_table1_magnitude_anchor(run500):
-    res, captured, _ = run500
+    res, _, _ = run500
     s0 = res.records[0].sqrt2E
     lam0 = res.records[0].lam
     ok = 5e-3 <= s0 <= 1e-1 and 0.5 <= lam0 <= 1.0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nslsq import cli
+from nslsq import cli, newton
 from nslsq.cli import (
     ConfigError,
     ExperimentConfig,
@@ -15,7 +15,13 @@ from nslsq.cli import (
     write_vtk,
 )
 from nslsq.linalg import FILL_RATIO
-from conftest import LOOP_FAILURES, eliminate_dirichlet, fail_second_call, linear_field
+from conftest import (
+    LOOP_FAILURES,
+    eliminate_dirichlet,
+    fail_second_call,
+    linear_field,
+    tenfold_start,
+)
 
 MINIMAL = """\
 [experiment]
@@ -433,6 +439,31 @@ def test_main_line_search_failure_writes_outputs(tmp_path, monkeypatch, capsys):
         monkeypatch.undo()
 
 
+def test_main_stalled_run_writes_outputs(tmp_path, monkeypatch, capsys):
+    """A run whose descent flattens (``conftest.tenfold_start`` on the
+    semi-disk) ends as ``stalled``, exits 3 and writes its history and a
+    report that gives the outcome and the message."""
+    prepare = newton.prepare_problem
+
+    def tenfold(space, grid, nu, **kwargs):
+        ops, loads, y0 = prepare(space, grid, nu, **kwargs)
+        return ops, loads, tenfold_start(space, y0)
+
+    monkeypatch.setattr(newton, "prepare_problem", tenfold)
+    out = tmp_path / "stall"
+    cfg_path = tmp_path / "stall.ini"
+    cfg_path.write_text("[experiment]\ngeometry = semidisk\nh = 0.2\nT = 1\ndt = 0.1\n"
+                        f"nu = 1/500\noutdir = {out}\n")
+    assert main(["run", str(cfg_path)]) == 3
+    report = json.loads((out / "report.txt").read_text())
+    assert report["outcome"] == "stalled"
+    assert report["error"].startswith("sqrt(2E) fell by less than a relative")
+    printed = capsys.readouterr().out
+    assert "outcome: stalled" in printed and f"stalled: {report['error']}" in printed
+    rows = (out / "history.csv").read_text().splitlines()
+    assert len(rows) == len(report["records"]) + 1 > newton.STALL_ITERATES + 1
+
+
 def test_history_csv_truncates_on_divergence_schema():
     from nslsq.cli import write_history_csv
     from nslsq.newton import IterationRecord
@@ -443,6 +474,7 @@ def test_history_csv_truncates_on_divergence_schema():
 
     with tempfile.NamedTemporaryFile("r", suffix=".csv") as f:
         write_history_csv(recs, f.name)
-        lines = open(f.name).read().splitlines()
+        with open(f.name) as written:
+            lines = written.read().splitlines()
     assert lines[1].startswith("0,,") and lines[1].endswith("e-01")
     assert lines[2].split(",")[3] == ""

@@ -125,6 +125,19 @@ def test_read_reports_malformed_line():
         read_triangle_format(node, TWO_TRI_ELE, {2: Tag.WALL})
 
 
+def test_read_rejects_non_consecutive_ele_index():
+    """An .ele record index must follow its predecessor from the .node
+    file's base, as .node indices must."""
+    for bad in ("3 1 3 4", "0 1 3 4", "1 1 3 4"):
+        ele = TWO_TRI_ELE.replace("2 1 3 4", bad)
+        index = bad.split()[0]
+        with pytest.raises(ParseError, match=rf"^\.ele line 3: non-consecutive index {index}$"):
+            read_triangle_format(TWO_TRI_NODE, ele, {2: Tag.WALL})
+    first = TWO_TRI_ELE.replace("1 1 2 3", "0 1 2 3")
+    with pytest.raises(ParseError, match=r"^\.ele line 2: non-consecutive index 0$"):
+        read_triangle_format(TWO_TRI_NODE, first, {2: Tag.WALL})
+
+
 def test_read_rejects_unmapped_marker():
     with pytest.raises(ParseError, match="marker"):
         read_triangle_format(TWO_TRI_NODE, TWO_TRI_ELE, {1: Tag.LID})

@@ -26,7 +26,7 @@ from nslsq.newton import (
     riesz_lift,
 )
 from nslsq.timestepping import FieldTrajectory, Operators, TimeGrid, sweep
-from conftest import LOOP_FAILURES, fail_second_call
+from conftest import LOOP_FAILURES, capture_steps, fail_second_call, tenfold_start
 
 NU = 0.1
 
@@ -77,6 +77,14 @@ def test_quartic_rejects_zero_residual():
 def test_quartic_rejects_small_interval():
     with pytest.raises(ValueError, match="interval"):
         line_search_quartic(1.0, 0.0, 1.0, 0.5)
+
+
+def test_quartic_rejects_cauchy_schwarz_break_at_any_scale():
+    """b^2 > ac is rejected beyond a relative slack only, so scalars far
+    below one are checked too: here b^2 = 4e-30 against ac = 1e-30."""
+    with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+        line_search_quartic(1e-10, 2e-15, 1e-20, 2.0)
+    line_search_quartic(1e-10, 1e-15, 1e-20, 2.0)  # b^2 = ac is allowed
 
 
 @settings(max_examples=200, deadline=None)
@@ -399,28 +407,21 @@ def _functional_from_scratch(ops, y, loads, variant):
     return 0.5 * newton.l2v_norm_sq(ops, newton.residual_lift(ops, y, loads))
 
 
-def test_line_search_truth_at_accepted_steps(setup):
+def test_line_search_truth_at_accepted_steps(setup, monkeypatch):
     """From-scratch functional at every accepted step equals the quartic
     prediction (the whole algebraic chain at once), for both measures.
     Both measures take the same Newton direction from the same iterate."""
     space, grid, ops, loads, y0 = setup
     first_directions = []
     for variant in VARIANTS:
-        checks = []
-
-        def grab(k, y, bundle, lam):
-            if k == 0:
-                first_directions.append(bundle.direction.values)
-            q = 0.5 * ((1 - lam) ** 2 * bundle.v_norm_sq
-                       + 2 * lam**2 * (1 - lam) * bundle.cross_inner
-                       + lam**4 * bundle.rem_norm_sq)
-            e_scratch = _functional_from_scratch(
-                ops, y.axpy(-lam, bundle.direction), loads, variant)
-            checks.append((e_scratch, q))
-
-        res = newton_loop(ops, y0, loads, variant=variant, on_iterate=grab)
-        assert res.converged and len(checks) >= 3, variant
-        for e_scratch, q in checks:
+        with monkeypatch.context() as patch:
+            steps = capture_steps(patch)
+            res = newton_loop(ops, y0, loads, variant=variant)
+        assert res.converged and len(steps) >= 3, variant
+        first_directions.append(steps[0][1].values)
+        for y, direction, (a, b, c, lam) in steps:
+            q = 0.5 * ((1 - lam) ** 2 * a + 2 * lam**2 * (1 - lam) * b + lam**4 * c)
+            e_scratch = _functional_from_scratch(ops, y.axpy(-lam, direction), loads, variant)
             assert e_scratch == pytest.approx(q, rel=1e-6, abs=1e-24), variant
     assert np.array_equal(*first_directions)
 
@@ -498,6 +499,30 @@ def test_divergence_detection_reports_not_crashes(setup, monkeypatch):
         # with a factor this tight the first growth of sqrt2E must report
         if res.outcome == "diverged":
             assert res.records[-1].lam is None
+
+
+def test_flattened_descent_ends_as_stalled():
+    """From ten times the Stokes guess (``conftest.tenfold_start``) the
+    damped iteration flattens.  The loop ends as ``stalled`` at the first
+    iterate whose sqrt(2E) has fallen, but by less than a relative
+    STALL_DROP, over STALL_ITERATES iterates, keeping every row and naming
+    the stall."""
+    space = build_space(generate_semidisk(0.2))
+    ops, loads, y0 = prepare_problem(space, TimeGrid(1.0, 10), 1 / 500, g=cli.lid_profile)
+    res = newton_loop(ops, tenfold_start(space, y0), loads, max_iter=40)
+    rows, span = res.records, newton.STALL_ITERATES
+    assert res.outcome == "stalled" and not res.converged
+    assert [r.k for r in rows] == list(range(len(rows)))
+    assert all(r.lam is not None for r in rows[:-1]) and rows[-1].lam is None
+
+    def flat(k):
+        past = rows[k - span].sqrt2E
+        return (1 - newton.STALL_DROP) * past < rows[k].sqrt2E <= past
+
+    assert flat(len(rows) - 1) and not any(flat(k) for k in range(span, len(rows) - 1))
+    assert res.error.startswith(f"sqrt(2E) fell by less than a relative "
+                                f"{newton.STALL_DROP:g} over {span} iterates")
+    assert res.error.endswith(f"{rows[-1].sqrt2E:.6e} at k = {rows[-1].k}")
 
 
 def test_iteration_cap(setup):
