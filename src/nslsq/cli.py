@@ -15,7 +15,7 @@ import math
 import resource
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,9 +79,7 @@ class ExperimentConfig:
             if any(b >= a for a, b in zip(self.schedule[:-1], self.schedule[1:])):
                 raise ConfigError(
                     f"schedule must be strictly decreasing, got {self.schedule}")
-            if abs(self.schedule[-1] - self.nu) > 1e-15:
-                # the configured nu is the target (last) viscosity
-                self.nu = self.schedule[-1]
+            self.nu = self.schedule[-1]  # the target viscosity is the last
         for key in ("h", "T", "dt", "nu", "tol", "m"):
             value = getattr(self, key)
             ok = value >= 1.0 if key == "m" else value > 0.0
@@ -96,6 +94,8 @@ class ExperimentConfig:
         ratio = self.T / self.dt
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ConfigError(f"dt={self.dt} does not divide T={self.T}")
+        if not self.outdir:
+            raise ConfigError("bad value for key 'outdir': empty")
         for t in self.snapshots:
             if not (0.0 <= t <= self.T):
                 raise ConfigError(f"snapshot time {t} outside [0, {self.T}]")
@@ -114,25 +114,18 @@ def _parse_number(text: str) -> float:
     return float(text)
 
 
-_PARSERS = {
-    "geometry": str.strip,
-    "h": _parse_number,
-    "T": _parse_number,
-    "dt": _parse_number,
-    "nu": _parse_number,
-    "m": _parse_number,
-    "tol": _parse_number,
-    "policy": str.strip,
-    "variant": str.strip,
-    "schedule": lambda s: [_parse_number(p) for p in s.split(",") if p.strip()],
-    "outdir": str.strip,
-    "snapshots": lambda s: [_parse_number(p) for p in s.split(",") if p.strip()],
-}
-
-
 def _parse_value(key: str, raw: str):
+    """Parse ``raw`` by the type of the ``ExperimentConfig`` field ``key``:
+    text, a comma list of numbers, or a number."""
+    kind = {f.name: f.type for f in fields(ExperimentConfig)}.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown key '{key}'")
     try:
-        return _PARSERS[key](raw)
+        if kind == "str":
+            return raw.strip()
+        if kind.startswith("list"):
+            return [_parse_number(p) for p in raw.split(",") if p.strip()]
+        return _parse_number(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad value for key '{key}': {raw!r} ({exc})") from exc
 
@@ -148,12 +141,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"bad config syntax: {exc}") from exc
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
-    values = {}
-    for key, raw in parser["experiment"].items():
-        if key not in _PARSERS:
-            raise ConfigError(f"unknown key '{key}'")
-        values[key] = _parse_value(key, raw)
-    return ExperimentConfig(**values)
+    return ExperimentConfig(**{key: _parse_value(key, raw)
+                               for key, raw in parser["experiment"].items()})
 
 
 @dataclass
@@ -192,14 +181,18 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def _square_cells(h: float) -> int:
+    """Cells per side of the unit-square mesh of size ``h``."""
+    return max(1, round(1.0 / h))
+
+
 def build_mesh(config: ExperimentConfig) -> Mesh:
     if config.geometry == "semidisk":
         return generate_semidisk(config.h)
     if config.geometry == "unit_square":
-        return generate_unit_square(max(1, round(1.0 / config.h)))
-    prefix = Path(config.geometry)
-    node = prefix.with_suffix(".node")
-    ele = prefix.with_suffix(".ele")
+        return generate_unit_square(_square_cells(config.h))
+    node = Path(config.geometry + ".node")
+    ele = Path(config.geometry + ".ele")
     if not node.exists() or not ele.exists():
         raise ConfigError(f"external mesh '{config.geometry}': missing "
                           f"{node.name} or {ele.name}")
@@ -302,21 +295,22 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     grid = config.grid
     write_mesh(mesh, outdir)
 
+    loop = {"tol": config.tol, "m": config.m, "policy": config.policy}
     rate = None
     errors = None
     if config.geometry == "unit_square":
-        result, rate, errors = _run_manufactured(config, space, grid)
+        levels = manufactured_levels(config, space, grid, 2)
+        result = levels[0][0]
+        errors = [error for _, error in levels]
+        rate = float(np.log2(errors[0] / errors[1]))
     elif config.schedule is not None:
-        stages = continuation_in_nu(
-            space, grid, config.schedule, g=lid_profile, variant=config.variant,
-            tol=config.tol, m=config.m, policy=config.policy)
+        stages = continuation_in_nu(space, grid, config.schedule, g=lid_profile,
+                                    variant=config.variant, **loop)
         for i, (nu, res) in enumerate(stages):
             write_history_csv(res.records, outdir / f"history_stage{i}.csv")
         result = stages[-1][1]
     else:
-        solver = _solver_for(config)
-        result = solver(space, grid, config.nu, g=lid_profile, tol=config.tol,
-                        m=config.m, policy=config.policy)
+        result = _solver_for(config)(space, grid, config.nu, g=lid_profile, **loop)
 
     write_history_csv(result.records, outdir / "history.csv")
     _write_snapshots(config, space, grid, result, outdir)
@@ -344,24 +338,27 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     return report
 
 
-def _run_manufactured(config: ExperimentConfig, space: Space, grid: TimeGrid):
-    """Unit-square manufactured-forcing run plus one coupled refinement
-    (h/2, dt/4) to measure the combined convergence rate."""
+def manufactured_levels(config: ExperimentConfig, space: Space, grid: TimeGrid,
+                        levels: int) -> list[tuple[NewtonResult, float]]:
+    """Solve the manufactured problem at ``config.nu`` on ``space`` and
+    ``grid`` (the unit square of mesh size ``config.h``), then on
+    ``levels - 1`` coupled refinements, each halving h and quartering dt,
+    so the O(h^2 + dt) error falls fourfold per level.  Returns each
+    level's result and its L2(0,T;V) error.  The functional and the loop
+    settings are ``config``'s."""
     solver = _solver_for(config)
-    n_base = max(1, round(1.0 / config.h))
-    errors = []
-    result = None
-    for n, steps in ((n_base, grid.N), (2 * n_base, 4 * grid.N)):
-        sp = space if n == n_base else build_space(generate_unit_square(n))
-        gr = TimeGrid(config.T, steps)
-        res = solver(sp, gr, config.nu, f=mf.forcing(config.nu),
+    cells = _square_cells(config.h)
+    out = []
+    for level in range(levels):
+        if level:
+            space = build_space(generate_unit_square(cells * 2**level))
+            grid = TimeGrid(grid.T, 4 * grid.N)
+        res = solver(space, grid, config.nu, f=mf.forcing(config.nu),
                      u0=lambda x: mf.exact_velocity(x, 0.0), tol=config.tol,
                      m=config.m, policy=config.policy)
-        errors.append(float(np.sqrt(mf.l2v_error_sq(sp, gr, res.trajectory.values))))
-        if result is None:
-            result = res
-    rate = float(np.log2(errors[0] / errors[1]))
-    return result, rate, errors
+        error = np.sqrt(mf.l2v_error_sq(space, grid, res.trajectory.values))
+        out.append((res, float(error)))
+    return out
 
 
 def _write_snapshots(config, space, grid, result: NewtonResult, outdir: Path):
@@ -402,16 +399,11 @@ def main(argv=None) -> int:
             print(f"wrote {Path(args.out) / 'mesh.node'} ({mesh.n_vertices} "
                   f"vertices, {mesh.n_triangles} triangles)")
             return 0
-        config = parse_config(Path(args.config).read_text())
-        if args.policy:
-            config.policy = args.policy
-        if args.variant:
-            config.variant = args.variant
-        if args.schedule is not None:
-            config.schedule = _parse_value("schedule", args.schedule)
-        if args.out:
-            config.outdir = args.out
-        config.__post_init__()  # re-validate overrides
+        overrides = {"policy": args.policy, "variant": args.variant,
+                     "schedule": args.schedule, "outdir": args.out}
+        config = replace(parse_config(Path(args.config).read_text()),
+                         **{key: _parse_value(key, raw)
+                            for key, raw in overrides.items() if raw is not None})
         report = run_experiment(config)
     except (ValueError, SolverError, OSError) as exc:
         # ConfigError, MeshError, and ParseError are ValueErrors

@@ -9,10 +9,11 @@ Stokes-type ``K`` operators share one pattern and are factorized once
 per run, for every time level and outer iterate, together: each is a
 fresh LU on its own, equal minimum-degree ordering, made side by side.
 The linearized Navier-Stokes operator of the direction sweep has a
-pattern of its own, shared by every viscosity, and every linearized LU
-after a run's first takes the ordering that pattern holds.  It is
-assembled at every level; ``_direction_level`` decides which levels it
-is factorized on.
+pattern of its own, shared by every viscosity.  A run's first linearized
+LU computes its ordering, the second may be the fill rule's symmetric
+trial (``Operators``), and every later one takes the ordering that
+pattern holds.  The operator is assembled at every level;
+``_direction_level`` decides which levels it is factorized on.
 """
 
 from __future__ import annotations

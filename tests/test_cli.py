@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -44,6 +45,22 @@ def test_parse_schedule():
     cfg = parse_config(MINIMAL + "schedule = 1/500, 1/1000\n")
     assert cfg.schedule == [pytest.approx(1 / 500), pytest.approx(1 / 1000)]
     assert cfg.nu == pytest.approx(1 / 1000)  # target viscosity is the last
+
+
+def test_every_key_round_trips():
+    """Every ``ExperimentConfig`` key, each set off its default and written
+    as INI text, parses back to the same config."""
+    want = ExperimentConfig(geometry="meshes/disk", h=0.1, T=1.0, dt=0.25, nu=0.01,
+                            m=1.5, tol=1e-6, policy="cheap", variant="Etilde",
+                            schedule=[0.02, 0.01], outdir="elsewhere",
+                            snapshots=[0.5, 1.0])
+    default = ExperimentConfig()
+    lines = ["[experiment]"]
+    for key, value in asdict(want).items():
+        assert value != getattr(default, key), key
+        text = ", ".join(map(repr, value)) if isinstance(value, list) else value
+        lines.append(f"{key} = {text}")
+    assert parse_config("\n".join(lines) + "\n") == want
 
 
 def test_parse_rejects_unknown_key():
@@ -325,14 +342,16 @@ def test_determinism_bit_identical_history(tmp_path):
 
 
 def test_run_external_mesh_round_trip(tmp_path):
+    """The prefix may hold a dot, as a mesh size gives one: the mesh is
+    read from ``<prefix>.node`` and ``<prefix>.ele``."""
     from nslsq.cli import build_mesh
     from nslsq.mesh import generate_semidisk, write_triangle_format
 
     mesh = generate_semidisk(0.2)
     node, ele = write_triangle_format(mesh)
-    (tmp_path / "disk.node").write_text(node)
-    (tmp_path / "disk.ele").write_text(ele)
-    cfg = ExperimentConfig(geometry=str(tmp_path / "disk"), T=0.2, dt=0.1,
+    (tmp_path / "disk_h0.2.node").write_text(node)
+    (tmp_path / "disk_h0.2.ele").write_text(ele)
+    cfg = ExperimentConfig(geometry=str(tmp_path / "disk_h0.2"), T=0.2, dt=0.1,
                            nu=0.01, outdir=str(tmp_path / "out"))
     back = build_mesh(cfg)
     assert back.n_triangles == mesh.n_triangles
@@ -379,6 +398,14 @@ def test_main_error_exit_code(tmp_path, capsys):
     rc = main(["run", str(cfg_path), "--schedule", ","])
     assert rc == 1
     assert "key 'schedule'" in capsys.readouterr().err
+    # an override is checked as the config key is
+    rc = main(["run", str(cfg_path), "--schedule", "1/500, 1/400"])
+    assert rc == 1
+    assert "decreasing" in capsys.readouterr().err
+    # an empty output directory is refused, not read as the current one
+    rc = main(["run", str(cfg_path), "--out", ""])
+    assert rc == 1
+    assert "key 'outdir'" in capsys.readouterr().err
     # a mesh size the generator rejects, and one that is not positive
     for geometry, h in (("semidisk", "0.7"), ("unit_square", "0")):
         rc = main(["mesh", geometry, "--h", h, "--out", str(tmp_path / "m")])

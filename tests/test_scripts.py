@@ -129,6 +129,18 @@ def test_bench_pairs_reports_unscaled_ratios(monkeypatch, capsys):
         "solve_s", "peak_rss_mb"}
 
 
+def test_convergence_study_prints_levels_and_rate(capsys):
+    """Two coupled levels print one row each, then the fitted rate in h."""
+    study = _load(SCRIPTS[0].parent / "convergence_study.py")
+    study.main(["--levels", "2", "--n0", "2", "--steps0", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[1:] if line and not line.startswith("fitted")]
+    assert [row[0] for row in rows] == ["2", "4"]
+    assert rows[0][3] == "-" and math.isfinite(float(rows[1][3]))
+    assert lines[-1].startswith("fitted rate in h: ")
+    assert math.isfinite(float(lines[-1].split()[4]))
+
+
 CONFIGS = sorted((SCRIPTS[0].parent.parent / "configs").glob("*.ini"))
 
 
