@@ -25,7 +25,6 @@ from .fem import Space, build_space, vorticity_load
 from .linalg import EliminatedPattern, SolverError
 from .mesh import (
     Mesh,
-    Tag,
     generate_semidisk,
     generate_unit_square,
     read_triangle_format,
@@ -196,8 +195,7 @@ def build_mesh(config: ExperimentConfig) -> Mesh:
     if not node.exists() or not ele.exists():
         raise ConfigError(f"external mesh '{config.geometry}': missing "
                           f"{node.name} or {ele.name}")
-    return read_triangle_format(node.read_text(), ele.read_text(),
-                                {0: Tag.WALL, 1: Tag.LID, 2: Tag.WALL})
+    return read_triangle_format(node.read_text(), ele.read_text())
 
 
 def stream_function(space: Space, u: np.ndarray) -> np.ndarray:

@@ -94,6 +94,8 @@ class Mesh:
 
     def _validate(self):
         nv = self.n_vertices
+        if not self.n_triangles:
+            raise MeshError("empty triangulation: the mesh has no triangles")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("non-finite vertex coordinates")
         if self.triangles.min(initial=0) < 0 or self.triangles.max(initial=-1) >= nv:
@@ -246,62 +248,69 @@ def edge_lengths(mesh: Mesh) -> np.ndarray:
     return np.hypot(d[:, 0], d[:, 1])
 
 
-def _records(text: str):
-    """Yield (line_number, fields) for non-comment, non-blank lines."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+def _table(text: str, name: str, kind: str, size: int):
+    """Yield the line number and ``size`` integers of a Triangle table's
+    header, then its records as (line number, fields); the caller checks
+    the header before it takes a record.
 
-
-def _no_records_past(records, name: str, declared: str):
-    """Raise on the first record left after the ``declared`` ones."""
+    Comments (``#`` on) and blank lines are skipped.  The header's first
+    integer counts the records, and a record is an index and the columns
+    the rest of the header declares.  ParseError names the file ``name``,
+    the line and the ``kind`` of record.
+    """
+    lines = (line.split("#", 1)[0].split() for line in text.splitlines())
+    records = ((n, fields) for n, fields in enumerate(lines, start=1) if fields)
+    lineno, header = next(records, (None, None))
+    if header is None:
+        raise ParseError(f"{name}: empty file")
+    try:
+        values = [int(x) for x in header]
+    except ValueError:
+        values = []
+    if len(values) != size:
+        raise ParseError(f"{name} line {lineno}: bad header {header!r}")
+    count, width = values[0], 1 + sum(values[1:])
+    if count < 0:
+        raise ParseError(f"{name} line {lineno}: negative {kind} count {count}")
+    yield lineno, values
+    for k in range(count):
+        lineno, fields = next(records, (None, None))
+        if fields is None:
+            raise ParseError(f"{name}: expected {count} {kind} records, got {k}")
+        if len(fields) != width:
+            raise ParseError(f"{name} line {lineno}: expected {width} fields")
+        yield lineno, fields
     lineno, _ = next(records, (None, None))
     if lineno is not None:
-        raise ParseError(f"{name} line {lineno}: record past the declared {declared}")
+        raise ParseError(f"{name} line {lineno}: record past the declared "
+                         f"{count} {kind} records")
 
 
-def read_triangle_format(
-    node_text: str, ele_text: str, boundary_tag_map: dict[int, Tag]
-) -> Mesh:
+def read_triangle_format(node_text: str, ele_text: str) -> Mesh:
     """Parse Triangle ``.node``/``.ele`` texts (2D, attribute-free subset).
 
-    Vertex boundary markers are mapped to tags through boundary_tag_map;
-    a boundary edge gets the tag of the larger of its endpoint markers.
+    Vertex boundary markers are ``Tag`` values, as ``write_triangle_format``
+    writes them, or 0 for an unmarked vertex; a file without a marker
+    column marks none.  A boundary edge gets the larger of its endpoint
+    markers, and an edge between two unmarked vertices is WALL.
     Clockwise triangles are reordered.  Raises ParseError with the
     offending line number, also for a record past a header's count and
     for a ``.node`` or ``.ele`` index that does not follow its predecessor.
     """
-    records = _records(node_text)
-    try:
-        lineno, header = next(records)
-    except StopIteration:
-        raise ParseError(".node: empty file") from None
-    try:
-        nv, dim, nattr, nmark = (int(x) for x in header)
-    except ValueError:
-        raise ParseError(f".node line {lineno}: bad header {header!r}") from None
-    if nv < 0:
-        raise ParseError(f".node line {lineno}: negative vertex count {nv}")
+    rows = _table(node_text, ".node", "vertex", 4)
+    lineno, (nv, dim, nattr, nmark) = next(rows)
     if dim != 2 or nattr != 0:
         raise ParseError(f".node line {lineno}: only 2D attribute-free files supported")
     if nmark not in (0, 1):
         raise ParseError(f".node line {lineno}: boundary marker count must be 0 or 1")
-
     vertices = np.zeros((nv, 2))
     markers = np.zeros(nv, dtype=np.int64)
     base = 0  # with no vertices, every .ele index is out of range
-    for k in range(nv):
-        try:
-            lineno, fields = next(records)
-        except StopIteration:
-            raise ParseError(f".node: expected {nv} vertex records, got {k}") from None
-        if len(fields) != 3 + nmark:
-            raise ParseError(f".node line {lineno}: expected {3 + nmark} fields")
+    for k, (lineno, fields) in enumerate(rows):
         try:
             idx = int(fields[0])
-            x, y = float(fields[1]), float(fields[2])
-            mark = int(fields[3]) if nmark else 0
+            vertices[k] = float(fields[1]), float(fields[2])
+            markers[k] = int(fields[3]) if nmark else 0
         except ValueError:
             raise ParseError(f".node line {lineno}: malformed record") from None
         if k == 0:
@@ -310,35 +319,16 @@ def read_triangle_format(
             base = idx
         if idx - base != k:
             raise ParseError(f".node line {lineno}: non-consecutive index {idx}")
-        vertices[k] = (x, y)
-        markers[k] = mark
-    _no_records_past(records, ".node", f"{nv} vertex records")
 
-    records = _records(ele_text)
-    try:
-        lineno, header = next(records)
-    except StopIteration:
-        raise ParseError(".ele: empty file") from None
-    try:
-        nt, per_tri, nattr = (int(x) for x in header)
-    except ValueError:
-        raise ParseError(f".ele line {lineno}: bad header {header!r}") from None
-    if nt < 0:
-        raise ParseError(f".ele line {lineno}: negative triangle count {nt}")
+    rows = _table(ele_text, ".ele", "triangle", 3)
+    lineno, (nt, per_tri, nattr) = next(rows)
     if per_tri != 3 or nattr != 0:
         raise ParseError(f".ele line {lineno}: only 3-node attribute-free triangles supported")
-
     triangles = np.zeros((nt, 3), dtype=np.int64)
-    for k in range(nt):
-        try:
-            lineno, fields = next(records)
-        except StopIteration:
-            raise ParseError(f".ele: expected {nt} triangle records, got {k}") from None
-        if len(fields) != 4:
-            raise ParseError(f".ele line {lineno}: expected 4 fields")
+    for k, (lineno, fields) in enumerate(rows):
         try:
             idx = int(fields[0])
-            tri = [int(f) - base for f in fields[1:4]]
+            tri = [int(f) - base for f in fields[1:]]
         except ValueError:
             raise ParseError(f".ele line {lineno}: malformed record") from None
         if min(tri) < 0 or max(tri) >= nv:
@@ -346,17 +336,15 @@ def read_triangle_format(
         if idx - base != k:
             raise ParseError(f".ele line {lineno}: non-consecutive index {idx}")
         triangles[k] = tri
-    _no_records_past(records, ".ele", f"{nt} triangle records")
 
     triangles = _oriented(vertices, triangles)
     edges = _boundary_of(*unique_edges(triangles))
-    tags = []
-    for i, j in edges.tolist():
-        mark = int(max(markers[i], markers[j]))
-        if mark not in boundary_tag_map:
-            raise ParseError(f"boundary edge ({i},{j}) has unmapped marker {mark}")
-        tags.append(boundary_tag_map[mark])
-    return Mesh(vertices, triangles, edges, np.array(tags))
+    marks = markers[edges].max(axis=1)
+    unknown = np.flatnonzero(~np.isin(marks, [0, *Tag]))
+    if len(unknown):
+        (i, j), mark = edges[unknown[0]].tolist(), marks[unknown[0]]
+        raise ParseError(f"boundary edge ({i},{j}) has unmapped marker {mark}")
+    return Mesh(vertices, triangles, edges, np.where(marks == 0, Tag.WALL, marks))
 
 
 def write_triangle_format(mesh: Mesh) -> tuple[str, str]:

@@ -36,6 +36,7 @@ from .timestepping import (
     FieldTrajectory,
     Operators,
     TimeGrid,
+    checked_viscosity,
     lift,
     steady_stokes_initial,
     sweep,
@@ -442,8 +443,9 @@ def residual_variant_solve(space: Space, grid: TimeGrid, nu: float,
 def continuation_in_nu(space: Space, grid: TimeGrid, schedule, *,
                        variant: str = "E", **kwargs) -> list[tuple[float, NewtonResult]]:
     """Solve at each viscosity of a strictly decreasing schedule, warm
-    starting from the previous converged trajectory."""
-    schedule = [float(s) for s in schedule]
+    starting from the previous converged trajectory.  Every viscosity is
+    checked before the first stage is solved."""
+    schedule = [checked_viscosity(float(s)) for s in schedule]
     if not schedule:
         raise ValueError("empty viscosity schedule")
     if any(b >= a for a, b in zip(schedule[:-1], schedule[1:])):

@@ -43,8 +43,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"T must be finite and positive, got {self.T}")
 
     @property
     def dt(self) -> float:
@@ -52,6 +52,13 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.N + 1)
+
+
+def checked_viscosity(nu: float) -> float:
+    """``nu`` if it is a finite positive viscosity, else ValueError."""
+    if not (np.isfinite(nu) and nu > 0):
+        raise ValueError(f"viscosity must be finite and positive, got {nu}")
+    return nu
 
 
 class FieldTrajectory:
@@ -164,11 +171,9 @@ class Operators:
     """
 
     def __init__(self, space: Space, grid: TimeGrid, nu: float):
-        if nu <= 0:
-            raise ValueError(f"viscosity must be positive, got {nu}")
         self.space = space
         self.grid = grid
-        self.nu = nu
+        self.nu = checked_viscosity(nu)
         self.M = fem.assemble_mass(space)
         self.K = fem.assemble_stiffness(space)
         self.B = fem.assemble_divergence(space)
@@ -186,10 +191,10 @@ class Operators:
 
     def with_nu(self, nu: float) -> "Operators":
         """Share assembled matrices, factorizations and the linearized
-        pattern, swap nu."""
+        pattern, swap nu (checked as ``__init__`` checks it)."""
         other = object.__new__(Operators)
         other.__dict__.update(self.__dict__)
-        other.nu = nu
+        other.nu = checked_viscosity(nu)
         other._a_values = (self.M / self.grid.dt).data + nu * self.K.data
         return other
 

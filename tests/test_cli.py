@@ -431,6 +431,18 @@ def test_main_run_rejects_mesh_with_unused_vertex(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: vertex {nv} belongs to no triangle\n"
 
 
+def test_main_run_rejects_empty_triangulation(tmp_path, capsys):
+    """A Triangle mesh with no triangles stops at the mesh with that
+    reason, not at the lid data it has no boundary for."""
+    (tmp_path / "none.node").write_text("0 2 0 1\n")
+    (tmp_path / "none.ele").write_text("0 3 0\n")
+    cfg_path = tmp_path / "none.ini"
+    cfg_path.write_text(f"[experiment]\ngeometry = {tmp_path / 'none'}\nT = 0.2\n"
+                        f"dt = 0.1\nnu = 0.1\noutdir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: empty triangulation: the mesh has no triangles\n"
+
+
 def test_main_diverged_exit_code(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(TINY + f"outdir = {tmp_path / 'd'}\n")

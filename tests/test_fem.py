@@ -375,7 +375,7 @@ def _read_zero_based_clockwise(mesh):
     ele = "\n".join([ele.splitlines()[0]] + [
         f"{k} {a} {c} {b}" if k % 2 else f"{k} {a} {b} {c}"
         for k, a, b, c in tris]) + "\n"
-    return read_triangle_format(node, ele, {1: Tag.LID, 2: Tag.WALL})
+    return read_triangle_format(node, ele)
 
 
 @pytest.mark.parametrize("make", [

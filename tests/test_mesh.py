@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,7 +103,7 @@ def test_semidisk_rejects_bad_h():
 
 
 def test_read_two_triangle_file():
-    mesh = read_triangle_format(TWO_TRI_NODE, TWO_TRI_ELE, {2: Tag.WALL})
+    mesh = read_triangle_format(TWO_TRI_NODE, TWO_TRI_ELE)
     assert mesh.n_triangles == 2
     assert len(mesh.boundary_edges) == 4
     assert (mesh.areas() > 0).all()
@@ -109,20 +111,20 @@ def test_read_two_triangle_file():
 
 def test_read_fixes_clockwise_triangle():
     ele = "2 3 0\n1 1 3 2\n2 1 3 4\n"
-    mesh = read_triangle_format(TWO_TRI_NODE, ele, {2: Tag.WALL})
+    mesh = read_triangle_format(TWO_TRI_NODE, ele)
     assert (mesh.areas() > 0).all()
 
 
 def test_read_reports_out_of_range_index():
     ele = "2 3 0\n1 1 2 3\n2 1 3 9\n"
     with pytest.raises(ParseError, match="line 3"):
-        read_triangle_format(TWO_TRI_NODE, ele, {2: Tag.WALL})
+        read_triangle_format(TWO_TRI_NODE, ele)
 
 
 def test_read_reports_malformed_line():
     node = TWO_TRI_NODE.replace("2 1.0 0.0 2", "2 1.0 oops 2")
     with pytest.raises(ParseError, match="line 3"):
-        read_triangle_format(node, TWO_TRI_ELE, {2: Tag.WALL})
+        read_triangle_format(node, TWO_TRI_ELE)
 
 
 def test_read_rejects_non_consecutive_ele_index():
@@ -132,27 +134,41 @@ def test_read_rejects_non_consecutive_ele_index():
         ele = TWO_TRI_ELE.replace("2 1 3 4", bad)
         index = bad.split()[0]
         with pytest.raises(ParseError, match=rf"^\.ele line 3: non-consecutive index {index}$"):
-            read_triangle_format(TWO_TRI_NODE, ele, {2: Tag.WALL})
+            read_triangle_format(TWO_TRI_NODE, ele)
     first = TWO_TRI_ELE.replace("1 1 2 3", "0 1 2 3")
     with pytest.raises(ParseError, match=r"^\.ele line 2: non-consecutive index 0$"):
-        read_triangle_format(TWO_TRI_NODE, first, {2: Tag.WALL})
+        read_triangle_format(TWO_TRI_NODE, first)
 
 
 def test_read_rejects_unmapped_marker():
-    with pytest.raises(ParseError, match="marker"):
-        read_triangle_format(TWO_TRI_NODE, TWO_TRI_ELE, {1: Tag.LID})
+    """Markers are Tag values or 0; a boundary edge with a larger endpoint
+    marker than any tag is rejected."""
+    node = TWO_TRI_NODE.replace("2 1.0 0.0 2", "2 1.0 0.0 3")
+    with pytest.raises(ParseError, match=r"^boundary edge \(0,1\) has unmapped marker 3$"):
+        read_triangle_format(node, TWO_TRI_ELE)
+
+
+def test_read_takes_markers_as_tags():
+    """Marker 1 is the lid and 2 a wall; an edge between two unmarked
+    vertices is a wall."""
+    node = "4 2 0 1\n1 0.0 0.0 1\n2 1.0 0.0 1\n3 1.0 1.0 0\n4 0.0 1.0 0\n"
+    mesh = read_triangle_format(node, TWO_TRI_ELE)
+    tags = dict(zip(map(tuple, mesh.boundary_edges.tolist()), mesh.boundary_tags.tolist()))
+    assert tags == {(0, 1): Tag.LID, (1, 2): Tag.LID, (2, 3): Tag.WALL, (0, 3): Tag.LID}
 
 
 def test_write_read_round_trip_bit_stable():
-    mesh = generate_semidisk(0.11)
-    node, ele = write_triangle_format(mesh)
-    back = read_triangle_format(node, ele, {1: Tag.LID, 2: Tag.WALL})
-    assert np.array_equal(mesh.vertices, back.vertices)
-    assert np.array_equal(mesh.triangles, back.triangles)
-    assert np.array_equal(mesh.boundary_edges, back.boundary_edges)
-    assert np.array_equal(mesh.boundary_tags, back.boundary_tags)
-    node2, ele2 = write_triangle_format(back)
-    assert node2 == node and ele2 == ele
+    """Both generators' meshes, the semi-disk with lid and wall markers and
+    the all-wall unit square, read back bit for bit."""
+    for mesh in (generate_semidisk(0.11), generate_unit_square(3)):
+        node, ele = write_triangle_format(mesh)
+        back = read_triangle_format(node, ele)
+        assert np.array_equal(mesh.vertices, back.vertices)
+        assert np.array_equal(mesh.triangles, back.triangles)
+        assert np.array_equal(mesh.boundary_edges, back.boundary_edges)
+        assert np.array_equal(mesh.boundary_tags, back.boundary_tags)
+        node2, ele2 = write_triangle_format(back)
+        assert node2 == node and ele2 == ele
 
 
 def test_mesh_validation_rejects_bad_boundary():
@@ -175,9 +191,10 @@ def test_every_edge_shared_by_at_most_two_triangles(make):
 def test_comments_and_zero_based_indices():
     node = "# comment\n3 2 0 0\n0 0.0 0.0\n1 1.0 0.0\n2 0.0 1.0\n"
     ele = "1 3 0\n0 0 1 2\n"
-    mesh = read_triangle_format(node, ele, {0: Tag.WALL})
+    mesh = read_triangle_format(node, ele)
     assert mesh.n_triangles == 1
     assert len(mesh.boundary_edges) == 3
+    assert set(mesh.boundary_tags) == {Tag.WALL}  # no marker column: all wall
 
 
 @settings(max_examples=200, deadline=None)
@@ -227,28 +244,82 @@ def test_mesh_validation_rejects_non_manifold_edge():
 def test_read_reports_records_past_the_declared_counts():
     node = TWO_TRI_NODE + "5 0.5 0.5 2\n"
     with pytest.raises(ParseError, match=r"\.node line 6: record past the declared 4 vertex"):
-        read_triangle_format(node, TWO_TRI_ELE, {2: Tag.WALL})
+        read_triangle_format(node, TWO_TRI_ELE)
     ele = TWO_TRI_ELE + "3 2 3 4\n"
     with pytest.raises(ParseError, match=r"\.ele line 4: record past the declared 2 triangle"):
-        read_triangle_format(TWO_TRI_NODE, ele, {2: Tag.WALL})
+        read_triangle_format(TWO_TRI_NODE, ele)
     # comments and blank lines after the last record are not records
-    mesh = read_triangle_format(TWO_TRI_NODE + "\n# end\n", TWO_TRI_ELE + "# end\n",
-                                {2: Tag.WALL})
+    mesh = read_triangle_format(TWO_TRI_NODE + "\n# end\n", TWO_TRI_ELE + "# end\n")
     assert mesh.n_vertices == 4 and mesh.n_triangles == 2
 
 
 def test_read_reports_triangles_over_an_empty_vertex_list():
     with pytest.raises(ParseError, match=r"\.ele line 2: vertex index out of range"):
-        read_triangle_format("0 2 0 1\n", TWO_TRI_ELE, {2: Tag.WALL})
+        read_triangle_format("0 2 0 1\n", TWO_TRI_ELE)
 
 
 def test_read_reports_negative_counts():
     node = TWO_TRI_NODE.replace("4 2 0 1", "-4 2 0 1")
     with pytest.raises(ParseError, match=r"\.node line 1: negative vertex count -4"):
-        read_triangle_format(node, TWO_TRI_ELE, {2: Tag.WALL})
+        read_triangle_format(node, TWO_TRI_ELE)
     ele = TWO_TRI_ELE.replace("2 3 0", "-2 3 0")
     with pytest.raises(ParseError, match=r"\.ele line 1: negative triangle count -2"):
-        read_triangle_format(TWO_TRI_NODE, ele, {2: Tag.WALL})
+        read_triangle_format(TWO_TRI_NODE, ele)
+
+
+def _node(old, new):
+    return TWO_TRI_NODE.replace(old, new), TWO_TRI_ELE
+
+
+def _ele(old, new):
+    return TWO_TRI_NODE, TWO_TRI_ELE.replace(old, new)
+
+
+READER_ERRORS = [
+    (("", TWO_TRI_ELE), ".node: empty file"),
+    (("# only a comment\n\n", TWO_TRI_ELE), ".node: empty file"),
+    (_node("4 2 0 1", "4 2 0"), ".node line 1: bad header ['4', '2', '0']"),
+    (_node("4 2 0 1", "4 2 x 1"), ".node line 1: bad header ['4', '2', 'x', '1']"),
+    (_node("4 2 0 1", "-4 2 0 1"), ".node line 1: negative vertex count -4"),
+    (_node("4 2 0 1", "4 3 0 1"), ".node line 1: only 2D attribute-free files supported"),
+    (_node("4 2 0 1", "4 2 1 1"), ".node line 1: only 2D attribute-free files supported"),
+    (_node("4 2 0 1", "4 2 0 2"), ".node line 1: boundary marker count must be 0 or 1"),
+    (_node("4 0.0 1.0 2\n", ""), ".node: expected 4 vertex records, got 3"),
+    (_node("2 1.0 0.0 2", "2 1.0 0.0"), ".node line 3: expected 4 fields"),
+    (_node("4 2 0 1", "4 2 0 0"), ".node line 2: expected 3 fields"),
+    (_node("2 1.0 0.0 2", "2 1.0 oops 2"), ".node line 3: malformed record"),
+    (_node("1 0.0 0.0 2", "2 0.0 0.0 2"), ".node line 2: first index must be 0 or 1"),
+    (_node("2 1.0 0.0 2", "3 1.0 0.0 2"), ".node line 3: non-consecutive index 3"),
+    (_node("4 0.0 1.0 2\n", "4 0.0 1.0 2\n5 0.5 0.5 2\n"),
+     ".node line 6: record past the declared 4 vertex records"),
+    ((TWO_TRI_NODE, ""), ".ele: empty file"),
+    (_ele("2 3 0", "2 3"), ".ele line 1: bad header ['2', '3']"),
+    (_ele("2 3 0", "-2 3 0"), ".ele line 1: negative triangle count -2"),
+    (_ele("2 3 0", "2 4 0"), ".ele line 1: only 3-node attribute-free triangles supported"),
+    (_ele("2 3 0", "2 3 1"), ".ele line 1: only 3-node attribute-free triangles supported"),
+    (_ele("2 1 3 4\n", ""), ".ele: expected 2 triangle records, got 1"),
+    (_ele("2 1 3 4", "2 1 3"), ".ele line 3: expected 4 fields"),
+    (_ele("2 1 3 4", "2 1 3 x"), ".ele line 3: malformed record"),
+    (_ele("2 1 3 4", "2 1 3 9"), ".ele line 3: vertex index out of range"),
+    (_ele("2 1 3 4", "3 1 3 4"), ".ele line 3: non-consecutive index 3"),
+    (_ele("2 1 3 4\n", "2 1 3 4\n3 2 3 4\n"),
+     ".ele line 4: record past the declared 2 triangle records"),
+]
+
+
+@pytest.mark.parametrize("texts, message", READER_ERRORS,
+                         ids=[message for _, message in READER_ERRORS])
+def test_read_error_messages(texts, message):
+    """Every ParseError of the two files' checks, by its whole text."""
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        read_triangle_format(*texts)
+
+
+def test_empty_triangulation_is_rejected():
+    with pytest.raises(MeshError, match="^empty triangulation: the mesh has no triangles$"):
+        read_triangle_format("0 2 0 1\n", "0 3 0\n")
+    with pytest.raises(MeshError, match="empty triangulation"):
+        Mesh(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0))
 
 
 @pytest.mark.parametrize("name, make, digest", [

@@ -619,6 +619,18 @@ def test_continuation_validates_schedule(square2):
         continuation_in_nu(square2, grid, [0.1], variant="bogus")
 
 
+@pytest.mark.parametrize("schedule", [[0.2, 0.0], [0.2, -0.05], [0.2, np.nan],
+                                      [np.inf, 0.2]])
+def test_continuation_checks_every_viscosity_first(square2, monkeypatch, schedule):
+    """A bad viscosity anywhere in the schedule raises before the first
+    stage is solved."""
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage was solved")
+    monkeypatch.setattr(newton, "_solve", no_stage)
+    with pytest.raises(ValueError, match="viscosity must be finite and positive"):
+        continuation_in_nu(square2, TimeGrid(0.5, 2), schedule, g=cli.lid_profile)
+
+
 def test_continuation_single_entry_matches_plain(setup):
     space, grid, ops, loads, y0 = setup
     plain = damped_newton_solve(space, grid, NU, f=mf.forcing(NU),

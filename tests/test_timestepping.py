@@ -34,7 +34,20 @@ def test_time_grid_validation():
         TimeGrid(1.0, 0)
     with pytest.raises(ValueError):
         TimeGrid(-1.0, 5)
+    for T in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            TimeGrid(T, 4)
     assert TimeGrid(2.0, 100).dt == pytest.approx(0.02)
+
+
+@pytest.mark.parametrize("nu", [0.0, -0.05, np.nan, np.inf])
+def test_operators_reject_bad_viscosity(square2, nu):
+    """``__init__`` and ``with_nu`` share one finite-and-positive check."""
+    grid = TimeGrid(1.0, 4)
+    with pytest.raises(ValueError, match="viscosity must be finite and positive"):
+        Operators(square2, grid, nu)
+    with pytest.raises(ValueError, match="viscosity must be finite and positive"):
+        Operators(square2, grid, 0.2).with_nu(nu)
 
 
 def test_zero_data_gives_zero_everything(square2):
