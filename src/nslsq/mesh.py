@@ -311,7 +311,7 @@ def read_triangle_format(node_text: str, ele_text: str) -> Mesh:
             idx = int(fields[0])
             vertices[k] = float(fields[1]), float(fields[2])
             markers[k] = int(fields[3]) if nmark else 0
-        except ValueError:
+        except (ValueError, OverflowError):  # past int64 overflows
             raise ParseError(f".node line {lineno}: malformed record") from None
         if k == 0:
             if idx not in (0, 1):

@@ -19,6 +19,9 @@ constrained Poisson lift, paired by the V inner product: fewer auxiliary
 solves.  The representation of minus the defect gives twice the
 functional, and that of the direction's self-convection gives the two
 scalars of the remainder that the quartic needs.
+A solve is ``prepare_problem`` plus ``newton_loop``, which runs from any
+trajectory; a continuation prepares once and runs each stage on
+``ops.with_nu(nu)`` from the last trajectory.
 """
 
 from __future__ import annotations
@@ -77,8 +80,8 @@ class NewtonResult:
     records: list[IterationRecord]
     # converged | diverged | max_iterations | stalled | line_search_failed | solver_failed
     outcome: str
-    ops: Operators | None = None
-    loads: np.ndarray | None = None
+    ops: Operators
+    loads: np.ndarray | None  # the forcing loads, None without a force
     error: str | None = None  # the SolverError or the stall that ended the loop
 
     @property
@@ -283,8 +286,9 @@ POLICIES = tuple(_STEPS)
 def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
                 *, variant: str = "E", tol: float = 1e-8, m: float = 2.0,
                 policy: str = "quartic", max_iter: int = MAX_OUTER_ITERATIONS) -> NewtonResult:
-    """Outer damped-Newton iteration on a prepared initial trajectory,
-    driving the residual measure ``variant`` (E or Etilde) below ``tol``.
+    """Outer damped-Newton iteration from the trajectory ``y0``, driving
+    the residual measure ``variant`` (E or Etilde) below ``tol`` at
+    ``ops.nu`` with the forcing ``loads``; the result carries both.
     A ``sqrt(2E)`` that is not finite, or past ``DIVERGENCE_FACTOR`` (read
     at each check) times the first, ends it as ``diverged``.
 
@@ -354,34 +358,25 @@ def newton_loop(ops: Operators, y0: FieldTrajectory, loads: np.ndarray | None,
         records.append(IterationRecord(k, float(sqrt2e), lam, rel_inc,
                                        time.perf_counter() - t0, predicted))
         if outcome is not None:
-            return NewtonResult(y, records, outcome, error=error)
+            return NewtonResult(y, records, outcome, ops, loads, error)
         y, rel_inc = y_next, float(next_rel)
         predicted = float(np.sqrt(max(quartic(a, b, c, lam), 0.0)))
         k += 1
 
 
-def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
-                    u0=None, ops: Operators | None = None, warm_start=None):
-    """Assemble operators, boundary data, loads, and the starting
-    trajectory shared by both residual measures: a copy of ``warm_start``
-    if given, else the Stokes initial guess.
+def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None, u0=None):
+    """Check the data, then make ``newton_loop``'s arguments: the operators
+    at ``nu``, the forcing loads and the Stokes initial guess.
 
     ``g`` is the horizontal lid velocity (homogeneous walls when omitted),
     ``f(x, t)`` the body force, and ``u0`` the initial velocity as a vector
-    or a callable (the steady Stokes field of the lid data when omitted,
-    which a warm start does not solve for).  The Stokes initial guess is
-    the unsteady Stokes sweep from ``u0``; from the steady field without a
-    force that sweep returns the field at every level, so the field is
-    copied to every level instead.  Non-finite data, a force that is not
-    one 2-vector per point, and lid data on a mesh without a lid raise
-    ``ValueError``, also on a warm start, and so does a ``warm_start``
-    that is not ``N + 1`` finite velocity levels.
+    or a callable (the steady Stokes field of the lid data when omitted).
+    The Stokes initial guess is the unsteady Stokes sweep from ``u0``; from
+    the steady field without a force that sweep returns the field at every
+    level, so the field is copied to every level instead.  Non-finite data,
+    a force that is not one 2-vector per point, and lid data on a mesh
+    without a lid raise ``ValueError`` before any LU is made.
     """
-    if warm_start is not None:
-        shape = np.shape(warm_start.values)
-        if shape != (grid.N + 1, space.n_velocity) or not np.isfinite(warm_start.values).all():
-            raise ValueError(f"warm_start must be {grid.N + 1} x {space.n_velocity} "
-                             f"finite values, got shape {shape}")
     if g is not None and not (space.boundary_node_tags == int(Tag.LID)).any():
         raise ValueError("lid velocity g given, but the mesh has no lid boundary")
     values = (np.zeros(len(space.dirichlet_dofs)) if g is None
@@ -389,25 +384,21 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
     if not np.isfinite(values).all():
         raise ValueError("lid velocity g has non-finite values on the lid")
     loads = None
-    if f is not None:  # before the operators, so a bad force costs no LU
+    if f is not None:
         times = grid.times()
         loads = np.stack([fem.load_vector(space, f, times[n + 1])
                           for n in range(grid.N)])
-    if ops is None:
-        ops = Operators(space, grid, nu)
-    steady = u0 is None and warm_start is None
-    if steady:
-        u0 = steady_stokes_initial(ops, values)
-    elif callable(u0):
-        u0 = fem.interpolate_velocity(space, u0)
-    if u0 is not None:  # a warm start without u0 has none to check
-        u0 = np.asarray(u0, dtype=np.float64)
+    if u0 is not None:
+        u0 = np.asarray(fem.interpolate_velocity(space, u0) if callable(u0) else u0,
+                        dtype=np.float64)
         if u0.shape != (space.n_velocity,) or not np.isfinite(u0).all():
             raise ValueError(f"initial velocity u0 must be {space.n_velocity} finite "
                              f"values, got shape {u0.shape}")
-    if warm_start is not None:  # it replaces the Stokes guess
-        y0 = warm_start.copy()
-    elif steady and loads is None:  # the sweep would return u0 at every level
+    ops = Operators(space, grid, nu)
+    steady = u0 is None
+    if steady:
+        u0 = steady_stokes_initial(ops, values)
+    if steady and loads is None:  # the sweep would return u0 at every level
         y0 = FieldTrajectory(grid, np.tile(u0, (grid.N + 1, 1)))
     else:
         y0 = unsteady_stokes_initial_guess(ops, u0, values, loads)
@@ -415,21 +406,18 @@ def prepare_problem(space: Space, grid: TimeGrid, nu: float, *, g=None, f=None,
 
 
 def _solve(space: Space, grid: TimeGrid, nu: float, variant: str, *, g=None,
-           f=None, u0=None, warm_start=None, ops: Operators | None = None,
-           **loop) -> NewtonResult:
+           f=None, u0=None, **loop) -> NewtonResult:
     """``prepare_problem`` plus the outer loop; ``loop`` holds the
     keywords of ``newton_loop``."""
-    ops, loads, y0 = prepare_problem(space, grid, nu, g=g, f=f, u0=u0, ops=ops,
-                                     warm_start=warm_start)
-    result = newton_loop(ops, y0, loads, variant=variant, **loop)
-    result.ops, result.loads = ops, loads
-    return result
+    ops, loads, y0 = prepare_problem(space, grid, nu, g=g, f=f, u0=u0)
+    return newton_loop(ops, y0, loads, variant=variant, **loop)
 
 
 def damped_newton_solve(space: Space, grid: TimeGrid, nu: float,
                         **kwargs) -> NewtonResult:
-    """Full solve driving the corrector functional E.  Keywords: the data
-    of ``prepare_problem``, ``warm_start``, and the settings of ``newton_loop``."""
+    """Full solve driving the corrector functional E from the Stokes
+    initial guess.  Keywords: the data of ``prepare_problem`` and the
+    settings of ``newton_loop``."""
     return _solve(space, grid, nu, "E", **kwargs)
 
 
@@ -440,22 +428,22 @@ def residual_variant_solve(space: Space, grid: TimeGrid, nu: float,
     return _solve(space, grid, nu, "Etilde", **kwargs)
 
 
-def continuation_in_nu(space: Space, grid: TimeGrid, schedule, *,
-                       variant: str = "E", **kwargs) -> list[tuple[float, NewtonResult]]:
-    """Solve at each viscosity of a strictly decreasing schedule, warm
-    starting from the previous converged trajectory.  Every viscosity is
-    checked before the first stage is solved."""
+def continuation_in_nu(space: Space, grid: TimeGrid, schedule, *, variant: str = "E",
+                       g=None, f=None, u0=None, **loop) -> list[tuple[float, NewtonResult]]:
+    """Solve at each viscosity of a strictly decreasing schedule, all
+    checked first.  The problem is prepared once, at the first viscosity;
+    each later stage runs on ``ops.with_nu(nu)`` (the same LUs, loads and
+    counter) from the previous stage's trajectory."""
     schedule = [checked_viscosity(float(s)) for s in schedule]
     if not schedule:
         raise ValueError("empty viscosity schedule")
     if any(b >= a for a, b in zip(schedule[:-1], schedule[1:])):
         raise ValueError(f"schedule must be strictly decreasing: {schedule}")
-    ops = None
-    warm = None
+    ops, loads, y = prepare_problem(space, grid, schedule[0], g=g, f=f, u0=u0)
     out: list[tuple[float, NewtonResult]] = []
     for nu in schedule:
-        ops = Operators(space, grid, nu) if ops is None else ops.with_nu(nu)
-        res = _solve(space, grid, nu, variant, warm_start=warm, ops=ops, **kwargs)
-        out.append((nu, res))
-        warm = res.trajectory
+        result = newton_loop(ops.with_nu(nu) if out else ops, y, loads,
+                             variant=variant, **loop)
+        out.append((nu, result))
+        y = result.trajectory
     return out

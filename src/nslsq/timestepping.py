@@ -164,10 +164,10 @@ class Operators:
     ``linearized_lu`` reports the held ordering and its fill.
 
     ``factorizations`` counts, per run, the LUs by label (heat, stokes,
-    linearized) and the direction sweep's ``lagged`` levels and
-    ``krylov_iterations`` (``_direction_level``).  Every direction sweep
-    adds N to ``linearized + lagged``.  Operators derived by ``with_nu``
-    share the counter.
+    linearized) and the direction sweep's ``lagged`` levels,
+    ``krylov_iterations`` and ``krylov_rejections`` (``_direction_level``).
+    Every direction sweep adds N to ``linearized + lagged``.  Operators
+    derived by ``with_nu`` share the counter.
     """
 
     def __init__(self, space: Space, grid: TimeGrid, nu: float):
@@ -185,7 +185,7 @@ class Operators:
             (pattern.values(m_dt + self.K.data), "heat"),
             (pattern.values(self.K.data), "stokes"))
         self.factorizations = Counter(heat=1, stokes=1, linearized=0, lagged=0,
-                                      krylov_iterations=0)
+                                      krylov_iterations=0, krylov_rejections=0)
         self._convection = _Convection(space, self.M, self.B, self.heat.fact.lu_nnz)
         self._a_values = m_dt + nu * self.K.data  # M/dt + nu K on the entries of M
 
@@ -234,10 +234,12 @@ def _direction_level(ops: Operators, y_level: np.ndarray, load: np.ndarray,
     the held LU would be ``LU_LAG`` levels old (levels 1, 1 + LU_LAG, ...),
     and otherwise solved by GMRES on its own matrix, right-preconditioned
     with the held LU (``linalg.krylov_solve``).  A solve GMRES does not
-    resolve factorizes its level after all and restarts the cadence.  A
-    non-finite load skips GMRES and propagates through the held LU, as
-    through a fresh one, to the outer divergence check.  A level counts
-    one ``linearized`` or ``lagged``, and GMRES its ``krylov_iterations``.
+    resolve counts one ``krylov_rejections`` and factorizes its level
+    after all, and so is every later level of the sweep, without GMRES
+    (age None).  A non-finite load skips GMRES and propagates through the
+    held LU, as through a fresh one, to the outer divergence check.  A
+    level counts one ``linearized`` or ``lagged``, and GMRES its
+    ``krylov_iterations``.
 
     One linearized LU is alive at a time: the held LU is released before
     a level is factorized, on the cadence and after a rejected GMRES
@@ -247,7 +249,7 @@ def _direction_level(ops: Operators, y_level: np.ndarray, load: np.ndarray,
     pattern = ops.linearized_pattern
     matrix = ops.linearized(y_level)
     fact, age = held.pop() if held else (None, -1)
-    age = (age + 1) % LU_LAG  # 0: this level is factorized
+    age = None if age is None else (age + 1) % LU_LAG  # 0 or None: factorized
 
     def solve(b):
         nonlocal fact, age
@@ -255,7 +257,9 @@ def _direction_level(ops: Operators, y_level: np.ndarray, load: np.ndarray,
         if age and np.isfinite(b).all():
             x, iterations = krylov_solve(matrix, fact, b)
             ops.factorizations["krylov_iterations"] += iterations
-            age = 0 if x is None else age
+            if x is None:
+                ops.factorizations["krylov_rejections"] += 1
+                age = None
         if not age:
             fact = None  # release the held LU before SuperLU makes the next
             fact = pattern.factorize(matrix, "linearized")

@@ -268,7 +268,7 @@ def test_report_counts_match_mesh(tiny_run):
     # every direction level is factorized or solved on a held LU: N = 4
     counts = data["solver_counts"]
     assert counts.keys() == {"heat", "stokes", "linearized", "lagged",
-                             "krylov_iterations"}
+                             "krylov_iterations", "krylov_rejections"}
     assert counts["heat"] == counts["stokes"] == 1
     assert counts["linearized"] + counts["lagged"] == 4 * report.records[-1]["k"]
 
@@ -441,6 +441,19 @@ def test_main_run_rejects_empty_triangulation(tmp_path, capsys):
                         f"dt = 0.1\nnu = 0.1\noutdir = {tmp_path / 'out'}\n")
     assert main(["run", str(cfg_path)]) == 1
     assert capsys.readouterr().err == "error: empty triangulation: the mesh has no triangles\n"
+
+
+def test_main_run_rejects_marker_past_int64(tmp_path, capsys):
+    """A Triangle file with a marker past int64 ends ``nslsq run`` with
+    exit 1 and the file and line, not a traceback."""
+    (tmp_path / "big.node").write_text("3 2 0 1\n1 0 0 99999999999999999999\n"
+                                       "2 1 0 0\n3 0 1 0\n")
+    (tmp_path / "big.ele").write_text("1 3 0\n1 1 2 3\n")
+    cfg_path = tmp_path / "big.ini"
+    cfg_path.write_text(f"[experiment]\ngeometry = {tmp_path / 'big'}\nT = 0.2\n"
+                        f"dt = 0.1\nnu = 0.1\noutdir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: .node line 2: malformed record\n"
 
 
 def test_main_diverged_exit_code(tmp_path, monkeypatch, capsys):

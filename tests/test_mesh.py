@@ -253,6 +253,14 @@ def test_read_reports_records_past_the_declared_counts():
     assert mesh.n_vertices == 4 and mesh.n_triangles == 2
 
 
+def test_read_reports_marker_past_int64():
+    """A marker too large for the int64 marker array is a malformed
+    record of its line, not an ``OverflowError``."""
+    node = "3 2 0 1\n1 0 0 99999999999999999999\n2 1 0 0\n3 0 1 0\n"
+    with pytest.raises(ParseError, match=r"^\.node line 2: malformed record$"):
+        read_triangle_format(node, "1 3 0\n1 1 2 3\n")
+
+
 def test_read_reports_triangles_over_an_empty_vertex_list():
     with pytest.raises(ParseError, match=r"\.ele line 2: vertex index out of range"):
         read_triangle_format("0 2 0 1\n", TWO_TRI_ELE)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nslsq import cli, manufactured as mf, newton, timestepping
+from nslsq import cli, fem, manufactured as mf, newton, timestepping
 from nslsq.fem import build_space, interpolate_velocity, lid_boundary_values
 from nslsq.linalg import Factorization
 from nslsq.mesh import generate_semidisk, generate_unit_square
@@ -302,9 +302,9 @@ def test_lagged_direction_matches_fresh_lu_direction(setup, monkeypatch):
     levels in between by GMRES on the held LU (the cadence of
     ``timestepping._direction_level``); it matches a sweep with a fresh LU
     on every level.  A single rejected GMRES solve, on level 2, factorizes
-    that level and restarts the cadence there: the LUs are made on levels
-    1, 2, 5 and 8.  When GMRES is never accepted, every level falls back
-    to a fresh LU."""
+    that level, and every later level of the sweep is factorized without
+    GMRES: the sweep runs GMRES once and makes eight LUs.  When GMRES is
+    never accepted, the sweep is the same."""
     space, grid, ops, loads, y0 = setup
     y = newton_loop(ops, y0, loads, max_iter=1).trajectory  # GMRES iterates here
     defects = defect_loads(ops, y, loads)
@@ -339,15 +339,18 @@ def test_lagged_direction_matches_fresh_lu_direction(setup, monkeypatch):
     monkeypatch.setattr(pattern, "factorize",
                         lambda m, label: events.append("lu") or factorize(m, label))
     added, rel = compare_sweep()
-    # level 1: LU; 2: rejected GMRES, LU; 3, 4: GMRES; 5: LU; 6, 7: GMRES; 8: LU
-    assert events == ["lu", "gmres", "lu", "gmres", "gmres", "lu", "gmres", "gmres", "lu"]
-    assert (added["linearized"], added["lagged"]) == (4, 4)
+    # level 1: LU; 2: rejected GMRES, LU; 3..8: LU
+    assert events == ["lu", "gmres", "lu", "lu", "lu", "lu", "lu", "lu", "lu"]
+    assert (added["linearized"], added["lagged"]) == (8, 0)
+    assert added["krylov_rejections"] == 1
     assert rel <= 1e-10
 
     monkeypatch.setattr(timestepping, "krylov_solve",
-                        lambda matrix, fact, b: (None, 60))
+                        lambda matrix, fact, b: events.append("gmres") or (None, 60))
+    events.clear()
     added, rel = compare_sweep()
     assert (added["linearized"], added["lagged"]) == (grid.N, 0)
+    assert added["krylov_rejections"] == events.count("gmres") == 1
     assert rel <= 1e-12
 
 
@@ -581,16 +584,6 @@ def test_prepare_problem_rejects_non_finite_data(disk_coarse, square2):
             prepare_problem(square2, grid, 0.1, f=f)
         with pytest.raises(ValueError, match="forcing f"):
             damped_newton_solve(square2, grid, 0.1, f=f)
-    # a warm start of N = 3 levels for N = 4, and one with a NaN level
-    grid = TimeGrid(0.1, 4)
-    short = FieldTrajectory.zeros(TimeGrid(0.1, 3), n)
-    nan_level = FieldTrajectory.zeros(grid, n)
-    nan_level.values[2] = np.nan
-    for warm in (short, nan_level):
-        with pytest.raises(ValueError, match="warm_start"):
-            prepare_problem(square2, grid, 0.1, warm_start=warm)
-        with pytest.raises(ValueError, match="warm_start"):
-            damped_newton_solve(square2, grid, 0.1, warm_start=warm)
 
 
 def test_divergence_constraint_on_all_levels(setup):
@@ -625,8 +618,8 @@ def test_continuation_checks_every_viscosity_first(square2, monkeypatch, schedul
     """A bad viscosity anywhere in the schedule raises before the first
     stage is solved."""
     def no_stage(*args, **kwargs):
-        raise AssertionError("a stage was solved")
-    monkeypatch.setattr(newton, "_solve", no_stage)
+        raise AssertionError("the problem was prepared")
+    monkeypatch.setattr(newton, "prepare_problem", no_stage)
     with pytest.raises(ValueError, match="viscosity must be finite and positive"):
         continuation_in_nu(square2, TimeGrid(0.5, 2), schedule, g=cli.lid_profile)
 
@@ -664,7 +657,7 @@ def test_continuation_warm_start_reduces_iterations():
 
 def test_warm_start_skips_stokes_initial_guess(square2, monkeypatch):
     """Only the first continuation stage sweeps the Stokes initial guess;
-    a warm-started solve still checks its data."""
+    a plain solve still checks its data."""
     calls = []
     guess = newton.unsteady_stokes_initial_guess
     monkeypatch.setattr(newton, "unsteady_stokes_initial_guess",
@@ -675,8 +668,7 @@ def test_warm_start_skips_stokes_initial_guess(square2, monkeypatch):
     assert all(res.converged for _, res in cont)
     assert len(calls) == 1
     with pytest.raises(ValueError, match="u0"):
-        damped_newton_solve(square2, grid, 0.1, u0=np.zeros(3),
-                            warm_start=cont[-1][1].trajectory)
+        damped_newton_solve(square2, grid, 0.1, u0=np.zeros(3))
 
 
 def test_steady_start_is_the_stokes_field_on_every_level(disk_coarse, monkeypatch):
@@ -696,20 +688,76 @@ def test_steady_start_is_the_stokes_field_on_every_level(disk_coarse, monkeypatc
                for v in levels)
     swept = guess(ops, levels[0], lid_boundary_values(disk_coarse, cli.lid_profile))
     assert np.abs(swept.values - levels).max() <= 1e-12 * np.abs(levels).max()
-    prepare_problem(disk_coarse, grid, 0.01, g=cli.lid_profile, ops=ops,
+    prepare_problem(disk_coarse, grid, 0.01, g=cli.lid_profile,
                     f=lambda x, t: np.ones_like(x))
     assert len(calls) == 1
 
 
 def test_warm_start_skips_steady_stokes_initial(square2, monkeypatch):
     """Without ``u0`` only the first continuation stage solves for the
-    steady Stokes field: a warm start replaces the guess built on it."""
+    steady Stokes field: later stages start from the last trajectory."""
     calls = []
     steady = newton.steady_stokes_initial
     monkeypatch.setattr(newton, "steady_stokes_initial",
                         lambda *args: calls.append(1) or steady(*args))
     continuation_in_nu(square2, TimeGrid(0.5, 4), [0.2, 0.1], f=mf.forcing(0.1))
     assert len(calls) == 1
+
+
+def test_continuation_prepares_once(square2, monkeypatch):
+    """A continuation checks its data, builds its forcing loads (``N`` load
+    vectors) and its Stokes guess once, at the first viscosity.  Every stage
+    holds the same loads and factorization counter, each later stage starts
+    from the previous stage's trajectory, and running it leaves that
+    trajectory bit-unchanged."""
+    loads_made, prepared, stages = [], [], []
+    load_vector, prepare, loop = fem.load_vector, newton.prepare_problem, newton.newton_loop
+    monkeypatch.setattr(fem, "load_vector",
+                        lambda *args: loads_made.append(1) or load_vector(*args))
+    monkeypatch.setattr(newton, "prepare_problem",
+                        lambda *args, **kw: prepared.append(1) or prepare(*args, **kw))
+
+    def loop_stage(ops, y0, loads, **kw):
+        result = loop(ops, y0, loads, **kw)
+        stages.append((y0, result.trajectory.values.copy()))
+        return result
+
+    monkeypatch.setattr(newton, "newton_loop", loop_stage)
+    grid = TimeGrid(0.5, 4)
+    schedule = [0.2, 0.1, 0.05]
+    cont = continuation_in_nu(square2, grid, schedule, f=mf.forcing(0.05),
+                              u0=lambda x: mf.exact_velocity(x, 0.0))
+    assert len(prepared) == 1 and len(loads_made) == grid.N
+    results = [res for _, res in cont]
+    assert [res.ops.nu for res in results] == schedule
+    assert all(res.loads is results[0].loads for res in results)
+    assert all(res.ops.factorizations is results[0].ops.factorizations for res in results)
+    for (start, _), (_, ended), previous in zip(stages[1:], stages, results):
+        assert start is previous.trajectory
+        assert previous.trajectory.values.tobytes() == ended.tobytes()
+
+
+ENTRIES = {
+    "prepare_problem": lambda space, grid, **kw: prepare_problem(space, grid, 0.1, **kw),
+    "damped_newton_solve": lambda space, grid, **kw: damped_newton_solve(space, grid, 0.1, **kw),
+    "residual_variant_solve":
+        lambda space, grid, **kw: residual_variant_solve(space, grid, 0.1, **kw),
+    "continuation_in_nu": lambda space, grid, **kw: continuation_in_nu(space, grid, [0.1], **kw),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("keyword", ["ops", "warm_start"])
+def test_public_entries_take_no_operators_or_start(entry, keyword, square2):
+    """No public entry takes operators or a starting trajectory, so a call
+    that names two viscosities, ``nu`` and that of ``ops``, cannot be
+    written: ``newton_loop(ops, y0, loads)`` is the way to start from a
+    given trajectory."""
+    grid = TimeGrid(0.5, 2)
+    ops = Operators(square2, grid, 0.5)
+    value = {"ops": ops, "warm_start": FieldTrajectory.zeros(grid, square2.n_velocity)}
+    with pytest.raises(TypeError, match=keyword):
+        ENTRIES[entry](square2, grid, **{keyword: value[keyword]})
 
 
 def test_line_search_failure_ends_the_loop(setup, monkeypatch):

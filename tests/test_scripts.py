@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from nslsq.linalg import KRYLOV_CYCLES, KRYLOV_RESTART
+
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
 
@@ -139,6 +141,23 @@ def test_convergence_study_prints_levels_and_rate(capsys):
     assert rows[0][3] == "-" and math.isfinite(float(rows[1][3]))
     assert lines[-1].startswith("fitted rate in h: ")
     assert math.isfinite(float(lines[-1].split()[4]))
+
+
+def test_hard_start_quick_prints_each_viscosity(capsys):
+    """``--quick`` (h = 0.2, N = 8) solves from the noise start at both
+    viscosities and prints one line each.  Every direction sweep of that
+    start rejects a GMRES solve, at most once per sweep, and each of the
+    N levels of a sweep is factorized or lagged."""
+    hard_start = _load(SCRIPTS[0].parent / "hard_start.py")
+    assert hard_start.main(["--quick"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["nu = 1/500", "nu = 1/2000"]
+    for line in lines:
+        numbers = [int(word) for word in line.replace(",", " ").split() if word.isdigit()]
+        k, lus, lagged, krylov, rejections = numbers[-5:]
+        assert "stalled" in line or "converged" in line
+        assert lus + lagged == 8 * k and rejections == k
+        assert krylov <= rejections * KRYLOV_CYCLES * KRYLOV_RESTART
 
 
 CONFIGS = sorted((SCRIPTS[0].parent.parent / "configs").glob("*.ini"))

@@ -549,8 +549,8 @@ def test_lift_blocks_match_single_solves(square4, monkeypatch):
 def test_direction_sweep_holds_one_linearized_lu(gmres, square4, monkeypatch):
     """When a direction sweep factorizes a level, no earlier linearized LU
     of the sweep is alive: on the cadence (levels 1, 4, 7 of N = 8, the
-    others solved by GMRES on the held LU) and when every GMRES solve is
-    rejected, so every level falls back to an LU of its own."""
+    others solved by GMRES on the held LU) and when GMRES is rejected, so
+    that level and every later one take an LU of their own."""
     import weakref
 
     from nslsq import linalg, timestepping
@@ -581,6 +581,34 @@ def test_direction_sweep_holds_one_linearized_lu(gmres, square4, monkeypatch):
     assert ops.factorizations["linearized"] == len(made) == expected
     assert ops.factorizations["lagged"] == grid.N - expected
     assert alive_at_factorize == [0] * expected
+
+
+def test_rejecting_sweep_runs_gmres_at_most_once(square4, monkeypatch):
+    """A trajectory that is rough in time (independent noise on every
+    level) makes the held LU fail GMRES on level 2.  That level and every
+    later one are then factorized without GMRES: the sweep runs GMRES
+    once, counts one rejection and makes an LU on every level."""
+    from nslsq import timestepping
+
+    grid = TimeGrid(1.0, 8)
+    ops = Operators(square4, grid, nu=0.01)
+    rng = np.random.default_rng(0)
+    y = timestepping.FieldTrajectory(
+        grid, rng.standard_normal((grid.N + 1, square4.n_velocity)))
+    loads = rng.standard_normal((grid.N, square4.n_velocity))
+    accepted = []
+    krylov_solve = timestepping.krylov_solve
+
+    def counted(*args):
+        x, iterations = krylov_solve(*args)
+        accepted.append(x is not None)
+        return x, iterations
+
+    monkeypatch.setattr(timestepping, "krylov_solve", counted)
+    timestepping.sweep(ops, loads, y)
+    assert accepted == [False]
+    counts = ops.factorizations
+    assert (counts["linearized"], counts["lagged"], counts["krylov_rejections"]) == (8, 0, 1)
 
 
 def test_linearized_pattern_matches_direct_construction(square2, disk_coarse):
